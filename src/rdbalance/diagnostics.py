@@ -76,8 +76,8 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
     a_star = np.asarray(a_inf, dtype=float)
     if np.any(a <= 0):
         i, *cell = np.unravel_index(int(np.argmin(a)), a.shape)
-        raise ValueError(
-            f"non-positive cell value for species {i} at cell {tuple(cell)}")
+        raise ValueError(f"non-positive cell value for species {int(i)} "
+                         f"at cell {tuple(int(c) for c in cell)}")
     fisher = 0.0
     for i in range(a.shape[0]):
         fisher += net.diffusion[i] * _face_gradient_integral(a[i], a[i], grid)

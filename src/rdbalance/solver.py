@@ -4,14 +4,16 @@ with no-flux boundaries.
 Space: cell-centered second-order differences with mirror ghost cells, so
 the discrete Laplacian annihilates constants and telescopes to zero cell
 sum; together with Q P(a) = 0 this conserves the discrete masses exactly
-up to roundoff.  Time: operator splitting.
+up to roundoff.  Time: operator splitting.  The diffusion substeps are the
+exact semigroup of the discrete Laplacian, applied to all species and axes
+in one batched cosine transform (DCT-II), so they keep cells nonnegative
+for any step size.
 
-* ``imex``: backward-Euler diffusion (one tridiagonal solve per species
-  and axis), then forward-Euler reaction.  First order.
-* ``strang``: half-step Crank-Nicolson diffusion, full-step Heun
-  (second-order Runge-Kutta) pointwise reaction, half-step diffusion.
-  Second order; on rectangles the half steps use Peaceman-Rachford
-  alternating-direction sweeps.
+* ``imex``: exact diffusion over dt, then forward-Euler reaction (Lie
+  splitting).  First order.
+* ``strang``: exact diffusion over dt/2, full-step Heun (second-order
+  Runge-Kutta) pointwise reaction, exact diffusion over dt/2.  Second
+  order.
 
 Negative concentrations are an error, not something to clip: clipping
 would silently destroy the conservation laws the scheme is built around.
@@ -19,11 +21,11 @@ would silently destroy the conservation laws the scheme is built around.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .diagnostics import DiagnosticsSeries, entropy_dissipation, relative_entropy, \
     weighted_norm
@@ -34,15 +36,19 @@ from .network import ReactionNetwork, decompose
 
 NEGATIVE_TOL = -1e-10
 
-_SCHEMES = {"strang": "strang", "imex": "imex", "imex_euler": "imex"}
+_SCHEMES = ("strang", "imex")
+_ROWS_PER_WRITE = 1024  # bounds the transient strings of a snapshot write
 
 
 class NonPositivityError(RuntimeError):
-    """A cell dropped below the roundoff tolerance for nonnegativity."""
+    """A cell dropped below the roundoff tolerance for nonnegativity, or
+    stopped being finite (NaN or inf)."""
 
     def __init__(self, species: str, cell: tuple[int, ...], t: float, value: float):
+        cell = tuple(int(c) for c in cell)
+        what = "went negative" if value < 0 else "is not finite"
         super().__init__(
-            f"species {species} went negative at cell {cell}, t = {t:g} "
+            f"species {species} {what} at cell {cell}, t = {t:g} "
             f"(value {value:.3e})")
         self.species = species
         self.cell = cell
@@ -119,69 +125,34 @@ class NeumannLaplacian:
         return out
 
 
-def _shifted_banded(n: int, h: float, c: float) -> np.ndarray:
-    """Banded form of I + c * (-Lap_1d) for solve_banded ((1, 1) bands)."""
-    r = c / (h * h)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[1, 0] = 1.0 + r  # mirror ghost cells: boundary rows lose one neighbour
-    ab[1, -1] = 1.0 + r
-    ab[2, :-1] = -r
-    return ab
+class _DiffusionSemigroup:
+    """Exact diffusion substep exp(tau d_i Lap) for every species at once.
 
-
-def _lap1d(u: np.ndarray, h: float, axis: int) -> np.ndarray:
-    padded = np.concatenate([np.take(u, [0], axis=axis), u,
-                             np.take(u, [-1], axis=axis)], axis=axis)
-    n = u.shape[axis]
-    return (np.take(padded, range(0, n), axis=axis) - 2.0 * u
-            + np.take(padded, range(2, n + 2), axis=axis)) / (h * h)
-
-
-class _DiffusionStep:
-    """Precomputed implicit solves for one species over one substep.
-
-    1D: backward Euler (I - c Lap) u+ = u, or Crank-Nicolson
-    (I - c/2 Lap) u+ = (I + c/2 Lap) u.  2D backward Euler splits the two
-    axes sequentially; 2D Crank-Nicolson uses a Peaceman-Rachford sweep
-    pair, which is second order over the substep.
+    The mirror-ghost Laplacian of ``NeumannLaplacian`` is diagonal in the
+    orthonormal DCT-II basis, with eigenvalue -sum_axes (2/h sin(k pi/2n))^2
+    for mode k, so the substep is a transform, a pointwise multiply and the
+    inverse transform.  Mode 0 has multiplier exactly 1 (mass is kept to
+    roundoff) and every multiplier lies in (0, 1] (the semigroup keeps
+    cells nonnegative at any tau).
     """
 
-    def __init__(self, grid: Grid, d: float, dt_sub: float, crank_nicolson: bool):
-        self.grid = grid
-        self.cn = crank_nicolson
-        h = grid.spacing
-        c = d * dt_sub
-        self.half = 0.5 * c
-        self.spacing = h
-        if grid.ndim == 1:
-            self.bands = [_shifted_banded(grid.shape[0], h[0],
-                                          self.half if crank_nicolson else c)]
-        else:
-            # Peaceman-Rachford carries c/2 per alternating sweep; the
-            # first-order split solves the full c on each axis in turn.
-            per_axis = 0.5 * c if crank_nicolson else c
-            self.axis_coeff = per_axis
-            self.bands = [_shifted_banded(grid.shape[k], h[k], per_axis)
-                          for k in range(2)]
+    def __init__(self, grid: Grid, diffusion, tau: float):
+        from scipy import fft  # deferred: importing rdbalance loads only numpy
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        if self.grid.ndim == 1:
-            if self.cn:
-                rhs = u + self.half * _lap1d(u, self.spacing[0], 0)
-            else:
-                rhs = u
-            return solve_banded((1, 1), self.bands[0], rhs, check_finite=False)
-        if self.cn:
-            # Peaceman-Rachford: implicit x with explicit y, then swap.
-            c = self.axis_coeff
-            rhs = u + c * _lap1d(u, self.spacing[1], 1)
-            star = solve_banded((1, 1), self.bands[0], rhs, check_finite=False)
-            rhs = star + c * _lap1d(star, self.spacing[0], 0)
-            return solve_banded((1, 1), self.bands[1], rhs.T, check_finite=False).T
-        star = solve_banded((1, 1), self.bands[0], u, check_finite=False)
-        return solve_banded((1, 1), self.bands[1], star.T, check_finite=False).T
+        self._fft = fft
+        self.axes = tuple(range(1, grid.ndim + 1))
+        eigenvalues = np.zeros(grid.shape)
+        for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+            mu = (2.0 / h * np.sin(np.arange(n) * math.pi / (2 * n))) ** 2
+            eigenvalues = eigenvalues - mu.reshape(
+                (n,) + (1,) * (grid.ndim - 1 - axis))
+        d = np.asarray(diffusion, dtype=float).reshape((-1,) + (1,) * grid.ndim)
+        self.multiplier = np.exp(tau * d * eigenvalues)  # (I, *grid.shape)
+
+    def apply(self, fields: np.ndarray) -> np.ndarray:
+        modes = self._fft.dctn(fields, axes=self.axes, norm="ortho")
+        modes *= self.multiplier
+        return self._fft.idctn(modes, axes=self.axes, norm="ortho")
 
 
 class _ReactionTerm:
@@ -206,8 +177,8 @@ class Stepper:
     """One-step integrator bound to a network, grid, dt and scheme."""
 
     def __init__(self, net: ReactionNetwork, grid: Grid, dt: float, scheme: str):
-        key = _SCHEMES.get(str(scheme).lower())
-        if key is None:
+        key = str(scheme).lower()
+        if key not in _SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r} (use 'strang' or 'imex')")
         if not dt > 0:
             raise ValueError("dt must be positive")
@@ -216,38 +187,31 @@ class Stepper:
         self.dt = dt
         self.scheme = key
         self.reaction = _ReactionTerm(net)
-        if key == "strang":
-            self.diffusion = [_DiffusionStep(grid, d, 0.5 * dt, crank_nicolson=True)
-                              for d in net.diffusion]
-        else:
-            self.diffusion = [_DiffusionStep(grid, d, dt, crank_nicolson=False)
-                              for d in net.diffusion]
-
-    def _diffuse(self, fields: np.ndarray) -> np.ndarray:
-        return np.stack([step.apply(fields[i])
-                         for i, step in enumerate(self.diffusion)])
+        self.diffusion = _DiffusionSemigroup(
+            grid, net.diffusion, 0.5 * dt if key == "strang" else dt)
 
     def _check(self, fields: np.ndarray, t: float) -> None:
-        worst = int(np.argmin(fields))
-        if fields.flat[worst] < NEGATIVE_TOL:
-            i, *cell = np.unravel_index(worst, fields.shape)
-            raise NonPositivityError(self.net.species[i], tuple(cell), t,
-                                     float(fields.flat[worst]))
+        # argmin and argmax both stop at the first NaN; +inf is the maximum
+        for worst in (int(np.argmin(fields)), int(np.argmax(fields))):
+            value = float(fields.flat[worst])
+            if not (value >= NEGATIVE_TOL and math.isfinite(value)):
+                i, *cell = np.unravel_index(worst, fields.shape)
+                raise NonPositivityError(self.net.species[i], tuple(cell), t, value)
 
     def advance(self, state: State) -> State:
         fields = state.fields
         self._check(fields, state.t)  # the step contract needs admissible input
         dt = self.dt
         if self.scheme == "imex":
-            fields = self._diffuse(fields)
+            fields = self.diffusion.apply(fields)
             fields = fields + dt * self.reaction.production(fields)
         else:
-            fields = self._diffuse(fields)
+            fields = self.diffusion.apply(fields)
             # Heun: explicit trapezoid, second order, matches the scheme order
             k1 = self.reaction.production(fields)
             k2 = self.reaction.production(fields + dt * k1)
             fields = fields + 0.5 * dt * (k1 + k2)
-            fields = self._diffuse(fields)
+            fields = self.diffusion.apply(fields)
         t_new = state.t + dt
         self._check(fields, t_new)
         return State(t=t_new, fields=fields, grid=state.grid)
@@ -264,7 +228,8 @@ def build_initial(spec: InitialSpec, grid: Grid,
 
     Cosine profiles are evaluated at cell centers: base +
     sum eps cos(k pi x / Lx) (times cos(l pi y / Ly) in 2D).  CSV input is
-    loaded verbatim in snapshot format.  The result must be nonnegative.
+    loaded verbatim in snapshot format.  The result must be finite and
+    nonnegative.
     """
     if spec.csv_path is not None:
         fields = _read_snapshot_csv(spec.csv_path, grid, species_names)
@@ -287,21 +252,23 @@ def build_initial(spec: InitialSpec, grid: Grid,
             fields[i] = field
         if species_names is not None and len(species_names) != len(spec.profiles):
             raise ValueError("one profile per species required")
-    if fields.min() < 0:
-        i, *cell = np.unravel_index(int(np.argmin(fields)), fields.shape)
-        raise ValueError(
-            f"negative initial value for species index {i} at cell {tuple(cell)}")
+    bad = ~(np.isfinite(fields) & (fields >= 0))
+    if bad.any():
+        worst = int(np.argmax(bad))
+        i, *cell = np.unravel_index(worst, fields.shape)
+        kind = "negative" if fields.flat[worst] < 0 else "non-finite"
+        raise ValueError(f"{kind} initial value for species index {int(i)} "
+                         f"at cell {tuple(int(c) for c in cell)}")
     return State(t=0.0, fields=fields, grid=grid)
 
 
 def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        rows = [r for r in _csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+    with open(path) as fh:
+        lines = [line for line in fh
+                 if line.strip() and not line.lstrip().startswith("#")]
+    if not lines:
         raise ValueError(f"empty snapshot file {path}")
-    header, data = rows[0], rows[1:]
+    header, data = next(csv.reader(lines[:1])), lines[1:]
     n_coord = grid.ndim
     columns = header[n_coord:]
     if species_names is not None:
@@ -314,7 +281,10 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
     if len(data) != grid.n_cells:
         raise ValueError(
             f"snapshot {path} has {len(data)} cells, grid needs {grid.n_cells}")
-    values = np.array([[float(v) for v in row] for row in data])
+    try:
+        values = np.loadtxt(data, delimiter=",", ndmin=2)
+    except ValueError as exc:  # rows of unequal length, or a non-number
+        raise ValueError(f"ragged or malformed snapshot rows in {path}: {exc}") from None
     if values.shape[1] != len(header):
         raise ValueError(f"ragged snapshot rows in {path}")
     fields = np.empty((len(order),) + grid.shape)
@@ -326,21 +296,18 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
 def write_snapshot_csv(path, state: State, species_names,
                        comment: str | None = None) -> None:
     """Snapshot CSV: header x[,y],A1,...,AI, one row per cell."""
-    import csv as _csv
-
     grid = state.grid
-    coords = grid.centers()
+    table = np.column_stack([c.ravel() for c in grid.centers()]
+                            + list(state.fields.reshape(state.n_species, -1)))
+    # csv.writer's number format and line ends, formatted a block of rows at a time
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        writer = _csv.writer(fh)
-        writer.writerow(list("xy"[:grid.ndim]) + list(species_names))
-        flat_coords = [c.ravel() for c in coords]
-        flat_fields = state.fields.reshape(state.n_species, -1)
-        for idx in range(grid.n_cells):
-            row = [f"{c[idx]:.17g}" for c in flat_coords]
-            row += [f"{flat_fields[i, idx]:.17g}" for i in range(state.n_species)]
-            writer.writerow(row)
+        csv.writer(fh).writerow(list("xy"[:grid.ndim]) + list(species_names))
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            block = table[start:start + _ROWS_PER_WRITE]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
@@ -348,7 +315,7 @@ def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
 
     |L| is a Frobenius bound on the symmetrized reaction linearisation at
     the equilibrium; the second term keeps the splitting error of the
-    (unconditionally stable) implicit diffusion small.  Override freely.
+    (exact, unconditionally stable) diffusion substeps small.  Override freely.
     """
     from .linearised import linearised_matrix
 

@@ -213,6 +213,15 @@ def test_module_entry_point(workdir):
     assert proc.stdout.strip() == "ok"
 
 
+def test_import_does_not_load_scipy():
+    # scipy is imported when the first Stepper is built, not with the package
+    code = "import sys, rdbalance, rdbalance.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_bundled_perturbed_config(tmp_path, capsys):
     # the shipped mode-1 config decays at 2 (pi^2 + 4) in squared L2
     import shutil

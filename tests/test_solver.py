@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rdbalance import (
     Grid,
@@ -19,6 +22,7 @@ from rdbalance import (
     fit_decay_rate,
     simulate,
     step,
+    write_snapshot_csv,
 )
 
 from conftest import four_species_network
@@ -70,6 +74,102 @@ class TestLaplacian:
         u = np.cos(math.pi * x) * np.cos(2 * math.pi * y)
         lap = build_laplacian(grid).apply(u)
         assert np.max(np.abs(lap + 5 * PI2 * u)) <= 5 * PI2 * 2e-3
+
+
+class TestDiffusionSemigroup:
+    @pytest.mark.parametrize("scheme, tau", [("strang", 0.025), ("imex", 0.05)])
+    @pytest.mark.parametrize("domain, shape", [(Interval(2.0), (12,)),
+                                               (Rectangle(1.5, 0.7), (6, 9))])
+    def test_matches_matrix_exponential(self, rng, scheme, tau, domain, shape):
+        d = (1.0, 0.5, 2.0, 0.1)
+        grid = Grid(domain, shape)
+        lap = build_laplacian(grid)
+        eye = np.eye(grid.n_cells)
+        L = np.column_stack([lap.apply(e.reshape(shape)).ravel() for e in eye])
+        fields = rng.random((4,) + shape)
+        got = Stepper(four_species_network(d=d), grid, 0.05, scheme) \
+            .diffusion.apply(fields)
+        for i in range(4):
+            want = expm(tau * d[i] * L) @ fields[i].ravel()
+            assert np.max(np.abs(got[i].ravel() - want)) <= 1e-13
+
+    def test_single_cell_spike_stays_positive(self):
+        # Crank-Nicolson half steps overshoot this spike to -5.9 in one step
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (256,))
+        fields = np.ones((4, 256))
+        fields[0, 128] = 50.0
+        state = State(t=0.0, fields=fields, grid=grid)
+        q = decompose(net).Q.astype(float)
+        masses0 = q @ state.means()
+        stepper = Stepper(net, grid, 1e-3, "strang")
+        for _ in range(20):
+            state = stepper.advance(state)
+            assert state.fields.min() > 0
+            assert np.max(np.abs(q @ state.means() - masses0)) <= 1e-12 * np.max(masses0)
+
+
+class TestSnapshotCsv:
+    def reference_bytes(self, state, names, comment):
+        # the per-cell csv.writer format the snapshot files have always had
+        buf = io.StringIO(newline="")
+        buf.write(f"# {comment}\n")
+        writer = csv.writer(buf)
+        writer.writerow(list("xy"[:state.grid.ndim]) + names)
+        coords = [c.ravel() for c in state.grid.centers()]
+        flat = state.fields.reshape(state.n_species, -1)
+        for idx in range(state.grid.n_cells):
+            writer.writerow([f"{c[idx]:.17g}" for c in coords]
+                            + [f"{flat[i, idx]:.17g}" for i in range(state.n_species)])
+        return buf.getvalue().encode()
+
+    def test_bytes_match_csv_writer_and_read_back(self, tmp_path, rng):
+        grid = Grid(Rectangle(1.0, 3.0), (5, 7))
+        fields = rng.random((2, 5, 7)) * 10.0 ** rng.integers(-300, 300, (2, 5, 7))
+        fields[0, 0, 0] = 0.0
+        state = State(t=0.0, fields=fields, grid=grid)
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(path, state, ["A1", "A2"], comment="rdbalance test")
+        reference = self.reference_bytes(state, ["A1", "A2"], "rdbalance test")
+        assert path.read_bytes() == reference
+        old = tmp_path / "old.csv"
+        old.write_bytes(reference)
+        back = build_initial(InitialSpec(csv_path=str(old)), grid, ("A2", "A1"))
+        assert np.array_equal(back.fields, fields[::-1])
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "cells.csv"
+        path.write_text(text)
+        return InitialSpec(csv_path=str(path))
+
+    def test_empty_file(self, tmp_path):
+        spec = self.write(tmp_path, "# only a comment\n\n")
+        with pytest.raises(ValueError, match="empty snapshot file"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1",))
+
+    def test_missing_species_column(self, tmp_path):
+        spec = self.write(tmp_path, "x,A1\n" + "0.5,1\n" * 4)
+        with pytest.raises(ValueError, match="missing a species column"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1", "A2"))
+
+    def test_wrong_cell_count(self, tmp_path):
+        spec = self.write(tmp_path, "x,A1\n" + "0.5,1\n" * 5)
+        with pytest.raises(ValueError, match="has 5 cells, grid needs 4"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1",))
+
+    @pytest.mark.parametrize("rows", ["0.5,1\n0.5\n0.5,1\n0.5,1\n",
+                                      "0.5,1,2\n" * 4])
+    def test_ragged_rows(self, tmp_path, rows):
+        spec = self.write(tmp_path, "x,A1\n" + rows)
+        with pytest.raises(ValueError, match="ragged"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1",))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cell(self, tmp_path, value):
+        spec = self.write(tmp_path, "x,A1\n" + "0.5,1\n" * 2 + f"0.5,{value}\n"
+                          + "0.5,1\n")
+        with pytest.raises(ValueError, match=r"non-finite initial value .* cell \(2,\)"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1",))
 
 
 class TestInitialData:
@@ -146,6 +246,17 @@ class TestStep:
         state = State(t=0.0, fields=fields, grid=grid)
         with pytest.raises(NonPositivityError, match="A2"):
             step(state, net, dt=1e-5, scheme="strang")
+
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abort(self, scheme, value):
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (8,))
+        fields = np.full((4, 8), 1.0)
+        fields[2, 5] = value
+        state = State(t=0.0, fields=fields, grid=grid)
+        with pytest.raises(NonPositivityError, match=r"A3 .* at cell \(5,\)"):
+            step(state, net, dt=1e-3, scheme=scheme)
 
     def test_unknown_scheme(self):
         net = four_species_network()
