@@ -295,6 +295,7 @@ def _run_one_config(config_path) -> int:
                                   volume=config.grid.domain.measure)
         eq = detailed_balance_equilibrium(net, stoich, masses)
         dt = default_dt(net, eq.vector, config.grid)
+        dt = config.t_end / math.ceil(config.t_end / dt)  # whole steps to t_end
         print(f"dt = {dt:.6g} (heuristic)")
     result = simulate(net, config.grid, initial, dt, config.t_end,
                       output_every=config.output_every, scheme=config.scheme,

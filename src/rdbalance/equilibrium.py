@@ -196,7 +196,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
             f"unrealizable by a positive state)")
 
     absolute, relative = _relative_db_residual(net, a)
-    mass_err = np.linalg.norm(Q @ a - m) / m_norm
+    mass_err = np.linalg.norm(Q @ a - m) / m_norm if q else 0.0
     if relative > 1e-10 or mass_err > 1e-10:
         raise NewtonDivergenceError(
             f"converged state fails invariants (db residual {relative:.2e}, "

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from rdbalance import DiagnosticsSeries
 from rdbalance.cli import dispatch
 
 FOUR_SPECIES = """\
@@ -142,6 +143,26 @@ def test_simulate_and_fit(workdir, capsys):
     fit_line = [l for l in out.splitlines() if l.startswith("lambda_fit")][0]
     rate = float(fit_line.split(" = ")[1])
     assert abs(rate - 2 * (np.pi ** 2 + 4)) <= 0.05 * 2 * (np.pi ** 2 + 4)
+
+
+def test_heuristic_dt_divides_t_end(workdir, capsys):
+    cfg = CONFIG.replace("dt = 1e-3\n", "")
+    (workdir / "heuristic.cfg").write_text(cfg)
+    assert dispatch(["simulate", str(workdir / "heuristic.cfg")]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("(heuristic)")
+    series = DiagnosticsSeries.read_csv(workdir / "out" / "diag.csv")
+    assert series.t[-1] == pytest.approx(0.1, abs=1e-12)
+    steps = 0.1 / (series.t[1] / 10)  # output_every = 10
+    assert steps == pytest.approx(round(steps), abs=1e-6)
+    assert (workdir / "out" / f"snapshot_{round(steps):08d}.csv").exists()
+
+
+def test_t_end_not_whole_steps(workdir, capsys):
+    cfg = CONFIG.replace("dt = 1e-3", "dt = 0.3").replace("t_end = 0.1", "t_end = 0.5")
+    (workdir / "overshoot.cfg").write_text(cfg)
+    assert dispatch(["simulate", str(workdir / "overshoot.cfg")]) == 2
+    assert "t_end = 0.5 is not a whole number of steps of dt = 0.3" \
+        in capsys.readouterr().err
 
 
 def test_simulate_deterministic(workdir):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rdbalance import (
     Grid,
     Interval,
+    Reaction,
+    ReactionNetwork,
     NewtonDivergenceError,
     NoDetailedBalanceError,
     conserved_masses,
@@ -100,6 +104,22 @@ class TestNewtonSolver:
         net = exchange_network(kf=2.0, kb=1.0)
         eq = detailed_balance_equilibrium(net, decompose(net), [3.0])
         assert np.allclose(eq.vector, (1.0, 2.0), rtol=1e-12)
+
+    def test_no_conservation_law(self):
+        # 0 <-> A1, 0 <-> A2: q = 0, the equilibrium is (kf/kb) per species
+        net = ReactionNetwork(
+            species=("A1", "A2"),
+            reactions=(Reaction((0, 0), (1, 0), 2.0, 1.0),
+                       Reaction((0, 0), (0, 1), 1.0, 4.0)),
+            diffusion=(1.0, 1.0),
+        )
+        stoich = decompose(net)
+        assert stoich.n_conserved == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masses = conserved_masses(stoich, [1.0, 1.0])
+            eq = detailed_balance_equilibrium(net, stoich, masses)
+        assert np.allclose(eq.vector, (2.0, 0.25), rtol=1e-12)
 
     def test_triangle_has_no_detailed_balance(self):
         net = triangle_network()

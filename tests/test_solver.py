@@ -8,6 +8,8 @@ from scipy.linalg import expm
 
 from rdbalance import (
     Grid,
+    Reaction,
+    ReactionNetwork,
     InitialSpec,
     Interval,
     NonPositivityError,
@@ -25,7 +27,9 @@ from rdbalance import (
     write_snapshot_csv,
 )
 
-from conftest import four_species_network
+from rdbalance.solver import _ReactionTerm
+
+from conftest import four_species_network, random_balanced_network
 
 PI2 = math.pi ** 2
 
@@ -107,6 +111,95 @@ class TestDiffusionSemigroup:
             state = stepper.advance(state)
             assert state.fields.min() > 0
             assert np.max(np.abs(q @ state.means() - masses0)) <= 1e-12 * np.max(masses0)
+
+
+def dimer_network() -> ReactionNetwork:
+    """2 A1 <-> A2 and 0 <-> A3: a squared factor and an empty side."""
+    return ReactionNetwork(
+        species=("A1", "A2", "A3"),
+        reactions=(Reaction((2, 0, 0), (0, 1, 0), 1.3, 0.7),
+                   Reaction((0, 0, 0), (0, 0, 1), 0.5, 0.8)),
+        diffusion=(1.0, 0.3, 2.0),
+    )
+
+
+def power_production(net, fields):
+    """Mass-action production by stoichiometric powers, the reference."""
+    flat = fields.reshape(fields.shape[0], -1)
+    alpha, beta = net.alpha_matrix(), net.beta_matrix()
+    mono_a = np.prod(flat[np.newaxis] ** alpha[:, :, np.newaxis], axis=1)
+    mono_b = np.prod(flat[np.newaxis] ** beta[:, :, np.newaxis], axis=1)
+    flux = net.kf_array()[:, np.newaxis] * mono_a - net.kb_array()[:, np.newaxis] * mono_b
+    return ((beta - alpha).T.astype(float) @ flux).reshape(fields.shape)
+
+
+class TestMultiStepAdvance:
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    @pytest.mark.parametrize("domain, shape", [(Interval(1.0), (32,)),
+                                               (Rectangle(1.0, 0.6), (12, 20))])
+    def test_chunk_equals_single_steps(self, rng, scheme, domain, shape):
+        grid = Grid(domain, shape)
+        stepper = Stepper(dimer_network(), grid, 1e-3, scheme)
+        start = State(t=0.0, fields=0.5 + rng.random((3,) + shape), grid=grid)
+        kept = start.fields.copy()
+        chunk = stepper.advance(start, 10)
+        assert np.array_equal(start.fields, kept)  # the input is never overwritten
+        single = start
+        for _ in range(10):
+            single = stepper.advance(single)
+        assert np.max(np.abs(chunk.fields - single.fields)) <= 1e-13
+        assert chunk.t == pytest.approx(single.t, abs=1e-15)
+
+    def test_single_step_is_the_unmerged_splitting(self, rng):
+        # D(dt/2), Heun, D(dt/2) with power-law production: bitwise, since
+        # a 0/1 stoichiometry makes powers and gathers the same products
+        net = four_species_network(d=(1.0, 0.5, 2.0, 0.1))
+        grid = Grid(Rectangle(1.0, 2.0), (6, 9))
+        dt = 1e-2
+        stepper = Stepper(net, grid, dt, "strang")
+        fields = 0.5 + rng.random((4, 6, 9))
+        got = stepper.advance(State(t=0.0, fields=fields, grid=grid)).fields
+        half = stepper.diffusion.apply
+        want = half(fields)
+        k1 = power_production(net, want)
+        k2 = power_production(net, want + dt * k1)
+        want = half(want + 0.5 * dt * (k1 + k2))
+        assert np.array_equal(got, want)
+
+    def test_production_matches_powers(self, rng):
+        for _ in range(20):
+            net, _ = random_balanced_network(rng)
+            fields = rng.uniform(0.1, 3.0, size=(net.n_species, 7, 5))
+            want = power_production(net, fields)
+            got = _ReactionTerm(net).production(fields)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("scheme, calls_per_step", [("strang", 2), ("imex", 1)])
+    def test_nan_mid_chunk_aborts(self, scheme, calls_per_step):
+        grid = Grid(Interval(1.0), (16,))
+        stepper = Stepper(dimer_network(), grid, 1e-3, scheme)
+        production = stepper.reaction.production
+        calls = []
+
+        def poisoned(fields):
+            calls.append(None)
+            rate = production(fields)
+            if len(calls) == 4 * calls_per_step:  # the reaction of step 4
+                rate[1, 7] = math.nan
+            return rate
+
+        stepper.reaction.production = poisoned
+        state = State(t=0.0, fields=np.ones((3, 16)), grid=grid)
+        with pytest.raises(NonPositivityError, match=r"A2 is not finite at cell \(7,\)") \
+                as info:
+            stepper.advance(state, 10)
+        assert info.value.t == pytest.approx(4e-3)
+        assert len(calls) == 4 * calls_per_step
+
+    def test_needs_a_step(self):
+        stepper = Stepper(dimer_network(), Grid(Interval(1.0), (8,)), 1e-3, "strang")
+        with pytest.raises(ValueError, match="n_steps"):
+            stepper.advance(State(t=0.0, fields=np.ones((3, 8)), grid=stepper.grid), 0)
 
 
 class TestSnapshotCsv:
@@ -258,6 +351,22 @@ class TestStep:
         with pytest.raises(NonPositivityError, match=r"A3 .* at cell \(5,\)"):
             step(state, net, dt=1e-3, scheme=scheme)
 
+    def test_tolerance_scales_with_the_field(self):
+        # -5e-11 is 50 times the scale of a 1e-12 field: not roundoff
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (8,))
+        fields = np.full((4, 8), 1e-12)
+        fields[1, 3] = -5e-11
+        with pytest.raises(NonPositivityError, match="A2 went negative"):
+            step(State(t=0.0, fields=fields, grid=grid), net, dt=1e-3)
+
+    def test_roundoff_of_a_large_field_passes(self):
+        stepper = Stepper(four_species_network(), Grid(Interval(1.0), (8,)), 1e-3,
+                          "strang")
+        fields = np.full((4, 8), 1e12)
+        fields[1, 3] = -1e-6
+        stepper._check(fields, 0.0)
+
     def test_unknown_scheme(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (8,))
@@ -348,6 +457,33 @@ class TestSimulate:
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.01)
         assert len(times) > 2
+
+    def test_t_end_must_be_whole_steps(self):
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (8,))
+        with pytest.raises(ValueError, match=r"t_end = 0\.5 .* dt = 0\.3"):
+            simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=0.3, t_end=0.5)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=0.3, t_end=0.1)
+        result = simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=0.1, t_end=0.3)
+        assert result.series.t[-1] == pytest.approx(0.3, abs=1e-15)
+
+    def test_one_advance_per_output_interval(self, monkeypatch):
+        chunks = []
+        advance = Stepper.advance
+
+        def counted(self, state, n_steps=1):
+            chunks.append(n_steps)
+            return advance(self, state, n_steps)
+
+        monkeypatch.setattr(Stepper, "advance", counted)
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (8,))
+        result = simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=1e-3,
+                          t_end=0.025, output_every=10, snapshot_every=2)
+        assert chunks == [10, 10, 5]
+        assert result.series.t == pytest.approx([0.0, 0.01, 0.02, 0.025], abs=1e-15)
+        assert [s.t for s in result.snapshots] == pytest.approx([0.0, 0.02, 0.025])
 
     def test_default_dt_positive(self):
         net = four_species_network()
