@@ -16,9 +16,9 @@ from .geometry import Domain, Grid, Interval, Rectangle
 from .linearised import LinearisedMatrix, NotEquilibriumError, SpectralGapReport, \
     analytic_gap_bound_four_species, linearised_matrix, neumann_eigenvalues, \
     operator_spectral_gap, weighted_spectrum
-from .network import Reaction, ReactionNetwork, StoichiometryDecomposition, \
-    ValidationReport, conservation_basis, decompose, is_four_species, \
-    production_term, stoichiometric_matrix, validate_network
+from .network import Kinetics, Reaction, ReactionNetwork, \
+    StoichiometryDecomposition, ValidationReport, conservation_basis, decompose, \
+    is_four_species, production_term, stoichiometric_matrix, validate_network
 from .parser import ParseError, parse_network, serialize_network
 from .solver import InitialSpec, NonPositivityError, SimulationResult, \
     SpeciesProfile, State, Stepper, build_initial, build_laplacian, default_dt, \
@@ -26,7 +26,7 @@ from .solver import InitialSpec, NonPositivityError, SimulationResult, \
 
 __all__ = [
     "ConservedMasses", "DiagnosticsSeries", "Domain", "EquilibriumError",
-    "EquilibriumState", "FitResult", "Grid", "InitialSpec", "Interval",
+    "EquilibriumState", "FitResult", "Grid", "InitialSpec", "Interval", "Kinetics",
     "LinearisedMatrix", "NewtonDivergenceError", "NoDetailedBalanceError",
     "NonPositivityError", "NotEquilibriumError", "ParseError", "Reaction",
     "ReactionNetwork", "Rectangle", "SimulationResult", "SpeciesProfile",

@@ -263,8 +263,6 @@ def _cmd_gap(args) -> int:
     if args.a_inf is not None:
         a_inf = _parse_floats(args.a_inf, "equilibrium vector")
     else:
-        if args.masses is None:
-            raise ConfigError("gap needs --a-inf or --masses")
         _, eq = _equilibrium_from_args(net, args)
         a_inf = eq.vector
     report = operator_spectral_gap(net, a_inf, domain)
@@ -372,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--a-inf", help="comma-separated equilibrium values")
     group.add_argument("--masses", help="comma-separated conserved masses")
-    p.add_argument("--from-initial", help=argparse.SUPPRESS, default=None)
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("simulate", help="run configs and write CSV outputs")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid
-from .network import ReactionNetwork
+from .network import Kinetics, ReactionNetwork
 
 
 def weighted_norm(h, a_inf, p, grid: Grid) -> float:
@@ -82,15 +82,13 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
     for i in range(a.shape[0]):
         fisher += net.diffusion[i] * _face_gradient_integral(a[i], a[i], grid)
 
-    log_u = np.log(a / a_star.reshape((-1,) + (1,) * grid.ndim))
-    alpha = net.alpha_matrix()
-    beta = net.beta_matrix()
-    coeff = net.kf_array() * np.prod(a_star[np.newaxis, :] ** alpha, axis=1)
-    reaction = 0.0
-    for r in range(net.n_reactions):
-        la = np.tensordot(alpha[r].astype(float), log_u, axes=1)
-        lb = np.tensordot(beta[r].astype(float), log_u, axes=1)
-        reaction += coeff[r] * np.sum((np.exp(la) - np.exp(lb)) * (la - lb))
+    kinetics = Kinetics(net)
+    coeff, _ = kinetics.fluxes(a_star)  # kf a*^alpha = kb a*^beta
+    u = (a / a_star.reshape((-1,) + (1,) * grid.ndim)).reshape(a.shape[0], -1)
+    u_alpha = kinetics.monomials(u, kinetics.forward)
+    u_beta = kinetics.monomials(u, kinetics.backward)
+    reaction = np.sum(coeff[:, np.newaxis] * (u_alpha - u_beta)
+                      * np.log(u_alpha / u_beta))
     reaction *= grid.cell_volume
     return float(fisher), float(reaction)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ReactionNetwork, StoichiometryDecomposition, production_term
+from .network import Kinetics, ReactionNetwork, StoichiometryDecomposition
 
 
 class EquilibriumError(Exception):
@@ -116,13 +116,13 @@ def four_species_equilibrium(m12: float, m14: float, m32: float,
                                                labels=_FOUR_SPECIES_LABELS), residual)
 
 
-def _relative_db_residual(net: ReactionNetwork, a: np.ndarray) -> tuple[float, float]:
-    """(absolute, relative) detailed-balance residual max_r |K_r|."""
-    K, _ = production_term(net, a)
-    forward = net.kf_array() * np.prod(a[np.newaxis, :] ** net.alpha_matrix(), axis=1)
-    backward = net.kb_array() * np.prod(a[np.newaxis, :] ** net.beta_matrix(), axis=1)
+def _relative_db_residual(forward: np.ndarray,
+                          backward: np.ndarray) -> tuple[float, float]:
+    """(absolute, relative) detailed-balance residual max_r |K_r| from the
+    one-sided fluxes of ``Kinetics.fluxes``."""
+    K = np.abs(forward - backward)
     scale = np.maximum(np.maximum(forward, backward), 1e-300)
-    return float(np.max(np.abs(K))), float(np.max(np.abs(K) / scale))
+    return float(np.max(K)), float(np.max(K / scale))
 
 
 def detailed_balance_equilibrium(net: ReactionNetwork,
@@ -195,7 +195,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
             f"no convergence in {max_iter} iterations (masses may be "
             f"unrealizable by a positive state)")
 
-    absolute, relative = _relative_db_residual(net, a)
+    absolute, relative = _relative_db_residual(*Kinetics(net).fluxes(a))
     mass_err = np.linalg.norm(Q @ a - m) / m_norm if q else 0.0
     if relative > 1e-10 or mass_err > 1e-10:
         raise NewtonDivergenceError(

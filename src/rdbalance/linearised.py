@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, Interval, Rectangle
-from .network import ReactionNetwork, is_four_species, stoichiometric_matrix
+from .network import Kinetics, ReactionNetwork, is_four_species, \
+    stoichiometric_matrix
 from .equilibrium import _relative_db_residual
 
 
@@ -41,6 +42,12 @@ class LinearisedMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    def symmetric(self) -> np.ndarray:
+        """diag(sqrt(w)) L diag(1/sqrt(w)), symmetric when L is self-adjoint
+        in the weighted inner product, with the same eigenvalues as L."""
+        sqrt_w = np.sqrt(self.weights)
+        return sqrt_w[:, np.newaxis] * self.matrix / sqrt_w[np.newaxis, :]
 
 
 @dataclass(frozen=True)
@@ -61,86 +68,27 @@ def linearised_matrix(net: ReactionNetwork, a_inf,
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or np.any(a <= 0):
         raise ValueError("a_inf must be a strictly positive vector, one per species")
-    _, relative = _relative_db_residual(net, a)
+    kinetics = Kinetics(net)
+    forward, backward = kinetics.fluxes(a)
+    _, relative = _relative_db_residual(forward, backward)
     if relative > equilibrium_tol:
         raise NotEquilibriumError(
             f"state is not an equilibrium (relative flux residual {relative:.3e})")
-    E = (net.alpha_matrix() - net.beta_matrix()).astype(float)  # R x I
-    coeff = net.kf_array() * np.prod(a[np.newaxis, :] ** net.alpha_matrix(), axis=1)
-    L = -E.T @ (coeff[:, np.newaxis] * E / a[np.newaxis, :])
+    wt = kinetics.wt  # W^T, I x R
+    L = -wt @ (forward[:, np.newaxis] * wt.T / a[np.newaxis, :])
     return LinearisedMatrix(matrix=L, weights=1.0 / a)
 
 
-def _jacobi_eigenvalues(S: np.ndarray, tol: float = 1e-12,
-                        max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol``
-    relative to the matrix norm.  Plenty for the small (I <= ~20) matrices
-    that arise here.
-    """
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    if n <= 1:
-        return np.diag(A).copy() if n else np.zeros(0)
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(n)
-    target = tol * norm
-    for _ in range(max_sweeps):
-        strict_off = A - np.diag(np.diag(A))
-        off = float(np.linalg.norm(strict_off))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                A[[p, q], :] = rot.T @ A[[p, q], :]
-                A[:, [p, q]] = A[:, [p, q]] @ rot
-                A[p, q] = A[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(A))
-
-
-def _orthonormalize(columns: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
-    """Modified Gram-Schmidt, dropping dependent columns."""
-    out = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].astype(float).copy()
-        scale = np.linalg.norm(v)
-        for u in out:
-            v -= (u @ v) * u
-        # second pass for numerical orthogonality
-        for u in out:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > drop_tol * max(scale, 1.0):
-            out.append(v / norm)
-    if not out:
-        return np.zeros((columns.shape[0], 0))
-    return np.column_stack(out)
-
-
 def weighted_spectrum(lin: LinearisedMatrix, subspace: np.ndarray | None = None,
-                      symmetry_tol: float = 1e-9,
-                      jacobi_tol: float = 1e-12) -> np.ndarray:
+                      symmetry_tol: float = 1e-9) -> np.ndarray:
     """Ascending real eigenvalues of L in its weighted inner product.
 
-    Similarity-transforms with diag(sqrt(w)) to an ordinary symmetric
-    matrix, optionally projects onto ``subspace`` (columns spanning a
-    subspace in state coordinates, orthonormalized in the weighted inner
-    product), then runs cyclic Jacobi.
+    Works on the symmetric form of ``lin``, optionally projected onto
+    ``subspace`` (columns spanning a subspace in state coordinates,
+    orthonormalized in the weighted inner product by an SVD that drops
+    dependent columns), and returns LAPACK's ``eigvalsh`` of the result.
     """
-    sqrt_w = np.sqrt(lin.weights)
-    S = sqrt_w[:, np.newaxis] * lin.matrix / sqrt_w[np.newaxis, :]
+    S = lin.symmetric()
     asym = np.max(np.abs(S - S.T))
     if asym > symmetry_tol * max(1.0, np.linalg.norm(S)):
         raise ValueError(
@@ -148,9 +96,11 @@ def weighted_spectrum(lin: LinearisedMatrix, subspace: np.ndarray | None = None,
             f"(asymmetry {asym:.3e}); the base state is not a valid equilibrium")
     S = 0.5 * (S + S.T)
     if subspace is not None:
-        basis = _orthonormalize(sqrt_w[:, np.newaxis] * np.asarray(subspace, float))
+        columns = np.sqrt(lin.weights)[:, np.newaxis] * np.asarray(subspace, float)
+        u, s, _ = np.linalg.svd(columns, full_matrices=False)
+        basis = u[:, s > 1e-12 * np.max(s, initial=1.0)]
         S = basis.T @ S @ basis
-    return _jacobi_eigenvalues(S, tol=jacobi_tol)
+    return np.linalg.eigvalsh(S)
 
 
 def neumann_eigenvalues(domain: Domain, count: int) -> np.ndarray:
@@ -231,9 +181,8 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf, domain: Domain,
     if np.any(d <= 0):
         raise ValueError("diffusion coefficients must be strictly positive")
     dmin = float(np.min(d))
-    W = stoichiometric_matrix(net)
 
-    mode0 = weighted_spectrum(lin, subspace=W.T.astype(float))
+    mode0 = weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)
     if mode0.size == 0:
         raise ValueError("network has no reactive directions")
     per_mode = [(0.0, float(-mode0[-1]))]

@@ -7,10 +7,11 @@ reactant counts alpha^r, product counts beta^r and positive rates
     K_r(a) = kf_r * a^alpha^r - kb_r * a^beta^r     (multiindex powers, 0^0 = 1)
 
 and the species production is P(a) = W^T K(a), where W is the R x I
-integer matrix with row r equal to beta^r - alpha^r.  Rows of the integer
-matrix Q form a basis of Ker W, so Q P(a) = 0 identically: the quantities
-Q . integral(a) are conserved by the reaction-diffusion dynamics under
-no-flux boundary conditions.
+integer matrix with row r equal to beta^r - alpha^r; ``Kinetics`` is the
+one evaluator of both.  Rows of the integer matrix Q form a basis of
+Ker W, so Q P(a) = 0 identically: the quantities Q . integral(a) are
+conserved by the reaction-diffusion dynamics under no-flux boundary
+conditions.
 """
 
 from __future__ import annotations
@@ -226,25 +227,6 @@ def _elimination_kernel(W_rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-class _IndependenceTracker:
-    """Incremental exact rank tracking via rational Gaussian elimination."""
-
-    def __init__(self):
-        self._echelon: list[list[Fraction]] = []
-
-    def try_add(self, vec: list[int]) -> bool:
-        row = [Fraction(x) for x in vec]
-        for er in self._echelon:
-            lead = next(j for j, v in enumerate(er) if v != 0)
-            if row[lead] != 0:
-                factor = row[lead] / er[lead]
-                row = [a - factor * b for a, b in zip(row, er)]
-        if all(v == 0 for v in row):
-            return False
-        self._echelon.append(row)
-        return True
-
-
 def _semipositive_kernel_rows(W_rows: list[list[int]], needed: int,
                               budget: int) -> list[list[int]]:
     """Minimal-support kernel vectors of W with entries all of one sign.
@@ -257,7 +239,6 @@ def _semipositive_kernel_rows(W_rows: list[list[int]], needed: int,
     if not W_rows or needed == 0:
         return []
     ncols = len(W_rows[0])
-    tracker = _IndependenceTracker()
     found: list[list[int]] = []
     used = 0
     for size in range(1, ncols + 1):
@@ -279,7 +260,7 @@ def _semipositive_kernel_rows(W_rows: list[list[int]], needed: int,
             full = [0] * ncols
             for c, x in zip(support, v):
                 full[c] = x
-            if tracker.try_add(full):
+            if _rational_rank(found + [full]) > len(found):
                 found.append(full)
                 if len(found) == needed:
                     return found
@@ -309,12 +290,9 @@ def conservation_basis(W, support_budget: int = 4096) -> np.ndarray:
     if q == 0:
         return np.zeros((0, ncols), dtype=np.int64)
     basis = _semipositive_kernel_rows(rows, q, support_budget)
-    tracker = _IndependenceTracker()
-    for v in basis:
-        tracker.try_add(v)
     if len(basis) < q:
         for v in _elimination_kernel(rows):
-            if tracker.try_add(v):
+            if _rational_rank(basis + [v]) > len(basis):
                 basis.append(v)
                 if len(basis) == q:
                     break
@@ -346,13 +324,75 @@ def decompose(net: ReactionNetwork) -> StoichiometryDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Mass-action production term.
+# Mass-action kinetics.
 
 
-def _monomials(a: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    # a: (..., I); exponents: (R, I); returns (R, ...). 0.0**0 == 1.0 in numpy.
-    return np.prod(a[np.newaxis, ...] ** exponents.reshape(
-        exponents.shape + (1,) * (a.ndim - 1)), axis=1)
+def _factor_slots(side: np.ndarray) -> list:
+    """Gather table of one reaction side (R x I stoichiometric matrix).
+
+    A reaction's factors are its species indices repeated by coefficient
+    (``2 A1 + A3`` gives [0, 0, 2]).  Slot s pairs the reactions that have
+    an s-th factor (None when all do) with that factor's species; a
+    reaction without one skips the slot, i.e. multiplies by 1.
+    """
+    factors = [np.repeat(np.arange(side.shape[1]), row) for row in side]
+    slots = []
+    for s in range(max(map(len, factors), default=0)):
+        rows = [r for r, f in enumerate(factors) if len(f) > s]
+        species = np.array([factors[r][s] for r in rows])
+        slots.append((None if len(rows) == len(factors) else np.array(rows), species))
+    return slots
+
+
+class Kinetics:
+    """Mass-action fluxes of one network, the only place monomials are built.
+
+    Each monomial a^alpha is a product of gathered species rows, one per
+    factor (at most two for an admissible network), with no powers taken;
+    an empty side is the monomial 1.  Loops over states should reuse one.
+    """
+
+    def __init__(self, net: ReactionNetwork):
+        alpha, beta = net.alpha_matrix(), net.beta_matrix()
+        self.kf = net.kf_array()[:, np.newaxis]
+        self.kb = net.kb_array()[:, np.newaxis]
+        self.wt = (beta - alpha).T.astype(float)  # I x R, i.e. W^T
+        self.forward = _factor_slots(alpha)
+        self.backward = _factor_slots(beta)
+
+    def monomials(self, flat: np.ndarray, slots) -> np.ndarray:
+        """(R, N) monomials of the (I, N) array ``flat`` for one side's slots."""
+        # a full first slot starts the product; otherwise it starts from 1
+        mono = None if slots and slots[0][0] is None \
+            else np.ones((len(self.kf), flat.shape[1]))
+        for rows, species in slots:
+            if mono is None:
+                mono = flat[species]
+            elif rows is None:
+                mono *= flat[species]
+            else:
+                mono[rows] *= flat[species]
+        return mono
+
+    def fluxes(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One-sided fluxes (kf a^alpha, kb a^beta), each (R,) for an (I,)
+        vector ``a`` or (R, *cells) for (I, *cells) fields."""
+        flat = a.reshape(a.shape[0], -1)
+        shape = (len(self.kf),) + a.shape[1:]
+        return ((self.kf * self.monomials(flat, self.forward)).reshape(shape),
+                (self.kb * self.monomials(flat, self.backward)).reshape(shape))
+
+    def production(self, fields: np.ndarray) -> np.ndarray:
+        """Species production W^T K over (I, *cells) fields (the stepper's
+        hot path: one reshape, the gathers, one product)."""
+        flat = fields.reshape(fields.shape[0], -1)
+        flux = self.monomials(flat, self.forward)
+        flux *= self.kf
+        backward = self.monomials(flat, self.backward)
+        backward *= self.kb
+        flux -= backward
+        # np.dot uses BLAS for R = 1, where the matmul ufunc loops (about 4x slower)
+        return np.dot(self.wt, flux).reshape(fields.shape)
 
 
 def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +407,10 @@ def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
     if np.any(a < 0):
         bad = int(np.argmin(a))
         raise ValueError(f"negative concentration a[{bad}] = {a[bad]}")
-    K = net.kf_array() * _monomials(a, net.alpha_matrix()) \
-        - net.kb_array() * _monomials(a, net.beta_matrix())
-    P = stoichiometric_matrix(net).T.astype(float) @ K
-    return K, P
+    kinetics = Kinetics(net)
+    forward, backward = kinetics.fluxes(a)
+    K = forward - backward
+    return K, kinetics.wt @ K
 
 
 def is_four_species(net: ReactionNetwork) -> bool:

@@ -38,7 +38,7 @@ from .diagnostics import DiagnosticsSeries, entropy_dissipation, relative_entrop
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Domain, Grid, Interval, Rectangle  # noqa: F401 (re-export)
-from .network import ReactionNetwork, decompose
+from .network import Kinetics, ReactionNetwork, decompose
 
 NEGATIVE_TOL = -1e-10  # relative to the largest cell
 
@@ -170,60 +170,6 @@ class _DiffusionSemigroup:
         return self._fft.idctn(modes, axes=self.axes, norm="ortho", overwrite_x=True)
 
 
-def _factor_slots(side: np.ndarray) -> list:
-    """Gather table of one reaction side (R x I stoichiometric matrix).
-
-    A reaction's factors are its species indices repeated by coefficient
-    (``2 A1 + A3`` gives [0, 0, 2]).  Slot s pairs the reactions that have
-    an s-th factor (None when all do) with that factor's species; a
-    reaction without one skips the slot, i.e. multiplies by 1.
-    """
-    factors = [np.repeat(np.arange(side.shape[1]), row) for row in side]
-    slots = []
-    for s in range(max(map(len, factors), default=0)):
-        rows = [r for r, f in enumerate(factors) if len(f) > s]
-        species = np.array([factors[r][s] for r in rows])
-        slots.append((None if len(rows) == len(factors) else np.array(rows), species))
-    return slots
-
-
-class _ReactionTerm:
-    """Vectorized mass-action production over all cells: each monomial is
-    a product of gathered species rows, one per factor (at most two for an
-    admissible network), with no powers taken."""
-
-    def __init__(self, net: ReactionNetwork):
-        alpha, beta = net.alpha_matrix(), net.beta_matrix()
-        self.kf = net.kf_array()[:, np.newaxis]
-        self.kb = net.kb_array()[:, np.newaxis]
-        self.wt = (beta - alpha).T.astype(float)  # I x R
-        self.forward = _factor_slots(alpha)
-        self.backward = _factor_slots(beta)
-
-    def _monomials(self, flat: np.ndarray, slots) -> np.ndarray:
-        # a full first slot starts the product; otherwise it starts from 1
-        mono = None if slots and slots[0][0] is None \
-            else np.ones((len(self.kf), flat.shape[1]))
-        for rows, species in slots:
-            if mono is None:
-                mono = flat[species]
-            elif rows is None:
-                mono *= flat[species]
-            else:
-                mono[rows] *= flat[species]
-        return mono
-
-    def production(self, fields: np.ndarray) -> np.ndarray:
-        flat = fields.reshape(fields.shape[0], -1)
-        flux = self._monomials(flat, self.forward)
-        flux *= self.kf
-        backward = self._monomials(flat, self.backward)
-        backward *= self.kb
-        flux -= backward
-        # np.dot uses BLAS for R = 1, where the matmul ufunc loops (about 4x slower)
-        return np.dot(self.wt, flux).reshape(fields.shape)
-
-
 class Stepper:
     """Integrator bound to a network, grid, dt and scheme."""
 
@@ -237,7 +183,7 @@ class Stepper:
         self.grid = grid
         self.dt = dt
         self.scheme = key
-        self.reaction = _ReactionTerm(net)
+        self.reaction = Kinetics(net)
         # opening substep of a step: D(dt/2) for strang, D(dt) for imex
         self.diffusion = _DiffusionSemigroup(
             grid, net.diffusion, 0.5 * dt if key == "strang" else dt)
@@ -397,10 +343,8 @@ def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
     """
     from .linearised import linearised_matrix
 
-    lin = linearised_matrix(net, a_inf)
-    sqrt_w = np.sqrt(lin.weights)
-    S = sqrt_w[:, np.newaxis] * lin.matrix / sqrt_w[np.newaxis, :]
-    reaction_scale = max(float(np.linalg.norm(S)), 1e-12)
+    reaction_scale = max(float(np.linalg.norm(
+        linearised_matrix(net, a_inf).symmetric())), 1e-12)
     h_min = min(grid.spacing)
     return min(0.1 / reaction_scale, 0.25 * h_min ** 2 / max(net.diffusion))
 

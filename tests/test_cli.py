@@ -225,6 +225,12 @@ def test_usage_error_exits_2(workdir):
     assert dispatch(["gap", str(workdir / "four_species.rdn")]) == 2
 
 
+def test_gap_has_no_from_initial(workdir):
+    assert dispatch(["gap", str(workdir / "four_species.rdn"), "--domain", "interval:1",
+                     "--masses", "1,1,1",
+                     "--from-initial", str(workdir / "missing.cfg")]) == 2
+
+
 def test_module_entry_point(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "rdbalance", "validate",

@@ -7,6 +7,7 @@ from rdbalance import (
     DiagnosticsSeries,
     Grid,
     Interval,
+    Rectangle,
     entropy_dissipation,
     fit_decay_rate,
     relative_entropy,
@@ -14,7 +15,7 @@ from rdbalance import (
     weighted_norm,
 )
 
-from conftest import four_species_network
+from conftest import four_species_network, random_balanced_network
 from test_solver import mode1_spec
 
 GRID4 = Grid(Interval(1.0), (4,))
@@ -112,6 +113,27 @@ class TestEntropyDissipation:
             fisher, reaction = entropy_dissipation(a, net, [1, 1, 1, 1], grid)
             assert fisher >= 0
             assert reaction >= -1e-15
+
+    def test_matches_per_reaction_formula(self, rng):
+        grid = Grid(Rectangle(1.0, 0.5), (5, 4))
+        squared = empty = False
+        for _ in range(20):
+            net, a_star = random_balanced_network(rng)
+            a = a_star[:, None, None] * rng.uniform(0.5, 1.5, size=(net.n_species, 5, 4))
+            alpha, beta = net.alpha_matrix(), net.beta_matrix()
+            squared |= bool(max(alpha.max(), beta.max()) == 2)
+            empty |= bool(np.any(alpha.sum(axis=1) == 0) or np.any(beta.sum(axis=1) == 0))
+            log_u = np.log(a / a_star[:, None, None])
+            coeff = net.kf_array() * np.prod(a_star ** alpha, axis=1)
+            want = 0.0
+            for r in range(net.n_reactions):
+                la = np.tensordot(alpha[r].astype(float), log_u, axes=1)
+                lb = np.tensordot(beta[r].astype(float), log_u, axes=1)
+                want += coeff[r] * np.sum((np.exp(la) - np.exp(lb)) * (la - lb))
+            want *= grid.cell_volume
+            _, got = entropy_dissipation(a, net, a_star, grid)
+            assert got == pytest.approx(want, rel=1e-12)
+        assert squared and empty
 
     def test_rejects_zero_cells(self):
         net = four_species_network()

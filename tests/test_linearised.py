@@ -115,6 +115,17 @@ class TestWeightedSpectrum:
         spectrum = weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)
         assert np.allclose(spectrum, [-4.0], atol=1e-11)
 
+    def test_dependent_subspace_column_dropped(self, rng):
+        for _ in range(10):
+            net, a_star = random_balanced_network(rng)
+            lin = linearised_matrix(net, a_star)
+            columns = stoichiometric_matrix(net).T
+            doubled = np.column_stack([columns, columns[:, :1]])
+            want = weighted_spectrum(lin, subspace=columns)
+            got = weighted_spectrum(lin, subspace=doubled)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()))
+
     def test_zero_matrix(self):
         lin = LinearisedMatrix(matrix=np.zeros((3, 3)), weights=np.ones(3))
         assert np.allclose(weighted_spectrum(lin), np.zeros(3))

@@ -27,7 +27,7 @@ from rdbalance import (
     write_snapshot_csv,
 )
 
-from rdbalance.solver import _ReactionTerm
+from rdbalance.network import Kinetics
 
 from conftest import four_species_network, random_balanced_network
 
@@ -171,7 +171,7 @@ class TestMultiStepAdvance:
             net, _ = random_balanced_network(rng)
             fields = rng.uniform(0.1, 3.0, size=(net.n_species, 7, 5))
             want = power_production(net, fields)
-            got = _ReactionTerm(net).production(fields)
+            got = Kinetics(net).production(fields)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("scheme, calls_per_step", [("strang", 2), ("imex", 1)])
