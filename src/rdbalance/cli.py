@@ -20,14 +20,13 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticsSeries, fit_decay_rate
-from .equilibrium import EquilibriumError, conserved_masses, \
-    detailed_balance_equilibrium
+from .equilibrium import EquilibriumError, detailed_balance_equilibrium
 from .geometry import Domain, Grid, Interval, Rectangle
 from .linearised import NotEquilibriumError, operator_spectral_gap
 from .network import ReactionNetwork, decompose, validate_network
 from .parser import ParseError, parse_network
-from .solver import InitialSpec, NonPositivityError, SpeciesProfile, default_dt, \
-    simulate, write_snapshot_csv
+from .solver import InitialSpec, NonPositivityError, SpeciesProfile, build_initial, \
+    reference_equilibrium, simulate, write_snapshot_csv
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -228,22 +227,18 @@ def _cmd_validate(args) -> int:
 
 
 def _equilibrium_from_args(net, args):
+    if args.masses is None:
+        config = load_config(args.from_initial)
+        state = build_initial(_initial_spec(config, net), config.grid,
+                              species_names=net.species)
+        return reference_equilibrium(net, state)
     stoich = decompose(net)
-    if args.masses is not None:
-        m = _parse_floats(args.masses, "mass vector")
-        if m.shape != (stoich.n_conserved,):
-            raise ConfigError(
-                f"expected {stoich.n_conserved} masses "
-                f"({', '.join(stoich.label(k) for k in range(stoich.n_conserved))})")
-        return stoich, detailed_balance_equilibrium(net, stoich, m)
-    config = load_config(args.from_initial)
-    initial = _initial_spec(config, net)
-    from .solver import build_initial
-
-    state = build_initial(initial, config.grid, species_names=net.species)
-    masses = conserved_masses(stoich, state.means(),
-                              volume=config.grid.domain.measure)
-    return stoich, detailed_balance_equilibrium(net, stoich, masses)
+    m = _parse_floats(args.masses, "mass vector")
+    if m.shape != (stoich.n_conserved,):
+        raise ConfigError(
+            f"expected {stoich.n_conserved} masses "
+            f"({', '.join(stoich.label(k) for k in range(stoich.n_conserved))})")
+    return stoich, detailed_balance_equilibrium(net, stoich, m)
 
 
 def _cmd_equilibrium(args) -> int:
@@ -282,29 +277,18 @@ def _run_one_config(config_path) -> int:
     if not report.ok:
         print(report, file=sys.stderr)
         return EXIT_INVALID
-    initial = _initial_spec(config, net)
-    dt = config.dt
-    if dt is None:
-        from .solver import build_initial
-
-        state = build_initial(initial, config.grid, species_names=net.species)
-        stoich = decompose(net)
-        masses = conserved_masses(stoich, state.means(),
-                                  volume=config.grid.domain.measure)
-        eq = detailed_balance_equilibrium(net, stoich, masses)
-        dt = default_dt(net, eq.vector, config.grid)
-        dt = config.t_end / math.ceil(config.t_end / dt)  # whole steps to t_end
-        print(f"dt = {dt:.6g} (heuristic)")
-    result = simulate(net, config.grid, initial, dt, config.t_end,
-                      output_every=config.output_every, scheme=config.scheme,
-                      snapshot_every=config.snapshot_every)
+    result = simulate(net, config.grid, _initial_spec(config, net), config.dt,
+                      config.t_end, output_every=config.output_every,
+                      scheme=config.scheme, snapshot_every=config.snapshot_every)
+    if config.dt is None:
+        print(f"dt = {result.dt:.6g} (heuristic)")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     provenance = f"rdbalance {__version__} {config.config_hash}"
     diag_path = config.output_dir / "diag.csv"
     result.series.write_csv(diag_path, comment=provenance)
     print(f"wrote {diag_path}")
     for snap in result.snapshots:
-        steps = int(round(snap.t / dt))
+        steps = int(round(snap.t / result.dt))
         snap_path = config.output_dir / f"snapshot_{steps:08d}.csv"
         write_snapshot_csv(snap_path, snap, net.species, comment=provenance)
         print(f"wrote {snap_path}")

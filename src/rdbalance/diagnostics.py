@@ -1,4 +1,5 @@
-"""Lyapunov functionals, weighted norms, dissipation terms and rate fits.
+"""Lyapunov functionals, weighted norms, dissipation terms, rate fits, and
+the CSV table format of diag.csv and snapshots (one writer, one reader).
 
 All integrals are midpoint quadrature over the cell-centered grid; the
 gradient in the Fisher term lives on cell faces, matching the no-flux
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid
-from .network import Kinetics, ReactionNetwork
+from .network import ReactionNetwork
+
+_ROWS_PER_WRITE = 1024  # bounds the transient strings of a table write
 
 
 def weighted_norm(h, a_inf, p, grid: Grid) -> float:
@@ -82,7 +85,7 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
     for i in range(a.shape[0]):
         fisher += net.diffusion[i] * _face_gradient_integral(a[i], a[i], grid)
 
-    kinetics = Kinetics(net)
+    kinetics = net.kinetics
     coeff, _ = kinetics.fluxes(a_star)  # kf a*^alpha = kb a*^beta
     u = (a / a_star.reshape((-1,) + (1,) * grid.ndim)).reshape(a.shape[0], -1)
     u_alpha = kinetics.monomials(u, kinetics.forward)
@@ -183,34 +186,48 @@ class DiagnosticsSeries:
         return ["t"] + [f"M{k + 1}" for k in range(self.n_masses)] + list(_FIXED_COLUMNS)
 
     def write_csv(self, path, comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if comment is not None:
-                fh.write(f"# {comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.header())
-            for row in zip(self.t, *(self.masses[:, k] for k in range(self.n_masses)),
-                           self.entropy, self.l2, self.l4, self.linf,
-                           self.fisher, self.reaction):
-                writer.writerow([f"{v:.17g}" for v in row])
+        table = np.column_stack([self.t, self.masses, self.entropy, self.l2,
+                                 self.l4, self.linf, self.fisher, self.reaction])
+        _write_table(path, self.header(), table, comment)
 
     @classmethod
     def read_csv(cls, path) -> "DiagnosticsSeries":
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
-        if not rows:
-            raise ValueError(f"empty diagnostics file {path}")
-        header, data_rows = rows[0], rows[1:]
-        expected_tail = list(_FIXED_COLUMNS)
-        if header[0] != "t" or header[-6:] != expected_tail:
+        header, data = _read_table(path, "diagnostics")
+        if header[0] != "t" or header[-6:] != list(_FIXED_COLUMNS):
             raise ValueError(f"unrecognized diagnostics header in {path}")
-        q = len(header) - 7
-        data = np.array([[float(v) for v in row] for row in data_rows])
-        if data.size == 0:
-            data = np.zeros((0, len(header)))
-        if data.shape[1] != len(header):
-            raise ValueError(f"ragged diagnostics rows in {path}")
-        return cls(t=data[:, 0], masses=data[:, 1:1 + q],
-                   entropy=data[:, 1 + q], l2=data[:, 2 + q], l4=data[:, 3 + q],
-                   linf=data[:, 4 + q], fisher=data[:, 5 + q],
-                   reaction=data[:, 6 + q])
+        q = len(header) - 7  # the _FIXED_COLUMNS follow the masses, in field order
+        return cls(data[:, 0], data[:, 1:1 + q], *data[:, 1 + q:].T)
+
+
+def _write_table(path, header, table: np.ndarray, comment: str | None = None) -> None:
+    """CSV table of diag.csv and snapshots: an optional "# comment" line,
+    then csv.writer's bytes ("%.17g" numbers, CRLF line ends) for the header
+    and one row per record, formatted a block of rows at a time."""
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            block = table[start:start + _ROWS_PER_WRITE]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _read_table(path, kind: str) -> tuple[list[str], np.ndarray]:
+    """Header and (rows, columns) values of a table; blank and "#" lines
+    are skipped.  ``kind`` names the file in errors."""
+    with open(path) as fh:
+        lines = [line for line in fh
+                 if line.strip() and not line.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"empty {kind} file {path}")
+    header, data = next(csv.reader(lines[:1])), lines[1:]
+    if not data:  # np.loadtxt warns on empty input
+        return header, np.zeros((0, len(header)))
+    try:
+        values = np.loadtxt(data, delimiter=",", ndmin=2)
+    except ValueError as exc:  # rows of unequal length, or a non-number
+        raise ValueError(f"ragged or malformed {kind} rows in {path}: {exc}") from None
+    if values.shape[1] != len(header):
+        raise ValueError(f"ragged {kind} rows in {path}")
+    return header, values

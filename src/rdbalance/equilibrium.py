@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Kinetics, ReactionNetwork, StoichiometryDecomposition
+from .network import ReactionNetwork, StoichiometryDecomposition
 
 
 class EquilibriumError(Exception):
@@ -125,16 +125,18 @@ def _relative_db_residual(forward: np.ndarray,
     return float(np.max(K)), float(np.max(K / scale))
 
 
+_WEGSCHEIDER_TOL = 1e-9  # least-squares residual of W mu = log(kf/kb)
+_NEWTON_TOL = 1e-12  # mass error |Q a - m| relative to |m|
+_MAX_NEWTON_ITER = 200
+
+
 def detailed_balance_equilibrium(net: ReactionNetwork,
                                  stoich: StoichiometryDecomposition,
-                                 m,
-                                 wegscheider_tol: float = 1e-9,
-                                 tol: float = 1e-12,
-                                 max_iter: int = 200) -> EquilibriumState:
+                                 m) -> EquilibriumState:
     """Strictly positive equilibrium with prescribed conserved masses.
 
     Two stages: solve W mu = log(kf/kb) by least squares (residual beyond
-    ``wegscheider_tol`` means no detailed-balance equilibrium exists); then
+    ``_WEGSCHEIDER_TOL`` means no detailed-balance equilibrium exists); then
     Newton on theta for Q exp(mu + Q^T theta) = m, damped by a backtracking
     line search on the convex dual potential.
     """
@@ -150,7 +152,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     c = np.log(net.kf_array() / net.kb_array())
     mu, *_ = np.linalg.lstsq(W, c, rcond=None)
     residual = np.max(np.abs(W @ mu - c)) if c.size else 0.0
-    if residual > wegscheider_tol:
+    if residual > _WEGSCHEIDER_TOL:
         raise NoDetailedBalanceError(
             f"no detailed-balance equilibrium: W log a = log(kf/kb) is "
             f"unsolvable (residual {residual:.3e})")
@@ -166,9 +168,9 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
         return a, float(np.sum(a) - m @ th)
 
     a, phi = potential(theta)
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         g = Q @ a - m
-        if np.linalg.norm(g) <= tol * m_norm:
+        if np.linalg.norm(g) <= _NEWTON_TOL * m_norm:
             break
         hessian = (Q * a) @ QT
         try:
@@ -192,10 +194,10 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
         a, phi = a_new, phi_new
     else:
         raise NewtonDivergenceError(
-            f"no convergence in {max_iter} iterations (masses may be "
+            f"no convergence in {_MAX_NEWTON_ITER} iterations (masses may be "
             f"unrealizable by a positive state)")
 
-    absolute, relative = _relative_db_residual(*Kinetics(net).fluxes(a))
+    absolute, relative = _relative_db_residual(*net.kinetics.fluxes(a))
     mass_err = np.linalg.norm(Q @ a - m) / m_norm if q else 0.0
     if relative > 1e-10 or mass_err > 1e-10:
         raise NewtonDivergenceError(

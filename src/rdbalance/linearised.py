@@ -12,20 +12,26 @@ box with no-flux boundaries the full operator h -> diag(d) Lap h + L h
 block-diagonalizes over Neumann cosine modes: mode k contributes the
 matrix -mu_k diag(d) + L, with the k = 0 block restricted to Im W^T by the
 conservation laws.  The spectral gap is the smallest distance from these
-block spectra to zero.
+block spectra to zero; the modes are enumerated lazily, in ascending order.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Domain, Interval, Rectangle
-from .network import Kinetics, ReactionNetwork, is_four_species, \
-    stoichiometric_matrix
+from .network import ReactionNetwork, is_four_species, stoichiometric_matrix
 from .equilibrium import _relative_db_residual
+
+
+_EQUILIBRIUM_TOL = 1e-10  # flux residual relative to the one-sided fluxes
+_SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
+_MAX_MODES = 100_000  # Neumann modes the gap enumeration may examine
 
 
 class NotEquilibriumError(ValueError):
@@ -58,29 +64,27 @@ class SpectralGapReport:
     analytic_bound: float | None = None
 
 
-def linearised_matrix(net: ReactionNetwork, a_inf,
-                      equilibrium_tol: float = 1e-10) -> LinearisedMatrix:
+def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     """Linearised reaction matrix at a detailed-balance equilibrium.
 
     Raises NotEquilibriumError when some reaction flux at ``a_inf`` exceeds
-    ``equilibrium_tol`` relative to its one-sided fluxes.
+    ``_EQUILIBRIUM_TOL`` relative to its one-sided fluxes.
     """
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or np.any(a <= 0):
         raise ValueError("a_inf must be a strictly positive vector, one per species")
-    kinetics = Kinetics(net)
-    forward, backward = kinetics.fluxes(a)
+    forward, backward = net.kinetics.fluxes(a)
     _, relative = _relative_db_residual(forward, backward)
-    if relative > equilibrium_tol:
+    if relative > _EQUILIBRIUM_TOL:
         raise NotEquilibriumError(
             f"state is not an equilibrium (relative flux residual {relative:.3e})")
-    wt = kinetics.wt  # W^T, I x R
+    wt = net.kinetics.wt  # W^T, I x R
     L = -wt @ (forward[:, np.newaxis] * wt.T / a[np.newaxis, :])
     return LinearisedMatrix(matrix=L, weights=1.0 / a)
 
 
-def weighted_spectrum(lin: LinearisedMatrix, subspace: np.ndarray | None = None,
-                      symmetry_tol: float = 1e-9) -> np.ndarray:
+def weighted_spectrum(lin: LinearisedMatrix,
+                      subspace: np.ndarray | None = None) -> np.ndarray:
     """Ascending real eigenvalues of L in its weighted inner product.
 
     Works on the symmetric form of ``lin``, optionally projected onto
@@ -90,7 +94,7 @@ def weighted_spectrum(lin: LinearisedMatrix, subspace: np.ndarray | None = None,
     """
     S = lin.symmetric()
     asym = np.max(np.abs(S - S.T))
-    if asym > symmetry_tol * max(1.0, np.linalg.norm(S)):
+    if asym > _SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
         raise ValueError(
             f"operator is not symmetric in the weighted inner product "
             f"(asymmetry {asym:.3e}); the base state is not a valid equilibrium")
@@ -103,39 +107,40 @@ def weighted_spectrum(lin: LinearisedMatrix, subspace: np.ndarray | None = None,
     return np.linalg.eigvalsh(S)
 
 
+def _neumann_modes(domain: Domain):
+    """Neumann eigenvalues sum_axes (k pi / L)^2 of the box, ascending, without
+    end: a heap merge over index tuples k, each pushed once, after k - e_j for
+    the last axis j with k_j > 0, which is no larger."""
+    if not isinstance(domain, (Interval, Rectangle)):
+        raise TypeError(f"unsupported domain {domain!r}")
+    lengths = tuple(map(float, domain.extents))
+
+    def eigenvalue(index):
+        total = 0.0
+        for k, length in zip(index, lengths):
+            r = k * math.pi / length
+            total += r * r  # not r ** 2: pow is not always correctly rounded
+        return total
+
+    heap = [(0.0, (0,) * domain.ndim)]
+    while True:
+        mu, index = heapq.heappop(heap)
+        yield mu
+        for j in range(domain.ndim - 1, -1, -1):
+            succ = index[:j] + (index[j] + 1,) + index[j + 1:]
+            heapq.heappush(heap, (eigenvalue(succ), succ))
+            if index[j]:
+                break
+
+
 def neumann_eigenvalues(domain: Domain, count: int) -> np.ndarray:
     """First ``count`` Neumann Laplacian eigenvalues of the box, ascending.
 
     Interval: (k pi / L)^2.  Rectangle: sorted sums over both axes.  The
     first entry is always 0; the second is the domain's Poincare constant.
     """
-    if count <= 0:
-        return np.zeros(0)
-    if isinstance(domain, Interval):
-        k = np.arange(count)
-        return (k * math.pi / domain.length) ** 2
-    if isinstance(domain, Rectangle):
-        # Grow the (kx, ky) index window until the count-th smallest sum is
-        # strictly below the first excluded eigenvalue on each axis, which
-        # guarantees no smaller sum lies outside the window.
-        radius = math.sqrt(4.0 * count / (math.pi * domain.lx * domain.ly)) + 2.0
-        kx = min(count, int(radius * domain.lx) + 2)
-        ky = min(count, int(radius * domain.ly) + 2)
-        while True:
-            mx = (np.arange(kx) * math.pi / domain.lx) ** 2
-            my = (np.arange(ky) * math.pi / domain.ly) ** 2
-            sums = (mx[:, np.newaxis] + my[np.newaxis, :]).ravel()
-            sums.sort()
-            if sums.size >= count:
-                threshold = sums[count - 1]
-                next_x = (kx * math.pi / domain.lx) ** 2
-                next_y = (ky * math.pi / domain.ly) ** 2
-                if (kx >= count or threshold < next_x) and \
-                   (ky >= count or threshold < next_y):
-                    return sums[:count]
-            kx = min(count, 2 * kx)
-            ky = min(count, 2 * ky)
-    raise TypeError(f"unsupported domain {domain!r}")
+    return np.fromiter(itertools.islice(_neumann_modes(domain), max(count, 0)),
+                       dtype=float)
 
 
 def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
@@ -166,8 +171,8 @@ def _analytic_bound_applies(net: ReactionNetwork, domain: Domain) -> bool:
             and math.isclose(net.reactions[0].kb, 1.0, rel_tol=1e-12))
 
 
-def operator_spectral_gap(net: ReactionNetwork, a_inf, domain: Domain,
-                          max_modes: int = 100_000) -> SpectralGapReport:
+def operator_spectral_gap(net: ReactionNetwork, a_inf,
+                          domain: Domain) -> SpectralGapReport:
     """Spectral gap of h -> diag(d) Lap h + L h over Neumann modes.
 
     Mode 0 is restricted to Im W^T (the conservation constraint); higher
@@ -188,33 +193,19 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf, domain: Domain,
     per_mode = [(0.0, float(-mode0[-1]))]
     lam = per_mode[0][1]
 
-    chunk = 64
-    mus = neumann_eigenvalues(domain, chunk)
-    k = 1
-    prev = (None, None)
-    while True:
-        if k >= len(mus):
-            chunk *= 2
-            if chunk > 4 * max_modes:
-                raise RuntimeError("mode enumeration budget exhausted")
-            mus = neumann_eigenvalues(domain, chunk)
-            continue
-        mu = float(mus[k])
+    for k, mu in enumerate(itertools.islice(_neumann_modes(domain), 1, None), start=1):
         if mu * dmin >= lam:
             break
-        if mu == prev[0]:
-            gap = prev[1]  # repeated rectangle eigenvalue, same block
+        if k > _MAX_MODES:
+            raise RuntimeError("mode enumeration budget exhausted")
+        if mu == per_mode[-1][0]:
+            gap = per_mode[-1][1]  # repeated rectangle eigenvalue, same block
         else:
             lin_k = LinearisedMatrix(matrix=-mu * np.diag(d) + lin.matrix,
                                      weights=lin.weights)
-            spectrum = weighted_spectrum(lin_k)
-            gap = float(-spectrum[-1])
+            gap = float(-weighted_spectrum(lin_k)[-1])
         per_mode.append((mu, gap))
         lam = min(lam, gap)
-        prev = (mu, gap)
-        k += 1
-        if k > max_modes:
-            raise RuntimeError("mode enumeration budget exhausted")
 
     bound = None
     if _analytic_bound_applies(net, domain):

@@ -16,6 +16,7 @@ conditions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -103,6 +104,11 @@ class ReactionNetwork:
 
     def diffusion_array(self) -> np.ndarray:
         return np.array(self.diffusion, dtype=float)
+
+    @functools.cached_property
+    def kinetics(self) -> "Kinetics":
+        """Mass-action evaluator, built once (not a field: == and hash ignore it)."""
+        return Kinetics(self)
 
 
 @dataclass(frozen=True)
@@ -267,7 +273,10 @@ def _semipositive_kernel_rows(W_rows: list[list[int]], needed: int,
     return found
 
 
-def conservation_basis(W, support_budget: int = 4096) -> np.ndarray:
+_SUPPORT_BUDGET = 4096  # supports tried before falling back to elimination
+
+
+def conservation_basis(W) -> np.ndarray:
     """Integer basis of Ker W, one conservation law per row.
 
     Deterministic: semi-positive minimal-support vectors first (these are
@@ -289,7 +298,7 @@ def conservation_basis(W, support_budget: int = 4096) -> np.ndarray:
     q = ncols - _rational_rank(rows)
     if q == 0:
         return np.zeros((0, ncols), dtype=np.int64)
-    basis = _semipositive_kernel_rows(rows, q, support_budget)
+    basis = _semipositive_kernel_rows(rows, q, _SUPPORT_BUDGET)
     if len(basis) < q:
         for v in _elimination_kernel(rows):
             if _rational_rank(basis + [v]) > len(basis):
@@ -349,7 +358,8 @@ class Kinetics:
 
     Each monomial a^alpha is a product of gathered species rows, one per
     factor (at most two for an admissible network), with no powers taken;
-    an empty side is the monomial 1.  Loops over states should reuse one.
+    an empty side is the monomial 1.  Build it through
+    ``ReactionNetwork.kinetics``, which keeps one per network.
     """
 
     def __init__(self, net: ReactionNetwork):
@@ -407,10 +417,9 @@ def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
     if np.any(a < 0):
         bad = int(np.argmin(a))
         raise ValueError(f"negative concentration a[{bad}] = {a[bad]}")
-    kinetics = Kinetics(net)
-    forward, backward = kinetics.fluxes(a)
+    forward, backward = net.kinetics.fluxes(a)
     K = forward - backward
-    return K, kinetics.wt @ K
+    return K, net.kinetics.wt @ K
 
 
 def is_four_species(net: ReactionNetwork) -> bool:

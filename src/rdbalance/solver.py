@@ -19,7 +19,8 @@ for any step size.
 output interval per call).  Within such a run the closing half-diffusion
 of one ``strang`` step and the opening one of the next compose exactly,
 so they are applied as one diffusion over dt: n steps cost n + 1
-transform pairs, not 2n.
+transform pairs, not 2n.  ``simulate`` sets a run up once: the reference
+equilibrium of the initial masses and, when no dt is given, ``default_dt``.
 
 Negative concentrations are an error, not something to clip: clipping
 would silently destroy the conservation laws the scheme is built around.
@@ -27,23 +28,21 @@ would silently destroy the conservation laws the scheme is built around.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries, entropy_dissipation, relative_entropy, \
-    weighted_norm
+from .diagnostics import DiagnosticsSeries, _read_table, _write_table, \
+    entropy_dissipation, relative_entropy, weighted_norm
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Domain, Grid, Interval, Rectangle  # noqa: F401 (re-export)
-from .network import Kinetics, ReactionNetwork, decompose
+from .network import ReactionNetwork, StoichiometryDecomposition, decompose
 
 NEGATIVE_TOL = -1e-10  # relative to the largest cell
 
 _SCHEMES = ("strang", "imex")
-_ROWS_PER_WRITE = 1024  # bounds the transient strings of a snapshot write
 
 
 class NonPositivityError(RuntimeError):
@@ -183,7 +182,7 @@ class Stepper:
         self.grid = grid
         self.dt = dt
         self.scheme = key
-        self.reaction = Kinetics(net)
+        self.reaction = net.kinetics
         # opening substep of a step: D(dt/2) for strang, D(dt) for imex
         self.diffusion = _DiffusionSemigroup(
             grid, net.diffusion, 0.5 * dt if key == "strang" else dt)
@@ -287,12 +286,7 @@ def build_initial(spec: InitialSpec, grid: Grid,
 
 
 def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
-    with open(path) as fh:
-        lines = [line for line in fh
-                 if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError(f"empty snapshot file {path}")
-    header, data = next(csv.reader(lines[:1])), lines[1:]
+    header, values = _read_table(path, "snapshot")
     n_coord = grid.ndim
     columns = header[n_coord:]
     if species_names is not None:
@@ -302,15 +296,9 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
             raise ValueError(f"snapshot {path} is missing a species column: {exc}")
     else:
         order = list(range(len(columns)))
-    if len(data) != grid.n_cells:
+    if len(values) != grid.n_cells:
         raise ValueError(
-            f"snapshot {path} has {len(data)} cells, grid needs {grid.n_cells}")
-    try:
-        values = np.loadtxt(data, delimiter=",", ndmin=2)
-    except ValueError as exc:  # rows of unequal length, or a non-number
-        raise ValueError(f"ragged or malformed snapshot rows in {path}: {exc}") from None
-    if values.shape[1] != len(header):
-        raise ValueError(f"ragged snapshot rows in {path}")
+            f"snapshot {path} has {len(values)} cells, grid needs {grid.n_cells}")
     fields = np.empty((len(order),) + grid.shape)
     for i, col in enumerate(order):
         fields[i] = values[:, n_coord + col].reshape(grid.shape)
@@ -323,15 +311,7 @@ def write_snapshot_csv(path, state: State, species_names,
     grid = state.grid
     table = np.column_stack([c.ravel() for c in grid.centers()]
                             + list(state.fields.reshape(state.n_species, -1)))
-    # csv.writer's number format and line ends, formatted a block of rows at a time
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        csv.writer(fh).writerow(list("xy"[:grid.ndim]) + list(species_names))
-        for start in range(0, len(table), _ROWS_PER_WRITE):
-            block = table[start:start + _ROWS_PER_WRITE]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    _write_table(path, list("xy"[:grid.ndim]) + list(species_names), table, comment)
 
 
 def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
@@ -354,14 +334,27 @@ class SimulationResult:
     series: DiagnosticsSeries
     snapshots: tuple[State, ...]
     equilibrium: EquilibriumState
+    dt: float  # the step taken: the given one, or the shortened default_dt
+
+
+def reference_equilibrium(net: ReactionNetwork, state: State
+                          ) -> tuple[StoichiometryDecomposition, EquilibriumState]:
+    """Conservation basis of ``net`` and the detailed-balance equilibrium with
+    the conserved masses of ``state``: the one a run from ``state`` relaxes to."""
+    stoich = decompose(net)
+    masses = conserved_masses(stoich, state.means(), volume=state.grid.domain.measure)
+    return stoich, detailed_balance_equilibrium(net, stoich, masses)
 
 
 def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
-             dt: float, t_end: float, output_every: int = 1,
+             dt: float | None, t_end: float, output_every: int = 1,
              scheme: str = "strang",
              snapshot_every: int | None = None) -> SimulationResult:
     """Advance to t_end, recording diagnostics every ``output_every`` steps
-    and at t_end.  t_end must be a whole number of steps dt.
+    and at t_end.  t_end must be a whole number of steps dt.  With dt None
+    the step is ``default_dt`` at the reference equilibrium, shortened to
+    t_end / ceil(t_end / dt) so that whole steps reach t_end; the result
+    carries the dt used.
 
     The reference equilibrium is computed from the conserved masses of the
     initial data.  Deterministic: identical inputs give identical outputs.
@@ -382,12 +375,13 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
     if output_every < 1:
         raise ValueError("output_every must be >= 1")
 
-    stoich = decompose(net)
-    masses = conserved_masses(stoich, state.means(), volume=grid.domain.measure)
-    eq = detailed_balance_equilibrium(net, stoich, masses)
+    stoich, eq = reference_equilibrium(net, state)
     a_inf = eq.vector
     q_matrix = stoich.Q.astype(float)
     volume = grid.domain.measure
+    if dt is None:
+        dt = default_dt(net, a_inf, grid)
+        dt = t_end / math.ceil(t_end / dt)
 
     stepper = Stepper(net, grid, dt, scheme)
     ratio = t_end / dt
@@ -437,4 +431,4 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
         l4=np.array(rows["l4"]), linf=np.array(rows["linf"]),
         fisher=np.array(rows["fisher"]), reaction=np.array(rows["reaction"]))
     return SimulationResult(series=series, snapshots=tuple(snapshots),
-                            equilibrium=eq)
+                            equilibrium=eq, dt=dt)

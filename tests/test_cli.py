@@ -157,6 +157,27 @@ def test_heuristic_dt_divides_t_end(workdir, capsys):
     assert (workdir / "out" / f"snapshot_{round(steps):08d}.csv").exists()
 
 
+def test_heuristic_dt_sets_up_the_run_once(workdir, monkeypatch):
+    import rdbalance.cli
+    import rdbalance.solver
+
+    calls = dict.fromkeys(("build_initial", "decompose", "detailed_balance_equilibrium"), 0)
+    for name in calls:
+        original = getattr(rdbalance.solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (rdbalance.cli, rdbalance.solver):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    (workdir / "heuristic.cfg").write_text(CONFIG.replace("dt = 1e-3\n", ""))
+    assert dispatch(["simulate", str(workdir / "heuristic.cfg")]) == 0
+    assert calls == {"build_initial": 1, "decompose": 1,
+                     "detailed_balance_equilibrium": 1}
+
+
 def test_t_end_not_whole_steps(workdir, capsys):
     cfg = CONFIG.replace("dt = 1e-3", "dt = 0.3").replace("t_end = 0.1", "t_end = 0.5")
     (workdir / "overshoot.cfg").write_text(cfg)

@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +242,32 @@ class TestSeriesCsv:
         assert np.array_equal(loaded.t, t)
         assert np.array_equal(loaded.masses, series.masses)
         assert np.array_equal(loaded.l2, series.l2)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        t = np.array([0.0, 0.1, 0.2])
+        nan_first = np.array([math.nan, 1 / 3, 2e-300])
+        series = DiagnosticsSeries(
+            t=t, masses=np.array([[1 / 7, 3.0], [1 / 7, 3.0], [1 / 7, 3.0]]),
+            entropy=t * math.pi, l2=t + 1 / 9, l4=t, linf=-t, fisher=nan_first,
+            reaction=nan_first * 1e300)
+        path = tmp_path / "diag.csv"
+        series.write_csv(path, comment="rdbalance test")
+        buf = io.StringIO(newline="")
+        buf.write("# rdbalance test\n")
+        writer = csv.writer(buf)
+        writer.writerow(series.header())
+        for k in range(len(t)):
+            writer.writerow([f"{series.column(name)[k]:.17g}"
+                             for name in series.header()])
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert b"nan" in path.read_bytes()
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        path.write_text("# rdbalance test\nt,M1,H,L2,L4,Linf,fisher,reaction\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = DiagnosticsSeries.read_csv(path)
+        assert series.t.shape == (0,) and series.masses.shape == (0, 1)
+        with pytest.warns(UserWarning):  # why the reader skips loadtxt here
+            np.loadtxt([], delimiter=",", ndmin=2)

@@ -193,3 +193,9 @@ class TestTypes:
     def test_is_four_species(self):
         assert is_four_species(four_species_network())
         assert not is_four_species(exchange_network())
+
+    def test_kinetics_is_built_once_outside_the_fields(self):
+        net, twin = four_species_network(), four_species_network()
+        assert net.kinetics is net.kinetics
+        assert net == twin and hash(net) == hash(twin)
+        assert "kinetics" in vars(net) and "kinetics" not in vars(twin)

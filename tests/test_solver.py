@@ -485,6 +485,34 @@ class TestSimulate:
         assert result.series.t == pytest.approx([0.0, 0.01, 0.02, 0.025], abs=1e-15)
         assert [s.t for s in result.snapshots] == pytest.approx([0.0, 0.02, 0.025])
 
+    def test_dt_omitted_is_the_shortened_default(self):
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (16,))
+        auto = simulate(net, grid, mode1_spec(), None, t_end=0.01, output_every=4)
+        dt = default_dt(net, auto.equilibrium.vector, grid)
+        dt = 0.01 / math.ceil(0.01 / dt)
+        assert auto.dt == dt
+        explicit = simulate(net, grid, mode1_spec(), dt, t_end=0.01, output_every=4)
+        for name in ("t", "masses", "entropy", "l2", "l4", "linf", "fisher",
+                     "reaction"):
+            assert getattr(auto.series, name).tobytes() \
+                == getattr(explicit.series, name).tobytes()
+        assert [s.fields.tobytes() for s in auto.snapshots] \
+            == [s.fields.tobytes() for s in explicit.snapshots]
+
+    def test_one_kinetics_per_run(self, monkeypatch):
+        built = []
+        init = Kinetics.__init__
+
+        def counted(self, net):
+            built.append(net)
+            init(self, net)
+
+        monkeypatch.setattr(Kinetics, "__init__", counted)
+        simulate(four_species_network(), Grid(Interval(1.0), (16,)), mode1_spec(),
+                 dt=1e-3, t_end=0.01, output_every=2)
+        assert len(built) == 1
+
     def test_default_dt_positive(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (32,))
