@@ -20,9 +20,8 @@ from .network import Kinetics, Reaction, ReactionNetwork, \
     StoichiometryDecomposition, ValidationReport, conservation_basis, decompose, \
     is_four_species, production_term, stoichiometric_matrix, validate_network
 from .parser import ParseError, parse_network, serialize_network
-from .solver import InitialSpec, NonPositivityError, SimulationResult, \
-    SpeciesProfile, State, Stepper, build_initial, build_laplacian, default_dt, \
-    simulate, step, write_snapshot_csv
+from .solver import InitialSpec, NonPositivityError, SimulationResult, SpeciesProfile, \
+    State, Stepper, build_initial, default_dt, simulate, step, write_snapshot_csv
 
 __all__ = [
     "ConservedMasses", "DiagnosticsSeries", "Domain", "EquilibriumError",
@@ -32,11 +31,11 @@ __all__ = [
     "ReactionNetwork", "Rectangle", "SimulationResult", "SpeciesProfile",
     "SpectralGapReport", "State", "Stepper", "StoichiometryDecomposition",
     "ValidationReport", "analytic_gap_bound_four_species", "build_initial",
-    "build_laplacian", "conservation_basis", "conserved_masses", "decompose",
-    "default_dt", "detailed_balance_equilibrium", "entropy_dissipation",
-    "fit_decay_rate", "four_species_equilibrium", "is_four_species",
-    "linearised_matrix", "neumann_eigenvalues", "operator_spectral_gap",
-    "parse_network", "production_term", "relative_entropy", "serialize_network",
-    "simulate", "step", "stoichiometric_matrix", "validate_network",
-    "weighted_norm", "weighted_spectrum", "write_snapshot_csv",
+    "conservation_basis", "conserved_masses", "decompose", "default_dt",
+    "detailed_balance_equilibrium", "entropy_dissipation", "fit_decay_rate",
+    "four_species_equilibrium", "is_four_species", "linearised_matrix",
+    "neumann_eigenvalues", "operator_spectral_gap", "parse_network",
+    "production_term", "relative_entropy", "serialize_network", "simulate", "step",
+    "stoichiometric_matrix", "validate_network", "weighted_norm",
+    "weighted_spectrum", "write_snapshot_csv",
 ]

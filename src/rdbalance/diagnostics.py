@@ -60,8 +60,8 @@ def _face_gradient_integral(u: np.ndarray, base: np.ndarray, grid: Grid) -> floa
     for axis in range(grid.ndim):
         h = grid.spacing[axis]
         du = np.diff(u, axis=axis) / h
-        mid = 0.5 * (np.take(base, range(1, grid.shape[axis]), axis=axis)
-                     + np.take(base, range(0, grid.shape[axis] - 1), axis=axis))
+        lead = (slice(None),) * axis
+        mid = 0.5 * (base[lead + (slice(1, None),)] + base[lead + (slice(None, -1),)])
         total += np.sum(du * du / mid) * grid.cell_volume
     return total
 

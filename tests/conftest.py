@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rdbalance import Reaction, ReactionNetwork
+from rdbalance import Grid, Reaction, ReactionNetwork
 
 
 def four_species_network(d=(1.0, 1.0, 1.0, 1.0), kf=1.0, kb=1.0) -> ReactionNetwork:
@@ -72,6 +72,32 @@ def random_balanced_network(rng, max_species=8, max_reactions=6):
         reactions.append(Reaction(r.alpha, r.beta, r.kf,
                                   float(forward / backward_monomial)))
     return ReactionNetwork(net.species, tuple(reactions), net.diffusion), a_star
+
+
+def build_laplacian(grid: Grid) -> "NeumannLaplacian":
+    return NeumannLaplacian(grid)
+
+
+class NeumannLaplacian:
+    """Second-order cell-centered Laplacian with mirror ghost cells: the
+    stencil oracle the exact diffusion substep is checked against."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        if u.shape != self.grid.shape:
+            raise ValueError(f"field shape {u.shape} does not match the grid")
+        out = np.zeros_like(u)
+        for axis, h in enumerate(self.grid.spacing):
+            padded = np.concatenate([np.take(u, [0], axis=axis), u,
+                                     np.take(u, [-1], axis=axis)], axis=axis)
+            n = u.shape[axis]
+            out += (np.take(padded, range(0, n), axis=axis)
+                    - 2.0 * u
+                    + np.take(padded, range(2, n + 2), axis=axis)) / (h * h)
+        return out
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from rdbalance import (
     State,
     Stepper,
     build_initial,
-    build_laplacian,
     decompose,
     default_dt,
     fit_decay_rate,
@@ -29,7 +28,7 @@ from rdbalance import (
 
 from rdbalance.network import Kinetics
 
-from conftest import four_species_network, random_balanced_network
+from conftest import build_laplacian, four_species_network, random_balanced_network
 
 PI2 = math.pi ** 2
 
@@ -83,26 +82,31 @@ class TestLaplacian:
 class TestDiffusionSemigroup:
     @pytest.mark.parametrize("scheme, tau", [("strang", 0.025), ("imex", 0.05)])
     @pytest.mark.parametrize("domain, shape", [(Interval(2.0), (12,)),
-                                               (Rectangle(1.5, 0.7), (6, 9))])
+                                               (Rectangle(1.5, 0.7), (6, 9)),
+                                               (Interval(8.0), (256,))])
     def test_matches_matrix_exponential(self, rng, scheme, tau, domain, shape):
+        # The long interval keeps tau d |L| moderate: at h = 1/256 expm
+        # itself drifts the mean by 7e-13 while the DCT stays within 1e-14.
         d = (1.0, 0.5, 2.0, 0.1)
         grid = Grid(domain, shape)
         lap = build_laplacian(grid)
         eye = np.eye(grid.n_cells)
         L = np.column_stack([lap.apply(e.reshape(shape)).ravel() for e in eye])
         fields = rng.random((4,) + shape)
-        got = Stepper(four_species_network(d=d), grid, 0.05, scheme) \
-            .diffusion.apply(fields)
+        diffusion = Stepper(four_species_network(d=d), grid, 0.05, scheme).diffusion
+        assert diffusion._dense == (shape != (256,))  # both paths are covered
+        got = diffusion.apply(fields)
         for i in range(4):
             want = expm(tau * d[i] * L) @ fields[i].ravel()
             assert np.max(np.abs(got[i].ravel() - want)) <= 1e-13
 
-    def test_single_cell_spike_stays_positive(self):
+    @pytest.mark.parametrize("n", [64, 256])  # dense propagators, DCT
+    def test_single_cell_spike_stays_positive(self, n):
         # Crank-Nicolson half steps overshoot this spike to -5.9 in one step
         net = four_species_network()
-        grid = Grid(Interval(1.0), (256,))
-        fields = np.ones((4, 256))
-        fields[0, 128] = 50.0
+        grid = Grid(Interval(1.0), (n,))
+        fields = np.ones((4, n))
+        fields[0, n // 2] = 50.0
         state = State(t=0.0, fields=fields, grid=grid)
         q = decompose(net).Q.astype(float)
         masses0 = q @ state.means()
@@ -402,6 +406,16 @@ class TestSimulate:
                           dt=1e-2, t_end=5.0, output_every=50)
         masses = result.series.masses
         assert np.max(np.abs(masses - masses[0])) <= 1e-12 * np.max(masses[0])
+
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    def test_mass_drift_at_roundoff(self, scheme):
+        # the DCT path's level; propagating the mean through the dense
+        # propagators drifts it by ~2e-13 over these 500 steps
+        grid = Grid(Interval(1.0), (64,))
+        result = simulate(four_species_network(), grid, mode1_spec(), dt=1e-3,
+                          t_end=0.5, output_every=10, scheme=scheme)
+        masses = result.series.masses
+        assert np.all(np.abs(masses - masses[0]) <= 1e-14 * np.abs(masses[0]))
 
     def test_entropy_monotone(self):
         net = four_species_network()
