@@ -12,7 +12,7 @@ from .diagnostics import DiagnosticsSeries, FitResult, entropy_dissipation, \
 from .equilibrium import ConservedMasses, EquilibriumError, EquilibriumState, \
     NewtonDivergenceError, NoDetailedBalanceError, conserved_masses, \
     detailed_balance_equilibrium, four_species_equilibrium
-from .geometry import Domain, Grid, Interval, Rectangle
+from .geometry import Box, Grid, Interval, Rectangle
 from .linearised import LinearisedMatrix, NotEquilibriumError, SpectralGapReport, \
     analytic_gap_bound_four_species, linearised_matrix, neumann_eigenvalues, \
     operator_spectral_gap, weighted_spectrum
@@ -24,7 +24,7 @@ from .solver import InitialSpec, NonPositivityError, SimulationResult, SpeciesPr
     State, Stepper, build_initial, default_dt, simulate, step, write_snapshot_csv
 
 __all__ = [
-    "ConservedMasses", "DiagnosticsSeries", "Domain", "EquilibriumError",
+    "Box", "ConservedMasses", "DiagnosticsSeries", "EquilibriumError",
     "EquilibriumState", "FitResult", "Grid", "InitialSpec", "Interval", "Kinetics",
     "LinearisedMatrix", "NewtonDivergenceError", "NoDetailedBalanceError",
     "NonPositivityError", "NotEquilibriumError", "ParseError", "Reaction",

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import DiagnosticsSeries, fit_decay_rate
 from .equilibrium import EquilibriumError, detailed_balance_equilibrium
-from .geometry import Domain, Grid, Interval, Rectangle
+from .geometry import MAX_NDIM, Box, Grid
 from .linearised import NotEquilibriumError, operator_spectral_gap
 from .network import ReactionNetwork, decompose, validate_network
 from .parser import ParseError, parse_network
@@ -38,40 +38,54 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_domain(text: str) -> Domain:
-    m = re.fullmatch(r"interval:([^,]+)", text.strip())
-    if m:
-        return Interval(float(m.group(1)))
-    m = re.fullmatch(r"rect:([^,]+),([^,]+)", text.strip())
-    if m:
-        return Rectangle(float(m.group(1)), float(m.group(2)))
-    raise ConfigError(f"bad domain {text!r} (use interval:L or rect:Lx,Ly)")
+_DOMAIN_SIDES = {"interval": (1, 1), "rect": (2, 2), "box": (1, MAX_NDIM)}
 
 
-def _parse_grid(text: str, domain: Domain) -> Grid:
-    parts = [p.strip() for p in str(text).split(",")]
+def _parse_domain(text: str) -> Box:
+    """'interval:L', 'rect:Lx,Ly' or 'box:L1,...,Ld' with d <= MAX_NDIM."""
+    kind, _, sides = text.strip().partition(":")
+    sides = sides.split(",") if sides.strip() else []
+    low, high = _DOMAIN_SIDES.get(kind, (1, 0))  # an unknown kind fits no count
+    if not low <= len(sides) <= high:
+        raise ConfigError(f"bad domain {text!r} (use interval:L, rect:Lx,Ly or "
+                          f"box:L1,...,Ld with d <= {MAX_NDIM})")
+    return Box(tuple(float(side) for side in sides))
+
+
+def _parse_grid(text: str, domain: Box) -> Grid:
+    """'n1,...,nd', or one n for every axis."""
     try:
-        shape = tuple(int(p) for p in parts)
+        shape = tuple(int(n) for n in text.split(","))
     except ValueError:
         raise ConfigError(f"bad grid {text!r}") from None
-    if len(shape) == 1 and domain.ndim == 2:
-        shape = shape * 2
-    return Grid(domain, shape)
+    return Grid(domain, shape * domain.ndim if len(shape) == 1 else shape)
 
 
 def _parse_modes(text: str, ndim: int):
-    """Mode list 'k:amp k:amp ...' (1D) or '(k,l):amp ...' (2D)."""
+    """Mode list '(k1,...,kd):amp ...'; the parentheses may be left out."""
     modes = []
     for token in text.split():
-        m = re.fullmatch(r"\(?(\d+)(?:,(\d+))?\)?:([-+0-9.eE]+)", token)
+        m = re.fullmatch(r"(\()?(\d+(?:,\d+)*)(?(1)\)):([-+0-9.eE]+)", token)
         if m is None:
-            raise ConfigError(f"bad mode entry {token!r} (expected k:amp)")
-        if (m.group(2) is None) != (ndim == 1):
+            raise ConfigError(f"bad mode entry {token!r} (expected (k1,...,kd):amp)")
+        mode = tuple(int(k) for k in m.group(2).split(","))
+        if len(mode) != ndim:
             raise ConfigError(f"mode {token!r} does not match a {ndim}-d domain")
-        mode = (int(m.group(1)),) if m.group(2) is None \
-            else (int(m.group(1)), int(m.group(2)))
         modes.append((mode, float(m.group(3))))
     return tuple(modes)
+
+
+def _parse_scheme(text: str) -> str:
+    if text not in ("strang", "imex"):
+        raise ConfigError(f"scheme must be strang or imex, got {text!r}")
+    return text
+
+
+def _positive(text: str, kind):
+    value = kind(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"must be positive, got {text}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ class RunConfig:
     path: Path
     raw: bytes
     network_path: Path
-    domain: Domain
+    domain: Box
     grid: Grid
     scheme: str
     dt: float | None
@@ -104,11 +118,13 @@ def load_config(path) -> RunConfig:
 
     Dotted keys give one nesting level for per-species initial data:
     species.<name>.base and species.<name>.modes.  Relative paths resolve
-    against the config file's directory.
+    against the config file's directory.  A malformed value is a ConfigError
+    that names its file, line and key.
     """
     path = Path(path)
     raw = path.read_bytes()
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
         content = line.split("#", 1)[0].strip()
         if not content:
@@ -119,48 +135,40 @@ def load_config(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
-        entries[key] = value
+        entries[key], lines[key] = value, lineno
+
+    def located(key, parse, *args, default=None):
+        """parse(entries[key], *args), or ``default`` when the key is absent;
+        a failure names the key's line."""
+        if key not in entries:
+            return default
+        try:
+            return parse(entries[key], *args)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lines[key]}: {key}: {exc}") from None
 
     base_dir = path.parent
-    species_data: dict[str, dict[str, str]] = {}
+    species_data: dict[str, dict[str, str]] = {}  # name -> field -> key
     for key in list(entries):
         if key.startswith("species."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in ("base", "modes"):
-                raise ConfigError(f"bad species key {key!r}")
-            species_data.setdefault(parts[1], {})[parts[2]] = entries.pop(key)
-    unknown = set(entries) - _TOP_KEYS
+                raise ConfigError(f"{path}:{lines[key]}: bad species key {key!r}")
+            species_data.setdefault(parts[1], {})[parts[2]] = key
+    unknown = {key for key in entries if not key.startswith("species.")} - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for required in ("network", "domain", "grid", "t_end"):
         if required not in entries:
             raise ConfigError(f"missing config key {required!r}")
 
-    domain = _parse_domain(entries["domain"])
-    grid = _parse_grid(entries["grid"], domain)
-    scheme = entries.get("scheme", "strang")
-    if scheme not in ("strang", "imex"):
-        raise ConfigError(f"scheme must be strang or imex, got {scheme!r}")
-
-    def positive_float(key):
-        try:
-            value = float(entries[key])
-        except ValueError:
-            raise ConfigError(f"bad number for {key}: {entries[key]!r}") from None
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"{key} must be positive, got {entries[key]}")
-        return value
-
-    dt = positive_float("dt") if "dt" in entries else None
-    t_end = positive_float("t_end")
-    try:
-        output_every = int(entries.get("output_every", "1"))
-        snapshot_every = int(entries["snapshot_every"]) \
-            if "snapshot_every" in entries else None
-    except ValueError as exc:
-        raise ConfigError(f"bad integer in config: {exc}") from None
-    if output_every < 1:
-        raise ConfigError("output_every must be >= 1")
+    domain = located("domain", _parse_domain)
+    grid = located("grid", _parse_grid, domain)
+    scheme = located("scheme", _parse_scheme, default="strang")
+    dt = located("dt", _positive, float)
+    t_end = located("t_end", _positive, float)
+    output_every = located("output_every", _positive, int, default=1)
+    snapshot_every = located("snapshot_every", int)
 
     initial_csv = None
     profiles: dict[str, SpeciesProfile] | None = None
@@ -175,12 +183,10 @@ def load_config(path) -> RunConfig:
         for name, data in sorted(species_data.items()):
             if "base" not in data:
                 raise ConfigError(f"species.{name}.base is required")
-            try:
-                base = float(data["base"])
-            except ValueError:
-                raise ConfigError(f"bad species.{name}.base") from None
-            modes = _parse_modes(data.get("modes", ""), domain.ndim)
-            profiles[name] = SpeciesProfile(base=base, modes=modes)
+            profiles[name] = SpeciesProfile(
+                base=located(data["base"], float),
+                modes=located(data["modes"], _parse_modes, domain.ndim)
+                if "modes" in data else ())
 
     return RunConfig(
         path=path, raw=raw, network_path=base_dir / entries["network"],
@@ -350,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="spectral gap of the linearised operator")
     p.add_argument("network")
-    p.add_argument("--domain", required=True, help="interval:L or rect:Lx,Ly")
+    p.add_argument("--domain", required=True,
+                   help="interval:L, rect:Lx,Ly or box:L1,...,Ld (d <= 4)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--a-inf", help="comma-separated equilibrium values")
     group.add_argument("--masses", help="comma-separated conserved masses")

@@ -1,4 +1,11 @@
-"""Domains (interval, rectangle) and cell-centered grids."""
+"""Boxes (0, L1) x ... x (0, Ld) with d <= 4, cell-centered grids on them,
+and the Neumann Laplacian spectrum of both.
+
+The Neumann cosine modes separate over axes, so each space gives its
+spectrum per axis: ``axis_eigenvalue(axis, k)`` is (k pi / L)^2 on a box
+and the stencil's (2/h sin(k pi / 2n))^2, for k < n, on a grid.  Both
+increase with k, and the eigenvalue of mode (k1, ..., kd) is their sum.
+"""
 
 from __future__ import annotations
 
@@ -7,67 +14,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Interval:
-    """One-dimensional box (0, length)."""
-
-    length: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"interval length must be positive, got {self.length}")
-
-    @property
-    def measure(self) -> float:
-        return self.length
-
-    @property
-    def ndim(self) -> int:
-        return 1
-
-    @property
-    def extents(self) -> tuple[float, ...]:
-        return (self.length,)
+MAX_NDIM = 4
 
 
 @dataclass(frozen=True)
-class Rectangle:
-    """Two-dimensional box (0, lx) x (0, ly)."""
+class Box:
+    """The box (0, L1) x ... x (0, Ld), 1 <= d <= MAX_NDIM."""
 
-    lx: float
-    ly: float
+    extents: tuple[float, ...]
 
     def __post_init__(self):
-        for side in (self.lx, self.ly):
-            if not (math.isfinite(side) and side > 0):
-                raise ValueError(f"rectangle sides must be positive, got {side}")
-
-    @property
-    def measure(self) -> float:
-        return self.lx * self.ly
+        extents = tuple(float(side) for side in self.extents)
+        object.__setattr__(self, "extents", extents)
+        if not 1 <= len(extents) <= MAX_NDIM:
+            raise ValueError(f"a box has 1 to {MAX_NDIM} sides, got {len(extents)}")
+        if not all(math.isfinite(side) and side > 0 for side in extents):
+            raise ValueError(f"box sides must be positive, got {extents}")
 
     @property
     def ndim(self) -> int:
-        return 2
+        return len(self.extents)
 
     @property
-    def extents(self) -> tuple[float, ...]:
-        return (self.lx, self.ly)
+    def measure(self) -> float:
+        return math.prod(self.extents)
+
+    @property
+    def mode_counts(self) -> tuple[float, ...]:
+        return (math.inf,) * self.ndim
+
+    def axis_eigenvalue(self, axis: int, k):
+        """(k pi / L)^2 along ``axis``, for an integer or an integer array k."""
+        r = k * math.pi / self.extents[axis]
+        return r * r  # not r ** 2: pow is not always correctly rounded
 
 
-Domain = Interval | Rectangle
+def Interval(length: float) -> Box:
+    return Box((length,))
+
+
+def Rectangle(lx: float, ly: float) -> Box:
+    return Box((lx, ly))
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered mesh over a domain.
+    """Uniform cell-centered mesh over a box.
 
-    ``shape`` is (n,) on an interval or (nx, ny) on a rectangle; cell j is
-    centered at (j + 1/2) * h along each axis.
+    ``shape`` holds the cells per axis; cell j is centered at (j + 1/2) * h
+    along each axis.
     """
 
-    domain: Domain
+    domain: Box
     shape: tuple[int, ...]
 
     def __post_init__(self):
@@ -75,11 +73,9 @@ class Grid:
         object.__setattr__(self, "shape", shape)
         if len(shape) != self.domain.ndim:
             raise ValueError(
-                f"grid shape {shape} does not match a {self.domain.ndim}-d domain"
-            )
-        for n in shape:
-            if n < 4:
-                raise ValueError(f"need at least 4 cells per axis, got {n}")
+                f"grid shape {shape} does not match a {self.domain.ndim}-d domain")
+        if min(shape) < 4:
+            raise ValueError(f"need at least 4 cells per axis, got {shape}")
 
     @property
     def ndim(self) -> int:
@@ -91,25 +87,31 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for h in self.spacing:
-            vol *= h
-        return vol
+        return math.prod(self.spacing)
 
     @property
     def n_cells(self) -> int:
-        n = 1
-        for m in self.shape:
-            n *= m
-        return n
+        return math.prod(self.shape)
+
+    @property
+    def measure(self) -> float:
+        return self.domain.measure
+
+    @property
+    def mode_counts(self) -> tuple[int, ...]:
+        return self.shape
+
+    def axis_eigenvalue(self, axis: int, k):
+        """(2/h sin(k pi / 2n))^2 along ``axis``, 0 <= k < n: the eigenvalues of
+        the mirror-ghost stencil, for an integer or an integer array k."""
+        n = self.shape[axis]
+        r = 2.0 / self.spacing[axis] * np.sin(k * math.pi / (2 * n))
+        return r * r
 
     def axis_centers(self, axis: int):
-        h = self.spacing[axis]
-        return (np.arange(self.shape[axis]) + 0.5) * h
+        return (np.arange(self.shape[axis]) + 0.5) * self.spacing[axis]
 
     def centers(self):
-        """Cell-center coordinates, one array per axis (meshgrid 'ij' in 2D)."""
-        axes = [self.axis_centers(k) for k in range(self.ndim)]
-        if self.ndim == 1:
-            return (axes[0],)
+        """Cell-center coordinates, one array of ``shape`` per axis."""
+        axes = map(self.axis_centers, range(self.ndim))
         return tuple(np.meshgrid(*axes, indexing="ij"))

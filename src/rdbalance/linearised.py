@@ -12,7 +12,8 @@ box with no-flux boundaries the full operator h -> diag(d) Lap h + L h
 block-diagonalizes over Neumann cosine modes: mode k contributes the
 matrix -mu_k diag(d) + L, with the k = 0 block restricted to Im W^T by the
 conservation laws.  The spectral gap is the smallest distance from these
-block spectra to zero; the modes are enumerated lazily, in ascending order.
+block spectra to zero; the modes are enumerated lazily, in ascending order,
+from a box's spectrum or from a grid's (the semi-discrete gap of a run).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, Interval, Rectangle
+from .geometry import Box, Grid
 from .network import ReactionNetwork, is_four_species, stoichiometric_matrix
 from .equilibrium import _relative_db_residual
 
@@ -107,38 +108,31 @@ def weighted_spectrum(lin: LinearisedMatrix,
     return np.linalg.eigvalsh(S)
 
 
-def _neumann_modes(domain: Domain):
-    """Neumann eigenvalues sum_axes (k pi / L)^2 of the box, ascending, without
-    end: a heap merge over index tuples k, each pushed once, after k - e_j for
-    the last axis j with k_j > 0, which is no larger."""
-    if not isinstance(domain, (Interval, Rectangle)):
-        raise TypeError(f"unsupported domain {domain!r}")
-    lengths = tuple(map(float, domain.extents))
+def _neumann_modes(space: Box | Grid):
+    """Neumann eigenvalues of a box (endless) or grid (k_j < n_j), ascending:
+    a heap merge of per-axis sums over index tuples k, each pushed once, after
+    k - e_j for the last axis j with k_j > 0, which is no larger."""
+    counts = space.mode_counts
 
     def eigenvalue(index):
-        total = 0.0
-        for k, length in zip(index, lengths):
-            r = k * math.pi / length
-            total += r * r  # not r ** 2: pow is not always correctly rounded
-        return total
+        return float(sum(space.axis_eigenvalue(j, k) for j, k in enumerate(index)))
 
-    heap = [(0.0, (0,) * domain.ndim)]
-    while True:
+    heap = [(0.0, (0,) * space.ndim)]
+    while heap:
         mu, index = heapq.heappop(heap)
         yield mu
-        for j in range(domain.ndim - 1, -1, -1):
+        for j in range(space.ndim - 1, -1, -1):
             succ = index[:j] + (index[j] + 1,) + index[j + 1:]
-            heapq.heappush(heap, (eigenvalue(succ), succ))
+            if succ[j] < counts[j]:
+                heapq.heappush(heap, (eigenvalue(succ), succ))
             if index[j]:
                 break
 
 
-def neumann_eigenvalues(domain: Domain, count: int) -> np.ndarray:
-    """First ``count`` Neumann Laplacian eigenvalues of the box, ascending.
-
-    Interval: (k pi / L)^2.  Rectangle: sorted sums over both axes.  The
-    first entry is always 0; the second is the domain's Poincare constant.
-    """
+def neumann_eigenvalues(domain: Box | Grid, count: int) -> np.ndarray:
+    """First ``count`` Neumann Laplacian eigenvalues of a box or a grid (which
+    has only ``n_cells``), ascending: sums over axes of the per-axis ones.
+    The first entry is always 0; the second is the Poincare constant."""
     return np.fromiter(itertools.islice(_neumann_modes(domain), max(count, 0)),
                        dtype=float)
 
@@ -164,7 +158,7 @@ def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
     return gamma * float(np.min(d))
 
 
-def _analytic_bound_applies(net: ReactionNetwork, domain: Domain) -> bool:
+def _analytic_bound_applies(net: ReactionNetwork, domain: Box | Grid) -> bool:
     return (is_four_species(net)
             and math.isclose(domain.measure, 1.0, rel_tol=1e-12)
             and math.isclose(net.reactions[0].kf, 1.0, rel_tol=1e-12)
@@ -172,8 +166,9 @@ def _analytic_bound_applies(net: ReactionNetwork, domain: Domain) -> bool:
 
 
 def operator_spectral_gap(net: ReactionNetwork, a_inf,
-                          domain: Domain) -> SpectralGapReport:
-    """Spectral gap of h -> diag(d) Lap h + L h over Neumann modes.
+                          domain: Box | Grid) -> SpectralGapReport:
+    """Spectral gap of h -> diag(d) Lap h + L h over Neumann modes of a box,
+    or over the finite set of a grid's (the semi-discrete gap).
 
     Mode 0 is restricted to Im W^T (the conservation constraint); higher
     modes act on the full space.  Enumeration stops once
@@ -199,7 +194,7 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
         if k > _MAX_MODES:
             raise RuntimeError("mode enumeration budget exhausted")
         if mu == per_mode[-1][0]:
-            gap = per_mode[-1][1]  # repeated rectangle eigenvalue, same block
+            gap = per_mode[-1][1]  # repeated eigenvalue, same block
         else:
             lin_k = LinearisedMatrix(matrix=-mu * np.diag(d) + lin.matrix,
                                      weights=lin.weights)

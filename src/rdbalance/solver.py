@@ -37,7 +37,7 @@ from .diagnostics import DiagnosticsSeries, _read_table, _write_table, \
     entropy_dissipation, relative_entropy, weighted_norm
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
-from .geometry import Domain, Grid, Interval, Rectangle  # noqa: F401 (re-export)
+from .geometry import Grid
 from .network import ReactionNetwork, StoichiometryDecomposition, decompose
 
 NEGATIVE_TOL = -1e-10  # relative to the largest cell
@@ -113,12 +113,12 @@ class _DiffusionSemigroup:
     """Exact diffusion substep exp(tau d_i Lap) for every species at once.
 
     Lap is diagonal in the orthonormal DCT-II basis C, with eigenvalue
-    -sum_axes mu_k, mu_k = (2/h sin(k pi/2n))^2.  Grids whose sum(shape) is
-    at most _DENSE_AXIS_SUM apply ``multiplier``, one (I, n, n) stack of
-    propagators C^T diag(exp(-tau d_i mu)) C per axis, to each species'
-    deviation from its mean; larger ones a batched DCT, multiply and inverse
-    DCT.  Mode 0 is exact on both (mass is kept to roundoff), and every
-    multiplier lies in (0, 1] (cells stay nonnegative at any tau).
+    -sum_axes mu_k, mu_k = grid.axis_eigenvalue(axis, k).  Grids whose
+    sum(shape) is at most _DENSE_AXIS_SUM apply ``multiplier``, one
+    (I, n, n) stack of propagators C^T diag(exp(-tau d_i mu)) C per axis,
+    to each species' deviation from its mean; larger ones a batched DCT,
+    multiply and inverse DCT.  Mode 0 is exact on both (mass is kept), and
+    every multiplier lies in (0, 1] (cells stay nonnegative at any tau).
     """
 
     def __init__(self, grid: Grid, diffusion, tau: float):
@@ -127,8 +127,8 @@ class _DiffusionSemigroup:
         self._fft = fft
         self.axes = tuple(range(1, grid.ndim + 1))
         self._d = np.asarray(diffusion, dtype=float).reshape((-1,) + (1,) * grid.ndim)
-        self._mu = [(2.0 / h * np.sin(np.arange(n) * math.pi / (2 * n))) ** 2
-                    for n, h in zip(grid.shape, grid.spacing)]
+        self._mu = [grid.axis_eigenvalue(k, np.arange(n))
+                    for k, n in enumerate(grid.shape)]
         self._dense = sum(grid.shape) <= _DENSE_AXIS_SUM
         if self._dense:
             self._basis = [fft.dct(np.eye(n), axis=0, norm="ortho")
@@ -250,8 +250,8 @@ def build_initial(spec: InitialSpec, grid: Grid,
                   species_names=None) -> State:
     """Evaluate an initial condition on the grid at t = 0.
 
-    Cosine profiles are evaluated at cell centers: base +
-    sum eps cos(k pi x / Lx) (times cos(l pi y / Ly) in 2D).  CSV input is
+    Cosine profiles are evaluated at cell centers: base + sum over modes
+    (k1, ..., kd) of eps prod_axes cos(k_j pi x_j / L_j).  CSV input is
     loaded verbatim in snapshot format.  The result must be finite and
     nonnegative.
     """
@@ -308,11 +308,11 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
 
 def write_snapshot_csv(path, state: State, species_names,
                        comment: str | None = None) -> None:
-    """Snapshot CSV: header x[,y],A1,...,AI, one row per cell."""
+    """Snapshot CSV: header x[,y[,z[,w]]],A1,...,AI, one row per cell."""
     grid = state.grid
     table = np.column_stack([c.ravel() for c in grid.centers()]
                             + list(state.fields.reshape(state.n_species, -1)))
-    _write_table(path, list("xy"[:grid.ndim]) + list(species_names), table, comment)
+    _write_table(path, list("xyzw"[:grid.ndim]) + list(species_names), table, comment)
 
 
 def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:

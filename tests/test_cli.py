@@ -303,3 +303,89 @@ def test_fit_degenerate_column(workdir, capsys):
     code = dispatch(["fit", str(diag), "--column", "M1"])
     assert code == 0
     assert "degenerate = true" in capsys.readouterr().out
+
+def test_gap_box_domain(workdir, capsys):
+    code = dispatch(["gap", str(workdir / "four_species.rdn"),
+                     "--domain", "box:10,4,3", "--a-inf", "1,1,1,1"])
+    assert code == 0
+    lam = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+    assert np.isclose(lam, (np.pi / 10) ** 2, atol=1e-9)
+
+
+def box_config(domain, grid, mode, t_end="0.01"):
+    cfg = CONFIG.replace("domain = interval:1", f"domain = {domain}")
+    cfg = cfg.replace("grid = 32", f"grid = {grid}").replace("t_end = 0.1", f"t_end = {t_end}")
+    cfg = cfg.replace("output_every = 10", "output_every = 5")
+    return cfg.replace("modes = 1:", f"modes = {mode}:")
+
+
+def test_snapshot_restart_in_3d(workdir, capsys):
+    (workdir / "box.cfg").write_text(box_config("box:1,0.5,2", "8,4,6", "(1,0,2)"))
+    assert dispatch(["simulate", str(workdir / "box.cfg")]) == 0
+    snap = sorted((workdir / "out").glob("snapshot_*.csv"))[-1]
+    assert snap.read_text().splitlines()[1] == "x,y,z,A1,A2,A3,A4"
+    cfg = "\n".join(l for l in box_config("box:1,0.5,2", "8,4,6", "(1,0,2)").splitlines()
+                    if not l.startswith("species."))
+    cfg = cfg.replace("output_dir = out", "output_dir = out2")
+    (workdir / "restart.cfg").write_text(cfg + f"\ninitial_csv = out/{snap.name}\n")
+    assert dispatch(["simulate", str(workdir / "restart.cfg")]) == 0
+    first = DiagnosticsSeries.read_csv(workdir / "out" / "diag.csv")
+    second = DiagnosticsSeries.read_csv(workdir / "out2" / "diag.csv")
+    # the restart starts from the final state, bit for bit
+    for name in ("masses", "entropy", "l2", "l4", "linf", "fisher", "reaction"):
+        assert getattr(second, name)[0].tobytes() == getattr(first, name)[-1].tobytes()
+
+
+def test_config_in_4d(workdir):
+    from rdbalance.cli import load_config
+
+    (workdir / "box4.cfg").write_text(box_config("box:1,1,1,1", "8", "(1,0,0,0)"))
+    config = load_config(workdir / "box4.cfg")
+    assert config.domain.extents == (1.0, 1.0, 1.0, 1.0)
+    assert config.grid.shape == (8, 8, 8, 8)
+    assert config.species_profiles["A2"].modes == (((1, 0, 0, 0), -0.01),)
+    assert dispatch(["simulate", str(workdir / "box4.cfg")]) == 0
+    series = DiagnosticsSeries.read_csv(workdir / "out" / "diag.csv")
+    assert np.all(np.diff(series.l2) < 0)
+
+
+@pytest.mark.parametrize("domain, token", [("interval:1", "(1:0.5"),
+                                           ("interval:1", "1):0.5"),
+                                           ("rect:1,1", "(1,2:0.5"),
+                                           ("rect:1,1", "1,2):0.5"),
+                                           ("interval:1", "((1):0.5")])
+def test_unbalanced_mode_parentheses(workdir, capsys, domain, token):
+    cfg = box_config(domain, "8", "(1)" if domain == "interval:1" else "(1,0)")
+    cfg = "\n".join(f"species.A1.modes = {token}" if l.startswith("species.A1.modes")
+                    else l for l in cfg.splitlines())
+    (workdir / "paren.cfg").write_text(cfg)
+    assert dispatch(["simulate", str(workdir / "paren.cfg")]) == 2
+    assert f"bad mode entry {token!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, lineno, message", [
+    ("domain = disk:1", 2, "bad domain 'disk:1'"),
+    ("domain = box:", 2, "bad domain 'box:'"),
+    ("domain = box:1,1,1,1,1", 2, "bad domain 'box:1,1,1,1,1'"),
+    ("domain = interval:1,2", 2, "bad domain 'interval:1,2'"),
+    ("domain = rect:1", 2, "bad domain 'rect:1'"),
+    ("domain = interval:-1", 2, "box sides must be positive"),
+    ("grid = 3x3", 3, "bad grid '3x3'"),
+    ("grid = 32,32", 3, "grid shape (32, 32) does not match a 1-d domain"),
+    ("scheme = euler", 4, "scheme must be strang or imex"),
+    ("dt = fast", 5, "could not convert string to float: 'fast'"),
+    ("t_end = -1", 6, "must be positive, got -1"),
+    ("output_every = 2.5", 7, "invalid literal for int() with base 10: '2.5'"),
+    ("species.A1.base = one", 9, "could not convert string to float: 'one'"),
+    ("species.A1.modes = 1:0.01:2", 10, "bad mode entry '1:0.01:2'"),
+    ("species.A1.modes = (1,0):0.01", 10, "mode '(1,0):0.01' does not match a 1-d domain"),
+])
+def test_config_value_errors_name_their_line(workdir, capsys, line, lineno, message):
+    lines = CONFIG.splitlines()
+    key = line.split(" = ")[0]
+    assert lines[lineno - 1].startswith(key + " = ")
+    lines[lineno - 1] = line
+    path = workdir / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert dispatch(["simulate", str(path)]) == 2
+    assert f"error: {path}:{lineno}: {key}: {message}" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rdbalance import (
+    Box,
+    Grid,
     Interval,
     LinearisedMatrix,
     NotEquilibriumError,
@@ -17,7 +19,8 @@ from rdbalance import (
     weighted_spectrum,
 )
 
-from conftest import exchange_network, four_species_network, random_balanced_network
+from conftest import build_laplacian, exchange_network, four_species_network, \
+    random_balanced_network
 
 PI2 = math.pi ** 2
 
@@ -163,13 +166,35 @@ class TestNeumannEigenvalues:
     def test_longer_interval_poincare(self):
         assert np.isclose(neumann_eigenvalues(Interval(2.0), 2)[1], PI2 / 4)
 
-    @pytest.mark.parametrize("lx, ly, count, window", [(1.0, 2.5, 40, 40),
-                                                       (0.7, 1.9, 500, 200)])
-    def test_rectangle_matches_bruteforce(self, lx, ly, count, window):
-        mus = neumann_eigenvalues(Rectangle(lx, ly), count)
-        brute = np.add.outer((np.arange(window) * math.pi / lx) ** 2,
-                             (np.arange(window) * math.pi / ly) ** 2).ravel()
-        assert np.array_equal(mus, np.sort(brute)[:count])
+    @pytest.mark.parametrize("extents, count, window", [
+        pytest.param((1.0, 2.5), 40, 40, id="1.0-2.5-40-40"),
+        pytest.param((0.7, 1.9), 500, 200, id="0.7-1.9-500-200"),
+        pytest.param((0.7, 1.3, 2.1), 400, 30, id="0.7-1.3-2.1-400-30"),
+        pytest.param((1.0, 0.6, 1.7, 0.9), 300, 14, id="1.0-0.6-1.7-0.9-300-14")])
+    def test_rectangle_matches_bruteforce(self, extents, count, window):
+        mus = neumann_eigenvalues(Box(extents), count)
+        brute = 0.0
+        for side in extents:  # sums in axis order, as the merge adds them
+            brute = np.add.outer(brute, (np.arange(window) * math.pi / side) ** 2)
+        brute = np.sort(brute.ravel())
+        # every tuple below the window's edge on some axis is enumerated
+        assert brute[count - 1] < (window * math.pi / max(extents)) ** 2
+        assert np.array_equal(mus, brute[:count])
+
+    @pytest.mark.parametrize("extents, shape", [((2.0,), (12,)),
+                                                ((1.5, 0.7), (6, 9)),
+                                                ((1.0, 0.7, 1.3), (4, 5, 6)),
+                                                ((1.0, 1.2, 0.8, 1.1), (4, 4, 4, 5))])
+    def test_grid_stream_is_the_stencil_spectrum(self, extents, shape):
+        grid = Grid(Box(extents), shape)
+        lap = build_laplacian(grid)
+        matrix = np.column_stack([lap.apply(e.reshape(shape)).ravel()
+                                  for e in np.eye(grid.n_cells)])
+        want = np.sort(-np.linalg.eigvalsh(matrix))
+        mus = neumann_eigenvalues(grid, grid.n_cells + 10)  # the stream ends
+        assert mus.size == grid.n_cells
+        assert np.all(np.diff(mus) >= 0)
+        assert np.max(np.abs(mus - want)) <= 1e-12 * want[-1]
 
 
 class TestSpectralGap:
@@ -223,6 +248,40 @@ class TestSpectralGap:
                                        Rectangle(5.0, 4.0))
         # Poincare constant (pi/5)^2 is below the reaction gap 4
         assert abs(report.lambda_star - (math.pi / 5) ** 2) <= 1e-9
+
+    @pytest.mark.parametrize("extents", [(10.0, 4.0, 3.0), (10.0, 2.0, 3.0, 1.0)])
+    def test_box_domain(self, extents):
+        report = operator_spectral_gap(four_species_network(), [1, 1, 1, 1],
+                                       Box(extents))
+        assert report.lambda_star == pytest.approx(PI2 / 100, abs=1e-12)
+        assert report.analytic_bound is None  # |Omega| != 1
+
+    def test_grid_gives_semi_discrete_gap(self):
+        # diffusion-limited: the gap is the grid's own Poincare constant
+        grid = Grid(Interval(10.0), (32,))
+        report = operator_spectral_gap(four_species_network(), [1, 1, 1, 1], grid)
+        mu1 = (2.0 / grid.spacing[0] * math.sin(math.pi / 64)) ** 2
+        assert report.lambda_star == pytest.approx(mu1, rel=1e-14)
+        assert report.lambda_star < PI2 / 100
+
+    def test_grid_stream_ends_before_the_gap_test_stops(self):
+        # min d_i so small that mu_k min d_i stays below every mode gap: every
+        # mode of the coarse grid is examined, then the finite stream runs out
+        grid = Grid(Rectangle(1.0, 1.0), (4, 4))
+        net = four_species_network(d=(1e-3, 10.0, 10.0, 10.0))
+        report = operator_spectral_gap(net, [1, 1, 1, 1], grid)
+        assert report.modes_examined == grid.n_cells
+        assert [mu for mu, _ in report.per_mode] == list(neumann_eigenvalues(grid, 16))
+
+    def test_grid_bound_uses_grid_poincare_constant(self, rng):
+        grid = Grid(Box((1.0, 1.0, 1.0)), (6, 6, 6))
+        d = tuple(rng.uniform(0.1, 10.0, size=4))
+        a = four_species_equilibrium(1.5, 2.0, 1.2, 1.7).vector
+        report = operator_spectral_gap(four_species_network(d=d), a, grid)
+        poincare = neumann_eigenvalues(grid, 2)[1]
+        assert poincare < PI2
+        assert report.analytic_bound == analytic_gap_bound_four_species(a, d, poincare)
+        assert report.analytic_bound <= report.lambda_star * (1 + 1e-9)
 
 
 class TestAnalyticBound:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from rdbalance import (
+    Box,
     Grid,
     Reaction,
     ReactionNetwork,
@@ -21,6 +23,8 @@ from rdbalance import (
     decompose,
     default_dt,
     fit_decay_rate,
+    neumann_eigenvalues,
+    operator_spectral_gap,
     simulate,
     step,
     write_snapshot_csv,
@@ -39,10 +43,12 @@ def uniform_spec(values, modes=None):
         SpeciesProfile(float(v), modes.get(i, ())) for i, v in enumerate(values)))
 
 
-def mode1_spec(eps=0.01):
+def mode1_spec(eps=0.01, ndim=1):
+    """a1 = a3 = 1 + e, a2 = a4 = 1 - e with e = eps cos(pi x) on the first axis."""
+    mode = (1,) + (0,) * (ndim - 1)
     signs = (1, -1, 1, -1)
     return InitialSpec(profiles=tuple(
-        SpeciesProfile(1.0, (((1,), s * eps),)) for s in signs))
+        SpeciesProfile(1.0, ((mode, s * eps),)) for s in signs))
 
 
 class TestLaplacian:
@@ -83,7 +89,9 @@ class TestDiffusionSemigroup:
     @pytest.mark.parametrize("scheme, tau", [("strang", 0.025), ("imex", 0.05)])
     @pytest.mark.parametrize("domain, shape", [(Interval(2.0), (12,)),
                                                (Rectangle(1.5, 0.7), (6, 9)),
-                                               (Interval(8.0), (256,))])
+                                               (Interval(8.0), (256,)),
+                                               (Box((1.0, 1.2, 0.9)), (4, 5, 6)),
+                                               (Box((1.0, 0.8, 1.1, 1.3)), (4, 4, 4, 5))])
     def test_matches_matrix_exponential(self, rng, scheme, tau, domain, shape):
         # The long interval keeps tau d |L| moderate: at h = 1/256 expm
         # itself drifts the mean by 7e-13 while the DCT stays within 1e-14.
@@ -212,7 +220,7 @@ class TestSnapshotCsv:
         buf = io.StringIO(newline="")
         buf.write(f"# {comment}\n")
         writer = csv.writer(buf)
-        writer.writerow(list("xy"[:state.grid.ndim]) + names)
+        writer.writerow(list("xyzw"[:state.grid.ndim]) + names)
         coords = [c.ravel() for c in state.grid.centers()]
         flat = state.fields.reshape(state.n_species, -1)
         for idx in range(state.grid.n_cells):
@@ -233,6 +241,18 @@ class TestSnapshotCsv:
         old.write_bytes(reference)
         back = build_initial(InitialSpec(csv_path=str(old)), grid, ("A2", "A1"))
         assert np.array_equal(back.fields, fields[::-1])
+
+    @pytest.mark.parametrize("shape", [(4, 5, 6), (4, 4, 5, 4)])
+    def test_bytes_and_read_back_in_3d_and_4d(self, tmp_path, rng, shape):
+        grid = Grid(Box((1.0, 2.0, 0.5, 3.0)[:len(shape)]), shape)
+        state = State(t=0.0, fields=rng.random((2,) + shape), grid=grid)
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(path, state, ["A1", "A2"], comment="rdbalance test")
+        assert path.read_bytes() == self.reference_bytes(state, ["A1", "A2"],
+                                                         "rdbalance test")
+        assert path.read_text().splitlines()[1] == ",".join("xyzw"[:len(shape)]) + ",A1,A2"
+        back = build_initial(InitialSpec(csv_path=str(path)), grid, ("A1", "A2"))
+        assert np.array_equal(back.fields, state.fields)
 
     def write(self, tmp_path, text):
         path = tmp_path / "cells.csv"
@@ -300,6 +320,22 @@ class TestInitialData:
         with pytest.raises(ValueError, match="does not match"):
             build_initial(uniform_spec([1], modes={0: (((1, 1), 0.1),)}),
                           Grid(Interval(1.0), (8,)))
+
+    @pytest.mark.parametrize("extents, message", [((), "1 to 4 sides, got 0"),
+                                                  ((1.0,) * 5, "1 to 4 sides, got 5"),
+                                                  ((1.0, 0.0), "must be positive"),
+                                                  ((1.0, math.nan), "must be positive")])
+    def test_box_refuses_bad_extents(self, extents, message):
+        with pytest.raises(ValueError, match=message):
+            Box(extents)
+
+    def test_cosine_profile_in_4d(self):
+        grid = Grid(Box((1.0, 2.0, 0.5, 1.5)), (4, 5, 6, 4))
+        state = build_initial(uniform_spec([1], modes={0: (((1, 0, 2, 1), 0.5),)}), grid)
+        x, y, z, w = grid.centers()
+        want = 1 + 0.5 * np.cos(math.pi * x) * np.cos(2 * math.pi * z / 0.5) \
+            * np.cos(math.pi * w / 1.5)
+        assert np.allclose(state.fields[0], want, rtol=0, atol=1e-15)
 
 
 class TestStep:
@@ -532,3 +568,54 @@ class TestSimulate:
         grid = Grid(Interval(1.0), (32,))
         dt = default_dt(net, [1, 1, 1, 1], grid)
         assert 0 < dt < 0.1
+
+
+@functools.lru_cache(maxsize=None)
+def mode1_box_run(shape, n_steps, dt=1e-3):
+    grid = Grid(Box((1.0,) * len(shape)), shape)
+    return grid, simulate(four_species_network(), grid, mode1_spec(ndim=len(shape)),
+                          dt=dt, t_end=n_steps * dt, output_every=10)
+
+
+MODE1_RUNS = pytest.mark.parametrize("shape, n_steps", [((64,), 500),
+                                                        ((16, 16, 16), 300),
+                                                        ((8, 8, 8, 8), 300)],
+                                     ids=["1d", "3d", "4d"])
+
+
+class TestBoxRelaxation:
+    """The mode-1 run on unit boxes in d = 1, 3, 4 against the semi-discrete
+    gap of its own grid."""
+
+    @MODE1_RUNS
+    def test_masses_constant_and_entropy_monotone(self, shape, n_steps):
+        _, result = mode1_box_run(shape, n_steps)
+        masses = result.series.masses
+        assert np.max(np.abs(masses - masses[0]) / np.abs(masses[0])) <= 1e-14
+        assert np.all(np.diff(result.series.entropy) <= 0)
+
+    @MODE1_RUNS
+    def test_lp_rates_match_semi_discrete_gap(self, shape, n_steps):
+        dt = 1e-3
+        grid, result = mode1_box_run(shape, n_steps, dt)
+        report = operator_spectral_gap(four_species_network(), [1, 1, 1, 1], grid)
+        kappa = report.per_mode[0][1]  # reaction gap, the mode-0 block
+        rate = neumann_eigenvalues(grid, 2)[1] + kappa  # mode-1 block, all d_i = 1
+        # Error budget of a fitted rate against `rate`:
+        # * perturbation size: on a1 = a3 = 1 + e, a2 = a4 = 1 - e the flux
+        #   (1 + e)^2 - (1 - e)^2 = 4 e is linear in e, and equal d_i keep that
+        #   form, so the run solves e_t = Lap_h e - kappa e: eps = 0.01 adds
+        #   no O(eps^2) term, only roundoff, orders of magnitude below tol;
+        # * time: the linear diffusion and reaction commute, so the splitting
+        #   adds nothing and the exact diffusion leaves Heun's O(dt^2) error.
+        #   Its factor 1 + z + z^2/2, z = -kappa dt, misses e^z by |z|^3/6 per
+        #   step to leading order, which shifts the rate of |h| by
+        #   (kappa dt)^3 / (6 dt); for kappa dt <= 1/2 the remainder is below
+        #   that term, so twice it bounds the shift.  |h|^2 doubles both.
+        tol = 2 * (kappa * dt) ** 3 / (6 * dt)
+        series = result.series
+        for y, scale in ((series.l2 ** 2, 2), (series.l4, 1), (series.linf, 1)):
+            fit = fit_decay_rate(series.t, y, window=(0.0, 0.2))
+            assert abs(fit.rate - scale * rate) <= scale * tol
+            # the continuum mode-1 rate pi^2 + 4 is far outside that tolerance
+            assert abs(fit.rate - scale * (PI2 + kappa)) > 50 * scale * tol
