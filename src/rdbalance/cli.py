@@ -8,7 +8,6 @@ balance, non-equilibrium input).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import math
 import re
@@ -85,6 +84,13 @@ def _positive(text: str, kind):
     value = kind(text)
     if not (value > 0 and math.isfinite(value)):
         raise ConfigError(f"must be positive, got {text}")
+    return value
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ConfigError(f"must be >= 0, got {text}")
     return value
 
 
@@ -168,7 +174,7 @@ def load_config(path) -> RunConfig:
     dt = located("dt", _positive, float)
     t_end = located("t_end", _positive, float)
     output_every = located("output_every", _positive, int, default=1)
-    snapshot_every = located("snapshot_every", int)
+    snapshot_every = located("snapshot_every", _nonnegative)
 
     initial_csv = None
     profiles: dict[str, SpeciesProfile] | None = None
@@ -302,14 +308,7 @@ def _run_one_config(config_path) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.jobs > 1 and len(args.config) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_run_one_config, args.config))
-        return max(codes)
-    code = EXIT_OK
-    for config_path in args.config:
-        code = max(code, _run_one_config(config_path))
-    return code
+    return max(_run_one_config(config_path) for config_path in args.config)
 
 
 def _cmd_fit(args) -> int:
@@ -365,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run configs and write CSV outputs")
     p.add_argument("config", nargs="+")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run independent configs in parallel")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit an exponential decay rate to a column")

@@ -11,7 +11,8 @@ integer matrix with row r equal to beta^r - alpha^r; ``Kinetics`` is the
 one evaluator of both.  Rows of the integer matrix Q form a basis of
 Ker W, so Q P(a) = 0 identically: the quantities Q . integral(a) are
 conserved by the reaction-diffusion dynamics under no-flux boundary
-conditions.
+conditions.  Q is built in exact integer arithmetic by one fraction-free
+Gauss-Jordan elimination, which gives both the rank and the kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -128,8 +128,8 @@ class StoichiometryDecomposition:
         prod = Q.astype(object) @ W.astype(object).T
         if any(x != 0 for x in prod.flat):
             raise ValueError("Q W^T != 0: Q rows are not conservation laws")
-        rank_w = _rational_rank([list(map(int, row)) for row in W])
-        rank_q = _rational_rank([list(map(int, row)) for row in Q])
+        rank_w = _rank(W.tolist(), W.shape[1])
+        rank_q = _rank(Q.tolist(), Q.shape[1])
         if rank_q != Q.shape[0] or rank_q != W.shape[1] - rank_w:
             raise ValueError("Q rows must be a basis of Ker W")
         object.__setattr__(self, "W", W)
@@ -156,95 +156,81 @@ def stoichiometric_matrix(net: ReactionNetwork) -> np.ndarray:
 # Exact integer linear algebra for the conservation basis.
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form with leftmost pivots.
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination with leftmost pivots.
 
-    Returns the (integer) echelon rows and their pivot columns.  Exact for
-    Python ints; intermediate entries are minors of the input (Bareiss).
+    Returns the nonzero reduced rows and their pivot columns.  Each step
+    is Bareiss's exact update ``(p * row - row[c] * pivot_row) // prev``,
+    applied to every row but the pivot row, so at the end each pivot entry
+    equals one determinant D, the rest of its column is 0, and every entry
+    is D times the reduced row echelon form's (an integer, by Cramer's rule).
     """
-    m = [list(map(int, row)) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    m = list(rows)  # rows are replaced, never changed in place
     pivots: list[int] = []
-    r = 0
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        p = m[r][c]
-        for i in range(r + 1, len(m)):
-            mic = m[i][c]
-            for j in range(ncols):
-                m[i][j] = (p * m[i][j] - mic * m[r][j]) // prev
+        pr = m[r]
+        p = pr[c]
+        for i, row in enumerate(m):
+            if i != r:
+                mic = row[c]
+                m[i] = [(p * x - mic * y) // prev for x, y in zip(row, pr)]
         prev = p
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return m[:len(pivots)], pivots
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    return len(_bareiss_echelon(rows)[1])
+def _rank(rows: list[list[int]], ncols: int) -> int:
+    return len(_gauss_jordan(rows, ncols)[1])
 
 
 def _primitive(vec: list[int]) -> list[int]:
     """Divide by the gcd and make the first nonzero entry positive."""
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        vec = [x // g for x in vec]
-    for x in vec:
-        if x != 0:
-            if x < 0:
-                vec = [-y for y in vec]
-            break
-    return vec
+    g = math.gcd(*vec)
+    if next(x for x in vec if x != 0) < 0:
+        g = -g
+    return [x // g for x in vec]
 
 
-def _elimination_kernel(W_rows: list[list[int]]) -> list[list[int]]:
-    """Primitive integer kernel vectors, one per free column of W.
+def _elimination_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer kernel vectors, one per free column; deterministic.
 
-    Echelon form by Bareiss elimination, then exact rational back
-    substitution with a unit entry in each free column; deterministic.
+    With pivot determinant D, the vector of free column f has x[f] = D and
+    x[p_i] = -row_i[f] on each pivot column p_i: D times the rational
+    vector with a unit entry in column f.
     """
-    if not W_rows:
-        return []
-    ncols = len(W_rows[0])
-    echelon, pivots = _bareiss_echelon(W_rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots = _gauss_jordan(rows, ncols)
+    d = reduced[0][pivots[0]] if pivots else 1
     out = []
-    for f in free_cols:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            s = sum((Fraction(echelon[r][j]) * x[j] for j in range(p + 1, ncols)),
-                    Fraction(0))
-            x[p] = -s / echelon[r][p]
-        denom_lcm = 1
-        for v in x:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-        out.append(_primitive([int(v * denom_lcm) for v in x]))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = d
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[f]
+        out.append(_primitive(x))
     return out
 
 
-def _semipositive_kernel_rows(W_rows: list[list[int]], needed: int,
+def _semipositive_kernel_rows(W_rows: list[list[int]], ncols: int, needed: int,
                               budget: int) -> list[list[int]]:
     """Minimal-support kernel vectors of W with entries all of one sign.
 
     Supports are visited by ascending size then lexicographic order; a
-    support qualifies when the restricted kernel is one-dimensional, has no
-    zero entry on the support, and is sign-definite.  Deterministic; gives
-    the pairwise-mass basis (a1+a2, a1+a4, a2+a3) for the four-species W.
+    support qualifies when the restricted kernel is one-dimensional and its
+    primitive vector is positive on the whole support (a zero entry means
+    the true support is smaller and is found via another subset).
+    Deterministic; gives the pairwise-mass basis (a1+a2, a1+a4, a2+a3) for
+    the four-species W.
     """
-    if not W_rows or needed == 0:
-        return []
-    ncols = len(W_rows[0])
     found: list[list[int]] = []
     used = 0
     for size in range(1, ncols + 1):
@@ -253,20 +239,13 @@ def _semipositive_kernel_rows(W_rows: list[list[int]], needed: int,
             if used > budget:
                 return found
             sub = [[row[c] for c in support] for row in W_rows]
-            kernel = _elimination_kernel(sub)
-            if len(kernel) != 1:
+            kernel = _elimination_kernel(sub, size)
+            if len(kernel) != 1 or not all(x > 0 for x in kernel[0]):
                 continue
-            v = kernel[0]
-            if any(x == 0 for x in v):
-                continue  # true support is smaller; found via another subset
-            if any(x < 0 for x in v) and any(x > 0 for x in v):
-                continue
-            if v[0] < 0:
-                v = [-x for x in v]
             full = [0] * ncols
-            for c, x in zip(support, v):
+            for c, x in zip(support, kernel[0]):
                 full[c] = x
-            if _rational_rank(found + [full]) > len(found):
+            if _rank(found + [full], ncols) > len(found):
                 found.append(full)
                 if len(found) == needed:
                     return found
@@ -281,9 +260,10 @@ def conservation_basis(W) -> np.ndarray:
 
     Deterministic: semi-positive minimal-support vectors first (these are
     the physically meaningful masses), completed by fraction-free
-    elimination kernel vectors.  Every row is primitive (coordinate gcd 1)
-    and Q W^T = 0 holds exactly in integer arithmetic.  Returns a (0, I)
-    matrix when Ker W is trivial.
+    elimination kernel vectors.  Every row is primitive (coordinate gcd 1,
+    first nonzero entry positive) and Q W^T = 0 holds exactly in integer
+    arithmetic.  Returns a (0, I) matrix when Ker W is trivial, and the
+    I x I identity when W has no rows.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[1] < 1:
@@ -293,19 +273,20 @@ def conservation_basis(W) -> np.ndarray:
         if not np.array_equal(Wi, W):
             raise ValueError("W must be an integer matrix")
         W = Wi
-    rows = [list(map(int, r)) for r in W]
+    rows = W.tolist()
     ncols = W.shape[1]
-    q = ncols - _rational_rank(rows)
+    q = ncols - _rank(rows, ncols)
     if q == 0:
         return np.zeros((0, ncols), dtype=np.int64)
-    basis = _semipositive_kernel_rows(rows, q, _SUPPORT_BUDGET)
+    basis = _semipositive_kernel_rows(rows, ncols, q, _SUPPORT_BUDGET)
     if len(basis) < q:
-        for v in _elimination_kernel(rows):
-            if _rational_rank(basis + [v]) > len(basis):
+        for v in _elimination_kernel(rows, ncols):
+            if _rank(basis + [v], ncols) > len(basis):
                 basis.append(v)
                 if len(basis) == q:
                     break
-    assert len(basis) == q, "kernel completion failed"
+    if len(basis) != q:
+        raise RuntimeError(f"kernel completion found {len(basis)} of {q} rows")
     return np.array(basis, dtype=np.int64)
 
 

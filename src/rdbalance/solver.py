@@ -352,7 +352,9 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
              scheme: str = "strang",
              snapshot_every: int | None = None) -> SimulationResult:
     """Advance to t_end, recording diagnostics every ``output_every`` steps
-    and at t_end.  t_end must be a whole number of steps dt.  With dt None
+    and at t_end, and a snapshot every ``snapshot_every`` outputs (0 or
+    None: the initial and final states only; negative is refused).  t_end
+    must be a whole number of steps dt.  With dt None
     the step is ``default_dt`` at the reference equilibrium, shortened to
     t_end / ceil(t_end / dt) so that whole steps reach t_end; the result
     carries the dt used.
@@ -375,6 +377,8 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
         raise ValueError("t_end must be positive")
     if output_every < 1:
         raise ValueError("output_every must be >= 1")
+    if snapshot_every is not None and snapshot_every < 0:
+        raise ValueError("snapshot_every must be >= 0")
 
     stoich, eq = reference_equilibrium(net, state)
     a_inf = eq.vector

@@ -44,6 +44,7 @@ species.A3.base = 1.0
 species.A3.modes = 1:0.01
 species.A4.base = 1.0
 species.A4.modes = 1:-0.01
+snapshot_every = 0
 """
 
 
@@ -208,13 +209,17 @@ def test_simulate_bad_config_key(workdir, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_simulate_jobs(workdir):
+def test_simulate_runs_configs_in_turn(workdir):
     for name in ("a", "b"):
         cfg = CONFIG.replace("output_dir = out", f"output_dir = out_{name}")
         (workdir / f"{name}.cfg").write_text(cfg)
-    code = dispatch(["simulate", str(workdir / "a.cfg"), str(workdir / "b.cfg"),
-                     "--jobs", "2"])
-    assert code == 0
+    cfg = CONFIG.replace("four_species.rdn", "cubic.rdn")
+    cfg = "\n".join(l for l in cfg.splitlines() if not l.startswith("species."))
+    (workdir / "bad.cfg").write_text(cfg + "\nspecies.A1.base = 1.0\nspecies.A2.base = 1.0\n")
+    # the exit code is the worst over the configs, and each good one still runs
+    code = dispatch(["simulate", str(workdir / "a.cfg"), str(workdir / "bad.cfg"),
+                     str(workdir / "b.cfg")])
+    assert code == 1
     assert (workdir / "out_a" / "diag.csv").exists()
     assert (workdir / "out_b" / "diag.csv").exists()
 
@@ -379,6 +384,7 @@ def test_unbalanced_mode_parentheses(workdir, capsys, domain, token):
     ("species.A1.base = one", 9, "could not convert string to float: 'one'"),
     ("species.A1.modes = 1:0.01:2", 10, "bad mode entry '1:0.01:2'"),
     ("species.A1.modes = (1,0):0.01", 10, "mode '(1,0):0.01' does not match a 1-d domain"),
+    ("snapshot_every = -2", 17, "must be >= 0, got -2"),
 ])
 def test_config_value_errors_name_their_line(workdir, capsys, line, lineno, message):
     lines = CONFIG.splitlines()

@@ -67,6 +67,11 @@ class TestConservationBasis:
         Q = conservation_basis(np.array([[1, 0], [0, 1]]))
         assert Q.shape == (0, 2)
 
+    def test_no_reactions_conserve_every_species(self):
+        Q = conservation_basis(np.zeros((0, 3), dtype=np.int64))
+        assert Q.dtype == np.int64
+        assert Q.tolist() == np.eye(3, dtype=np.int64).tolist()
+
     def test_rows_primitive(self, rng):
         for _ in range(50):
             W = rng.integers(-2, 3, size=(rng.integers(1, 7), rng.integers(2, 9)))
@@ -77,6 +82,23 @@ class TestConservationBasis:
                 assert np.linalg.matrix_rank(Q) == Q.shape[0]
                 for row in Q:
                     assert np.gcd.reduce(np.abs(row)) == 1
+                    assert row[np.flatnonzero(row)[0]] > 0
+                semipositive = [bool((row >= 0).all()) for row in Q]
+                assert semipositive == sorted(semipositive, reverse=True)
+
+    @pytest.mark.parametrize("alpha, beta, expected", [
+        ((0, 0), (1, 1), [[1, -1]]),  # no semi-positive law: elimination fallback
+        ((2, 0), (0, 1), [[1, 2]]),
+    ], ids=["empty_side", "dimer"])
+    def test_exact_basis_of_one_reaction(self, alpha, beta, expected):
+        net = ReactionNetwork(("A1", "A2"), (Reaction(alpha, beta, 2.0, 1.0),),
+                              (1.0, 1.0))
+        assert decompose(net).Q.tolist() == expected
+
+    def test_exact_basis_mixes_semipositive_and_fallback_rows(self):
+        # a random admissible network: A4 <-> A2 + A5, A4 + A5 <-> 0, 0 <-> A3 + A5
+        W = np.array([[0, 1, 0, -1, 1], [0, 0, 0, -1, -1], [0, 0, 1, 0, 1]])
+        assert conservation_basis(W).tolist() == [[1, 0, 0, 0, 0], [0, 2, 1, 1, -1]]
 
     def test_labels(self):
         stoich = decompose(four_species_network())

@@ -508,6 +508,13 @@ class TestSimulate:
         assert times[-1] == pytest.approx(0.01)
         assert len(times) > 2
 
+    def test_negative_snapshot_every_refused(self):
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (8,))
+        with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
+            simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=1e-3, t_end=0.01,
+                     output_every=2, snapshot_every=-2)
+
     def test_t_end_must_be_whole_steps(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (8,))
