@@ -208,8 +208,9 @@ def _load_network(path) -> ReactionNetwork:
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
+    """Comma-separated floats; a blank string is the empty vector."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in text.split(",")] if text.strip() else [])
     except ValueError:
         raise ConfigError(f"bad {what}: {text!r}") from None
 

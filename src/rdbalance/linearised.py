@@ -12,14 +12,13 @@ box with no-flux boundaries the full operator h -> diag(d) Lap h + L h
 block-diagonalizes over Neumann cosine modes: mode k contributes the
 matrix -mu_k diag(d) + L, with the k = 0 block restricted to Im W^T by the
 conservation laws.  The spectral gap is the smallest distance from these
-block spectra to zero; the modes are enumerated lazily, in ascending order,
-from a box's spectrum or from a grid's (the semi-discrete gap of a run).
+block spectra to zero; only mode 0 and mode 1 can set it, where mu_1 is
+the Poincare constant of a box, or of a grid (the semi-discrete gap of a run).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ from .equilibrium import _relative_db_residual
 
 _EQUILIBRIUM_TOL = 1e-10  # flux residual relative to the one-sided fluxes
 _SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
-_MAX_MODES = 100_000  # Neumann modes the gap enumeration may examine
 
 
 class NotEquilibriumError(ValueError):
@@ -59,6 +57,9 @@ class LinearisedMatrix:
 
 @dataclass(frozen=True)
 class SpectralGapReport:
+    """lambda_star and the blocks computed: mode 0, then mode 1 if it can
+    set the gap, so ``modes_examined = len(per_mode)`` is 1 or 2."""
+
     lambda_star: float
     per_mode: tuple[tuple[float, float], ...]  # (laplacian eigenvalue, mode gap)
     modes_examined: int
@@ -108,33 +109,25 @@ def weighted_spectrum(lin: LinearisedMatrix,
     return np.linalg.eigvalsh(S)
 
 
-def _neumann_modes(space: Box | Grid):
-    """Neumann eigenvalues of a box (endless) or grid (k_j < n_j), ascending:
-    a heap merge of per-axis sums over index tuples k, each pushed once, after
-    k - e_j for the last axis j with k_j > 0, which is no larger."""
-    counts = space.mode_counts
-
-    def eigenvalue(index):
-        return float(sum(space.axis_eigenvalue(j, k) for j, k in enumerate(index)))
-
-    heap = [(0.0, (0,) * space.ndim)]
-    while heap:
-        mu, index = heapq.heappop(heap)
-        yield mu
-        for j in range(space.ndim - 1, -1, -1):
-            succ = index[:j] + (index[j] + 1,) + index[j + 1:]
-            if succ[j] < counts[j]:
-                heapq.heappush(heap, (eigenvalue(succ), succ))
-            if index[j]:
-                break
-
-
 def neumann_eigenvalues(domain: Box | Grid, count: int) -> np.ndarray:
     """First ``count`` Neumann Laplacian eigenvalues of a box or a grid (which
-    has only ``n_cells``), ascending: sums over axes of the per-axis ones.
-    The first entry is always 0; the second is the Poincare constant."""
-    return np.fromiter(itertools.islice(_neumann_modes(domain), max(count, 0)),
-                       dtype=float)
+    has only ``n_cells``), ascending: a heap merge of per-axis sums over index
+    tuples k, each pushed once, after k - e_j for the last axis j with k_j > 0,
+    which is no larger.  The first entry is always 0; the second is the
+    Poincare constant."""
+    out = []
+    heap = [(0.0, (0,) * domain.ndim)]
+    while heap and len(out) < count:
+        mu, index = heapq.heappop(heap)
+        out.append(mu)
+        for j in range(domain.ndim - 1, -1, -1):
+            succ = index[:j] + (index[j] + 1,) + index[j + 1:]
+            if succ[j] < domain.mode_counts[j]:
+                mu_succ = sum(domain.axis_eigenvalue(i, k) for i, k in enumerate(succ))
+                heapq.heappush(heap, (float(mu_succ), succ))
+            if index[j]:
+                break
+    return np.array(out, dtype=float)
 
 
 def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
@@ -170,41 +163,32 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     """Spectral gap of h -> diag(d) Lap h + L h over Neumann modes of a box,
     or over the finite set of a grid's (the semi-discrete gap).
 
-    Mode 0 is restricted to Im W^T (the conservation constraint); higher
-    modes act on the full space.  Enumeration stops once
-    mu_k * min_i d_i exceeds the running minimum, after which no mode can
-    lower the gap (each mode matrix is bounded above by -mu_k min_i d_i).
+    Mode 0 acts on Im W^T (the conservation constraint), mode k >= 1 on the
+    full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0.
+    As S - mu' D <= S - mu D - (mu' - mu) min_i d_i I for mu' > mu, the mode
+    gap rises strictly with mu_k: only mode 1 can undercut mode 0, and only
+    when mu_1 min_i d_i, a lower bound of its gap, lies below the mode-0 gap.
     """
     lin = linearised_matrix(net, a_inf)
     a = np.asarray(a_inf, dtype=float)
     d = net.diffusion_array()
     if np.any(d <= 0):
         raise ValueError("diffusion coefficients must be strictly positive")
-    dmin = float(np.min(d))
 
     mode0 = weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)
     if mode0.size == 0:
         raise ValueError("network has no reactive directions")
     per_mode = [(0.0, float(-mode0[-1]))]
-    lam = per_mode[0][1]
 
-    for k, mu in enumerate(itertools.islice(_neumann_modes(domain), 1, None), start=1):
-        if mu * dmin >= lam:
-            break
-        if k > _MAX_MODES:
-            raise RuntimeError("mode enumeration budget exhausted")
-        if mu == per_mode[-1][0]:
-            gap = per_mode[-1][1]  # repeated eigenvalue, same block
-        else:
-            lin_k = LinearisedMatrix(matrix=-mu * np.diag(d) + lin.matrix,
-                                     weights=lin.weights)
-            gap = float(-weighted_spectrum(lin_k)[-1])
-        per_mode.append((mu, gap))
-        lam = min(lam, gap)
+    poincare = float(neumann_eigenvalues(domain, 2)[1])
+    if poincare * float(np.min(d)) < per_mode[0][1]:
+        lin_1 = LinearisedMatrix(matrix=-poincare * np.diag(d) + lin.matrix,
+                                 weights=lin.weights)
+        per_mode.append((poincare, float(-weighted_spectrum(lin_1)[-1])))
 
     bound = None
     if _analytic_bound_applies(net, domain):
-        poincare = float(neumann_eigenvalues(domain, 2)[1])
         bound = analytic_gap_bound_four_species(a, d, poincare)
-    return SpectralGapReport(lambda_star=lam, per_mode=tuple(per_mode),
+    return SpectralGapReport(lambda_star=min(gap for _, gap in per_mode),
+                             per_mode=tuple(per_mode),
                              modes_examined=len(per_mode), analytic_bound=bound)

@@ -224,23 +224,32 @@ def _semipositive_kernel_rows(W_rows: list[list[int]], ncols: int, needed: int,
                               budget: int) -> list[list[int]]:
     """Minimal-support kernel vectors of W with entries all of one sign.
 
-    Supports are visited by ascending size then lexicographic order; a
-    support qualifies when the restricted kernel is one-dimensional and its
-    primitive vector is positive on the whole support (a zero entry means
-    the true support is smaller and is found via another subset).
+    Supports are visited by ascending size then lexicographic order.  Each
+    one with a nontrivial restricted kernel is a circuit, kept as a bitmask;
+    a later support containing one is skipped (its kernel holds the circuit's
+    vector, zero somewhere on it) but counts against ``budget``.  So a visited
+    support's kernel is at most one vector, nonzero on the whole support, and
+    the support qualifies when that primitive vector is positive.
     Deterministic; gives the pairwise-mass basis (a1+a2, a1+a4, a2+a3) for
     the four-species W.
     """
     found: list[list[int]] = []
+    circuits: list[int] = []
     used = 0
     for size in range(1, ncols + 1):
         for support in itertools.combinations(range(ncols), size):
             used += 1
             if used > budget:
                 return found
+            mask = sum(1 << c for c in support)
+            if any(c & mask == c for c in circuits):
+                continue
             sub = [[row[c] for c in support] for row in W_rows]
             kernel = _elimination_kernel(sub, size)
-            if len(kernel) != 1 or not all(x > 0 for x in kernel[0]):
+            if not kernel:
+                continue
+            circuits.append(mask)
+            if not all(x > 0 for x in kernel[0]):
                 continue
             full = [0] * ncols
             for c, x in zip(support, kernel[0]):

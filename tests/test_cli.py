@@ -27,6 +27,15 @@ reaction A2 <-> A3 : kf=1 kb=1
 reaction A3 <-> A1 : kf=2 kb=1
 """
 
+SLOW_SWAP = FOUR_SPECIES.replace("A1=1 A2=1 A3=1 A4=1", "A1=1e-4 A2=10 A3=10 A4=10")
+
+SOURCES = """\
+species A1 A2
+diffusion A1=1 A2=1
+reaction 0 <-> A1 : kf=1 kb=2
+reaction 0 <-> A2 : kf=3 kb=1
+"""
+
 CONFIG = """\
 network = four_species.rdn
 domain = interval:1
@@ -53,6 +62,8 @@ def workdir(tmp_path):
     (tmp_path / "four_species.rdn").write_text(FOUR_SPECIES)
     (tmp_path / "cubic.rdn").write_text(CUBIC)
     (tmp_path / "triangle.rdn").write_text(TRIANGLE)
+    (tmp_path / "slow_swap.rdn").write_text(SLOW_SWAP)
+    (tmp_path / "sources.rdn").write_text(SOURCES)
     (tmp_path / "run.cfg").write_text(CONFIG)
     return tmp_path
 
@@ -101,6 +112,25 @@ def test_equilibrium_wrong_mass_count(workdir, capsys):
     code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
                      "--masses", "3,4"])
     assert code == 2
+
+
+def test_blank_masses_serve_a_network_without_conservation_laws(workdir, capsys):
+    code = dispatch(["equilibrium", str(workdir / "sources.rdn"), "--masses", ""])
+    assert code == 0
+    values = {line.split(" = ")[0]: float(line.split(" = ")[1])
+              for line in capsys.readouterr().out.strip().splitlines()}
+    assert np.isclose(values["A1"], 0.5, rtol=1e-12)
+    assert np.isclose(values["A2"], 3.0, rtol=1e-12)
+    code = dispatch(["gap", str(workdir / "sources.rdn"),
+                     "--domain", "interval:1", "--masses", ""])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("lambda_star = 1.000000000\n")
+
+
+def test_blank_masses_refused_where_masses_are_conserved(workdir, capsys):
+    code = dispatch(["equilibrium", str(workdir / "four_species.rdn"), "--masses", ""])
+    assert code == 2
+    assert "expected 3 masses (M12, M14, M32)" in capsys.readouterr().err
 
 
 def test_gap_reports_bound(workdir, capsys):
@@ -315,6 +345,19 @@ def test_gap_box_domain(workdir, capsys):
     assert code == 0
     lam = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
     assert np.isclose(lam, (np.pi / 10) ** 2, atol=1e-9)
+
+
+@pytest.mark.parametrize("domain", ["box:1,1,1", "box:1,1,1,1"])
+def test_gap_with_one_slow_species_stops_at_mode_one(workdir, capsys, domain):
+    # min d_i = 1e-4 keeps mu_k min d_i below the gap for thousands of modes;
+    # only mode 0 and mode 1 can set it
+    code = dispatch(["gap", str(workdir / "slow_swap.rdn"),
+                     "--domain", domain, "--a-inf", "1,1,1,1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "lambda_star = 0.971202848"
+    assert [line.split(":")[0] for line in lines if line.startswith("mode ")] \
+        == ["mode 0", "mode 1"]
 
 
 def box_config(domain, grid, mode, t_end="0.01"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdbalance import (
     Box,
@@ -9,6 +10,7 @@ from rdbalance import (
     Interval,
     LinearisedMatrix,
     NotEquilibriumError,
+    ReactionNetwork,
     Rectangle,
     analytic_gap_bound_four_species,
     four_species_equilibrium,
@@ -224,7 +226,7 @@ class TestSpectralGap:
         assert all(gap > 0 for gap in gaps)
 
     def test_truncation_sound(self, rng):
-        # modes beyond the stopping rule can only sit above lambda_star
+        # modes beyond the blocks computed can only sit above lambda_star
         net = four_species_network(d=tuple(rng.uniform(0.1, 10, size=4)))
         m12, m14, m32 = rng.uniform(0.5, 5.0, size=3)
         m34 = m14 + m32 - m12
@@ -264,15 +266,6 @@ class TestSpectralGap:
         assert report.lambda_star == pytest.approx(mu1, rel=1e-14)
         assert report.lambda_star < PI2 / 100
 
-    def test_grid_stream_ends_before_the_gap_test_stops(self):
-        # min d_i so small that mu_k min d_i stays below every mode gap: every
-        # mode of the coarse grid is examined, then the finite stream runs out
-        grid = Grid(Rectangle(1.0, 1.0), (4, 4))
-        net = four_species_network(d=(1e-3, 10.0, 10.0, 10.0))
-        report = operator_spectral_gap(net, [1, 1, 1, 1], grid)
-        assert report.modes_examined == grid.n_cells
-        assert [mu for mu, _ in report.per_mode] == list(neumann_eigenvalues(grid, 16))
-
     def test_grid_bound_uses_grid_poincare_constant(self, rng):
         grid = Grid(Box((1.0, 1.0, 1.0)), (6, 6, 6))
         d = tuple(rng.uniform(0.1, 10.0, size=4))
@@ -282,6 +275,43 @@ class TestSpectralGap:
         assert poincare < PI2
         assert report.analytic_bound == analytic_gap_bound_four_species(a, d, poincare)
         assert report.analytic_bound <= report.lambda_star * (1 + 1e-9)
+
+
+@st.composite
+def small_grids(draw):
+    """A grid of 1 to 4 dimensions with at most 64 cells (256 in 4D, which
+    needs 4 cells per axis)."""
+    ndim = draw(st.integers(1, 4))
+    cap = max(64, 4 ** ndim)
+    shape = []
+    for j in range(ndim):
+        room = cap // (math.prod(shape) * 4 ** (ndim - j - 1))
+        shape.append(draw(st.integers(4, room)))
+    extents = draw(st.lists(st.floats(0.5, 3.0), min_size=ndim, max_size=ndim))
+    return Grid(Box(tuple(extents)), tuple(shape))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(grid=small_grids(), seed=st.integers(0, 2 ** 32 - 1),
+       slow=st.integers(0, 7), exponent=st.floats(-4.0, -1.0))
+def test_gap_is_the_smallest_gap_over_every_mode_block(grid, seed, slow, exponent):
+    # one slow species makes mu_k min d_i small for many modes; the gap must
+    # still be the minimum over all n_cells blocks, mode 0 on Im W^T
+    net, a_star = random_balanced_network(np.random.default_rng(seed))
+    d = list(net.diffusion)
+    d[slow % net.n_species] *= 10.0 ** exponent
+    net = ReactionNetwork(net.species, net.reactions, tuple(d))
+    report = operator_spectral_gap(net, a_star, grid)
+
+    lin = linearised_matrix(net, a_star)
+    gaps = [-weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)[-1]]
+    for mu in neumann_eigenvalues(grid, grid.n_cells)[1:]:
+        block = LinearisedMatrix(matrix=-mu * np.diag(d) + lin.matrix,
+                                 weights=lin.weights)
+        gaps.append(-weighted_spectrum(block)[-1])
+    assert len(gaps) == grid.n_cells
+    assert report.lambda_star == pytest.approx(min(gaps), rel=1e-12, abs=0)
+    assert report.modes_examined == len(report.per_mode) <= 2
 
 
 class TestAnalyticBound:
