@@ -14,8 +14,8 @@ from .equilibrium import ConservedMasses, EquilibriumError, EquilibriumState, \
     detailed_balance_equilibrium, four_species_equilibrium
 from .geometry import Box, Grid, Interval, Rectangle
 from .linearised import LinearisedMatrix, NotEquilibriumError, SpectralGapReport, \
-    analytic_gap_bound_four_species, linearised_matrix, neumann_eigenvalues, \
-    operator_spectral_gap, weighted_spectrum
+    analytic_gap_bound_four_species, linearised_matrix, operator_spectral_gap, \
+    weighted_spectrum
 from .network import Kinetics, Reaction, ReactionNetwork, \
     StoichiometryDecomposition, ValidationReport, conservation_basis, decompose, \
     is_four_species, production_term, stoichiometric_matrix, validate_network
@@ -34,8 +34,7 @@ __all__ = [
     "conservation_basis", "conserved_masses", "decompose", "default_dt",
     "detailed_balance_equilibrium", "entropy_dissipation", "fit_decay_rate",
     "four_species_equilibrium", "is_four_species", "linearised_matrix",
-    "neumann_eigenvalues", "operator_spectral_gap", "parse_network",
-    "production_term", "relative_entropy", "serialize_network", "simulate", "step",
-    "stoichiometric_matrix", "validate_network", "weighted_norm",
-    "weighted_spectrum", "write_snapshot_csv",
+    "operator_spectral_gap", "parse_network", "production_term", "relative_entropy",
+    "serialize_network", "simulate", "step", "stoichiometric_matrix",
+    "validate_network", "weighted_norm", "weighted_spectrum", "write_snapshot_csv",
 ]

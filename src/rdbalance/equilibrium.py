@@ -16,6 +16,7 @@ globally from theta = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,7 @@ def _relative_db_residual(forward: np.ndarray,
 
 _WEGSCHEIDER_TOL = 1e-9  # least-squares residual of W mu = log(kf/kb)
 _NEWTON_TOL = 1e-12  # mass error |Q a - m| relative to |m|
+_ROUNDOFF = 64.0 * np.finfo(float).eps  # ulp-scale slack, relative to the terms
 _MAX_NEWTON_ITER = 200
 
 
@@ -159,18 +161,26 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
 
     Q = stoich.Q.astype(float)
     QT = Q.T
+    Q_abs = np.abs(Q)
     theta = np.zeros(q)
     m_norm = np.linalg.norm(m)
+
+    def mass_tol(a, rel):
+        # Q a is a difference of terms of size |Q| a, so a small m cannot be
+        # matched more closely than the roundoff of those terms
+        terms = Q_abs @ a
+        return max(rel * m_norm, _ROUNDOFF * math.sqrt(terms.dot(terms)))
 
     def potential(th):
         with np.errstate(over="ignore"):
             a = np.exp(mu + QT @ th)
-        return a, float(np.sum(a) - m @ th)
+        return a, float(a.sum() - m @ th)
 
     a, phi = potential(theta)
     for _ in range(_MAX_NEWTON_ITER):
         g = Q @ a - m
-        if np.linalg.norm(g) <= _NEWTON_TOL * m_norm:
+        # sqrt(g.g) is np.linalg.norm's arithmetic without its call overhead
+        if math.sqrt(g.dot(g)) <= mass_tol(a, _NEWTON_TOL):
             break
         hessian = (Q * a) @ QT
         try:
@@ -180,7 +190,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
         slope = float(g @ delta)
         # ulp-scale slack keeps the full Newton step acceptable once the
         # merit decrease drops below the resolution of phi
-        slack = 64.0 * np.finfo(float).eps * max(1.0, abs(phi))
+        slack = _ROUNDOFF * max(1.0, abs(phi))
         step = 1.0
         while step > 1e-14:
             a_new, phi_new = potential(theta + step * delta)
@@ -198,10 +208,10 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
             f"unrealizable by a positive state)")
 
     absolute, relative = _relative_db_residual(*net.kinetics.fluxes(a))
-    mass_err = np.linalg.norm(Q @ a - m) / m_norm if q else 0.0
-    if relative > 1e-10 or mass_err > 1e-10:
+    mass_err = np.linalg.norm(Q @ a - m)
+    if relative > 1e-10 or mass_err > mass_tol(a, 1e-10):
         raise NewtonDivergenceError(
             f"converged state fails invariants (db residual {relative:.2e}, "
-            f"mass error {mass_err:.2e})")
+            f"mass error {mass_err / m_norm if q else 0.0:.2e})")
     return EquilibriumState(tuple(a), ConservedMasses(tuple(m), labels=labels),
                             absolute)

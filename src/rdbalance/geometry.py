@@ -39,10 +39,6 @@ class Box:
     def measure(self) -> float:
         return math.prod(self.extents)
 
-    @property
-    def mode_counts(self) -> tuple[float, ...]:
-        return (math.inf,) * self.ndim
-
     def axis_eigenvalue(self, axis: int, k):
         """(k pi / L)^2 along ``axis``, for an integer or an integer array k."""
         r = k * math.pi / self.extents[axis]
@@ -96,10 +92,6 @@ class Grid:
     @property
     def measure(self) -> float:
         return self.domain.measure
-
-    @property
-    def mode_counts(self) -> tuple[int, ...]:
-        return self.shape
 
     def axis_eigenvalue(self, axis: int, k):
         """(2/h sin(k pi / 2n))^2 along ``axis``, 0 <= k < n: the eigenvalues of

@@ -36,6 +36,14 @@ reaction 0 <-> A1 : kf=1 kb=2
 reaction 0 <-> A2 : kf=3 kb=1
 """
 
+SMALL_MASS = """\
+species A1 A2 A3 A4
+diffusion A1=1 A2=1 A3=1 A4=1
+reaction 2 A4 <-> 0 : kf=1.16347 kb=0.551831
+reaction A1 + A3 <-> 0 : kf=0.995334 kb=8.68080
+reaction A2 <-> 0 : kf=2.66435 kb=6.08085
+"""
+
 CONFIG = """\
 network = four_species.rdn
 domain = interval:1
@@ -64,6 +72,7 @@ def workdir(tmp_path):
     (tmp_path / "triangle.rdn").write_text(TRIANGLE)
     (tmp_path / "slow_swap.rdn").write_text(SLOW_SWAP)
     (tmp_path / "sources.rdn").write_text(SOURCES)
+    (tmp_path / "small_mass.rdn").write_text(SMALL_MASS)
     (tmp_path / "run.cfg").write_text(CONFIG)
     return tmp_path
 
@@ -99,6 +108,16 @@ def test_equilibrium_masses(workdir, capsys):
     assert np.isclose(values["A4"], 1.6, rtol=1e-9)
     assert values["db_residual"] <= 1e-12
     assert "M32 = 1" in out
+
+
+@pytest.mark.parametrize("mass", ["1.0770175e-4", "1e-6"])
+def test_equilibrium_small_mass_of_a_mixed_sign_law(workdir, capsys, mass):
+    code = dispatch(["equilibrium", str(workdir / "small_mass.rdn"), "--masses", mass])
+    assert code == 0
+    values = {line.split(" = ")[0]: float(line.split(" = ")[1])
+              for line in capsys.readouterr().out.strip().splitlines()}
+    assert values["m1"] == float(mass)
+    assert values["A1"] - values["A3"] == pytest.approx(float(mass), rel=1e-9)
 
 
 def test_equilibrium_no_detailed_balance(workdir, capsys):

@@ -155,6 +155,24 @@ class TestNewtonSolver:
         with pytest.raises(ValueError, match="strictly positive"):
             detailed_balance_equilibrium(net, decompose(net), [3, -1, 1])
 
+    @pytest.mark.parametrize("mass", [1.0770175e-4, 1e-6])
+    def test_small_mass_of_a_mixed_sign_law(self, mass):
+        # Q = [[1, 0, -1, 0]]: m = a1 - a3 is far below the terms a1, a3 ~ 3,
+        # so |Q a - m| can only reach the roundoff of those terms
+        net = ReactionNetwork(
+            species=("A1", "A2", "A3", "A4"),
+            reactions=(Reaction((0, 0, 0, 2), (0, 0, 0, 0), 1.16347, 0.551831),
+                       Reaction((1, 0, 1, 0), (0, 0, 0, 0), 0.995334, 8.68080),
+                       Reaction((0, 1, 0, 0), (0, 0, 0, 0), 2.66435, 6.08085)),
+            diffusion=(1.0, 1.0, 1.0, 1.0),
+        )
+        stoich = decompose(net)
+        assert stoich.Q.tolist() == [[1, 0, -1, 0]]
+        a = detailed_balance_equilibrium(net, stoich, [mass]).vector
+        assert abs(a[0] - a[2] - mass) <= 1e-14 * (a[0] + a[2])
+        assert 0.995334 * a[0] * a[2] == pytest.approx(8.68080, rel=1e-12)
+        assert a[0] > a[2] > 0
+
     def test_infeasible_masses_diverge(self):
         # M34 = M14 + M32 - M12 < 0: no positive state has these masses
         net = four_species_network()

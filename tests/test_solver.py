@@ -23,7 +23,6 @@ from rdbalance import (
     decompose,
     default_dt,
     fit_decay_rate,
-    neumann_eigenvalues,
     operator_spectral_gap,
     simulate,
     step,
@@ -607,7 +606,7 @@ class TestBoxRelaxation:
         grid, result = mode1_box_run(shape, n_steps, dt)
         report = operator_spectral_gap(four_species_network(), [1, 1, 1, 1], grid)
         kappa = report.per_mode[0][1]  # reaction gap, the mode-0 block
-        rate = neumann_eigenvalues(grid, 2)[1] + kappa  # mode-1 block, all d_i = 1
+        rate = grid.axis_eigenvalue(0, 1) + kappa  # mode-1 block on axis 0, all d_i = 1
         # Error budget of a fitted rate against `rate`:
         # * perturbation size: on a1 = a3 = 1 + e, a2 = a4 = 1 - e the flux
         #   (1 + e)^2 - (1 - e)^2 = 4 e is linear in e, and equal d_i keep that
