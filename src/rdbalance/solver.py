@@ -6,7 +6,8 @@ the discrete Laplacian annihilates constants and telescopes to zero cell
 sum; together with Q P(a) = 0 this conserves the discrete masses exactly
 up to roundoff.  Time: operator splitting.  The diffusion substeps are the
 exact semigroup of the discrete Laplacian (dense per-axis cosine
-propagators on small grids, one batched DCT-II on larger ones; mode 0
+propagators, built in numpy, on grids with at most _DENSE_AXIS_MAX cells
+per axis; one batched scipy DCT-II on grids with a longer axis; mode 0
 exact on both), so they keep cells nonnegative for any step size.
 
 * ``imex``: exact diffusion over dt, then forward-Euler reaction (Lie
@@ -42,9 +43,12 @@ from .network import ReactionNetwork, StoichiometryDecomposition, decompose
 
 NEGATIVE_TOL = -1e-10  # relative to the largest cell
 
-# Dense diffusion propagators up to this sum of cells per axis: measured to
-# beat the DCT up to n = 192 on an interval and to lose from n = 208.
-_DENSE_AXIS_SUM = 192
+# Dense diffusion propagators when no axis has more cells than this.  A
+# dense apply costs about n_k flops per cell on axis k, so the longest axis
+# sets the crossover: per apply, dense ties the DCT at n = 192 on an
+# interval and is 14% slower on 192^2, but a grid within the limit needs no
+# scipy import (0.16 s, 27 MB), which 192^2 repays after about 250 steps.
+_DENSE_AXIS_MAX = 192
 
 _SCHEMES = ("strang", "imex")
 
@@ -109,35 +113,49 @@ class InitialSpec:
             raise ValueError("give exactly one of profiles or csv_path")
 
 
+def _dct_basis(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix, C[k, j] = s_k cos(pi k (2j + 1) / 2n)
+    with s_0 = sqrt(1/n) and s_k = sqrt(2/n), so that C @ x is the
+    ``norm="ortho"`` DCT-II of x.  The angle's numerator is reduced modulo
+    4n in integers first: the unreduced float angle reaches about pi n and
+    loses about 1e-14 to rounding at n = 192."""
+    k = np.arange(n)[:, np.newaxis]
+    r = k * (2 * np.arange(n) + 1) % (4 * n)
+    c = np.cos(r * (math.pi / (2 * n)))
+    c[0] *= math.sqrt(1.0 / n)
+    c[1:] *= math.sqrt(2.0 / n)
+    return c
+
+
 class _DiffusionSemigroup:
     """Exact diffusion substep exp(tau d_i Lap) for every species at once.
 
     Lap is diagonal in the orthonormal DCT-II basis C, with eigenvalue
-    -sum_axes mu_k, mu_k = grid.axis_eigenvalue(axis, k).  Grids whose
-    sum(shape) is at most _DENSE_AXIS_SUM apply ``multiplier``, one
-    (I, n, n) stack of propagators C^T diag(exp(-tau d_i mu)) C per axis,
-    to each species' deviation from its mean; larger ones a batched DCT,
-    multiply and inverse DCT.  Mode 0 is exact on both (mass is kept), and
-    every multiplier lies in (0, 1] (cells stay nonnegative at any tau).
+    -sum_axes mu_k, mu_k = grid.axis_eigenvalue(axis, k).  Grids with at
+    most _DENSE_AXIS_MAX cells on every axis apply ``multiplier``, one
+    (I, n, n) stack of propagators C^T diag(exp(-tau d_i mu)) C per axis
+    (C from ``_dct_basis``), to each species' deviation from its mean;
+    grids with a longer axis a batched scipy DCT, multiply and inverse DCT.
+    Mode 0 is exact on both (mass is kept), and every multiplier lies in
+    (0, 1] (cells stay nonnegative at any tau).
     """
 
     def __init__(self, grid: Grid, diffusion, tau: float):
-        from scipy import fft  # deferred: importing rdbalance loads only numpy
-
-        self._fft = fft
         self.axes = tuple(range(1, grid.ndim + 1))
         self._d = np.asarray(diffusion, dtype=float).reshape((-1,) + (1,) * grid.ndim)
         self._mu = [grid.axis_eigenvalue(k, np.arange(n))
                     for k, n in enumerate(grid.shape)]
-        self._dense = sum(grid.shape) <= _DENSE_AXIS_SUM
+        self._dense = max(grid.shape) <= _DENSE_AXIS_MAX
         if self._dense:
-            self._basis = [fft.dct(np.eye(n), axis=0, norm="ortho")
-                           for n in grid.shape]
+            self._basis = [_dct_basis(n) for n in grid.shape]
             # fields as (I, cells before axis k, n_k, cells after it)
             self._views = [(len(self._d), math.prod(grid.shape[:k]), n,
                             math.prod(grid.shape[k + 1:]))
                            for k, n in enumerate(grid.shape)]
         else:
+            from scipy import fft  # deferred: only grids this large need scipy
+
+            self._fft = fft
             self._eigenvalues = sum(-mu.reshape((-1,) + (1,) * (grid.ndim - 1 - k))
                                     for k, mu in enumerate(self._mu))
         self.multiplier = self.multiplier_over(tau)

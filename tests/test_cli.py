@@ -315,13 +315,30 @@ def test_module_entry_point(workdir):
     assert proc.stdout.strip() == "ok"
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported when the first Stepper is built, not with the package
-    code = "import sys, rdbalance, rdbalance.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+def test_small_grids_run_without_scipy(workdir):
+    # scipy's DCT is imported only for a grid with an axis over 192 cells
+    runs = [("interval:1", "64", "1"), ("rect:1,1", "128", "1,0"),
+            ("rect:8,0.5", "200,4", "1,0")]
+    configs = []
+    for j, (domain, grid, mode) in enumerate(runs):
+        text = CONFIG
+        for old, new in (("interval:1", domain), ("grid = 32", f"grid = {grid}"),
+                         ("t_end = 0.1", "t_end = 2e-3"), ("output_every = 10", "output_every = 1"),
+                         ("= out\n", f"= out{j}\n"), (" 1:", f" {mode}:")):
+            text = text.replace(old, new)
+        configs.append(workdir / f"run{j}.cfg")
+        configs[-1].write_text(text)
+    code = ("import sys\n"
+            "from rdbalance.cli import dispatch\n"
+            "for cfg in sys.argv[1:]:\n"
+            "    assert dispatch(['simulate', cfg]) == 0\n"
+            "    print('scipy loaded:', 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, configs)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = [line.split()[-1] for line in proc.stdout.splitlines()
+              if line.startswith("scipy loaded:")]
+    assert loaded == ["False", "False", "True"]
 
 
 def test_bundled_perturbed_config(tmp_path, capsys):
