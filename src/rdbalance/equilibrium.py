@@ -147,8 +147,10 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     q = stoich.Q.shape[0]
     if m.shape != (q,):
         raise ValueError(f"expected {q} conserved masses, got {m.shape}")
-    if np.any(m <= 0):
-        raise ValueError("conserved masses must be strictly positive")
+    for k, value in enumerate(m):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"conserved mass {stoich.label(k)} = {value:g} must "
+                             f"be strictly positive and finite")
 
     W = stoich.W.astype(float)
     c = np.log(net.kf_array() / net.kb_array())

@@ -72,8 +72,9 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     ``_EQUILIBRIUM_TOL`` relative to its one-sided fluxes.
     """
     a = np.asarray(a_inf, dtype=float)
-    if a.shape != (net.n_species,) or np.any(a <= 0):
-        raise ValueError("a_inf must be a strictly positive vector, one per species")
+    if a.shape != (net.n_species,) or not np.all((a > 0) & np.isfinite(a)):
+        raise ValueError(
+            "a_inf must be a strictly positive, finite vector, one per species")
     forward, backward = net.kinetics.fluxes(a)
     _, relative = _relative_db_residual(forward, backward)
     if relative > _EQUILIBRIUM_TOL:
@@ -120,8 +121,9 @@ def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
     d = np.asarray(d, dtype=float)
     if a.shape != (4,) or d.shape != (4,):
         raise ValueError("the analytic bound applies to four-species systems only")
-    if np.any(a <= 0) or np.any(d <= 0):
-        raise ValueError("equilibrium values and diffusion must be positive")
+    if not np.all((a > 0) & np.isfinite(a)) or np.any(d <= 0):
+        raise ValueError("equilibrium values must be positive and finite, "
+                         "diffusion positive")
     m12, m14, m32, m34 = a[0] + a[1], a[0] + a[3], a[2] + a[1], a[2] + a[3]
     total = a.sum()
     c_m = m12 * m32 * m14 * m34 / total ** 2

@@ -11,14 +11,15 @@ integer matrix with row r equal to beta^r - alpha^r; ``Kinetics`` is the
 one evaluator of both.  Rows of the integer matrix Q form a basis of
 Ker W, so Q P(a) = 0 identically: the quantities Q . integral(a) are
 conserved by the reaction-diffusion dynamics under no-flux boundary
-conditions.  Q is built in exact integer arithmetic by one fraction-free
-Gauss-Jordan elimination, which gives both the rank and the kernel.
+conditions.  Q is built in exact integer arithmetic: its semi-positive
+rows are extreme rays of the cone {x >= 0 : W x = 0}, found by one
+double-description pass, and fraction-free Gauss-Jordan elimination gives
+the rank and completes the kernel.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -220,59 +221,53 @@ def _elimination_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return out
 
 
-def _semipositive_kernel_rows(W_rows: list[list[int]], ncols: int, needed: int,
-                              budget: int) -> list[list[int]]:
-    """Minimal-support kernel vectors of W with entries all of one sign.
+_RAY_LIMIT = 1024  # candidate rays per cut; the minimal-support filter is quadratic
 
-    Supports are visited by ascending size then lexicographic order.  Each
-    one with a nontrivial restricted kernel is a circuit, kept as a bitmask;
-    a later support containing one is skipped (its kernel holds the circuit's
-    vector, zero somewhere on it) but counts against ``budget``.  So a visited
-    support's kernel is at most one vector, nonzero on the whole support, and
-    the support qualifies when that primitive vector is positive.
-    Deterministic; gives the pairwise-mass basis (a1+a2, a1+a4, a2+a3) for
-    the four-species W.
+
+def _extreme_rays(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Extreme rays of the cone {x >= 0 : W x = 0}, by (support size, support).
+
+    One double-description pass (Fukuda and Prodon 1996): start from the
+    unit vectors, the rays of the orthant, and cut by one hyperplane w.x = 0
+    per row w of W.  Rays on the hyperplane stay, and each pair with
+    w.p > 0 > w.q adds the primitive ray (w.p) q - (w.q) p on it.  Pairs
+    are not tested for adjacency; instead only the rays of minimal support
+    are kept, since in a cone inside the orthant those are exactly the
+    extreme rays, and a ray is fixed by its support.  The ray count can grow
+    exponentially with the species count, so a cut that would form more
+    than ``_RAY_LIMIT`` candidates raises ValueError instead.
     """
-    found: list[list[int]] = []
-    circuits: list[int] = []
-    used = 0
-    for size in range(1, ncols + 1):
-        for support in itertools.combinations(range(ncols), size):
-            used += 1
-            if used > budget:
-                return found
-            mask = sum(1 << c for c in support)
-            if any(c & mask == c for c in circuits):
-                continue
-            sub = [[row[c] for c in support] for row in W_rows]
-            kernel = _elimination_kernel(sub, size)
-            if not kernel:
-                continue
-            circuits.append(mask)
-            if not all(x > 0 for x in kernel[0]):
-                continue
-            full = [0] * ncols
-            for c, x in zip(support, kernel[0]):
-                full[c] = x
-            if _rank(found + [full], ncols) > len(found):
-                found.append(full)
-                if len(found) == needed:
-                    return found
-    return found
-
-
-_SUPPORT_BUDGET = 4096  # supports tried before falling back to elimination
+    rays = {frozenset([c]): [int(c == j) for j in range(ncols)] for c in range(ncols)}
+    for k, w in enumerate(rows):
+        dot = {s: sum(a * x for a, x in zip(w, r)) for s, r in rays.items()}
+        cut = {s: r for s, r in rays.items() if dot[s] == 0}
+        pos = [s for s in rays if dot[s] > 0]
+        neg = [s for s in rays if dot[s] < 0]
+        n = len(cut) + len(pos) * len(neg)
+        if n > _RAY_LIMIT:
+            raise ValueError(f"too many extreme rays to list the semi-positive conservation "
+                             f"laws: row {k + 1} of W forms {n}, more than {_RAY_LIMIT}")
+        for p in pos:
+            for q in neg:
+                x = _primitive([dot[p] * b - dot[q] * a
+                                for a, b in zip(rays[p], rays[q])])
+                cut[frozenset(c for c, v in enumerate(x) if v)] = x
+        rays = {s: r for s, r in cut.items() if not any(t < s for t in cut)}
+    return [rays[s] for s in sorted(rays, key=lambda s: (len(s), sorted(s)))]
 
 
 def conservation_basis(W) -> np.ndarray:
     """Integer basis of Ker W, one conservation law per row.
 
     Deterministic: semi-positive minimal-support vectors first (these are
-    the physically meaningful masses), completed by fraction-free
-    elimination kernel vectors.  Every row is primitive (coordinate gcd 1,
+    the physically meaningful masses), i.e. the extreme rays of
+    {x >= 0 : W x = 0} in (support size, support) order, each taken when
+    it raises the rank; then fraction-free elimination kernel vectors
+    complete the basis.  Every row is primitive (coordinate gcd 1,
     first nonzero entry positive) and Q W^T = 0 holds exactly in integer
     arithmetic.  Returns a (0, I) matrix when Ker W is trivial, and the
-    I x I identity when W has no rows.
+    I x I identity when W has no rows.  Raises ValueError when the extreme
+    rays are too many to list (see ``_extreme_rays``), never truncating.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[1] < 1:
@@ -284,19 +279,17 @@ def conservation_basis(W) -> np.ndarray:
         W = Wi
     rows = W.tolist()
     ncols = W.shape[1]
-    q = ncols - _rank(rows, ncols)
+    kernel = _elimination_kernel(rows, ncols)
+    q = len(kernel)
     if q == 0:
         return np.zeros((0, ncols), dtype=np.int64)
-    basis = _semipositive_kernel_rows(rows, ncols, q, _SUPPORT_BUDGET)
-    if len(basis) < q:
-        for v in _elimination_kernel(rows, ncols):
-            if _rank(basis + [v], ncols) > len(basis):
-                basis.append(v)
-                if len(basis) == q:
-                    break
-    if len(basis) != q:
-        raise RuntimeError(f"kernel completion found {len(basis)} of {q} rows")
-    return np.array(basis, dtype=np.int64)
+    # the leftmost pivot columns of the candidates, stacked as columns, are
+    # the candidates that raise the rank of those before them
+    candidates = _extreme_rays(rows, ncols) + kernel
+    _, picked = _gauss_jordan([list(c) for c in zip(*candidates)], len(candidates))
+    if len(picked) != q:
+        raise RuntimeError(f"kernel completion found {len(picked)} of {q} rows")
+    return np.array([candidates[j] for j in picked], dtype=np.int64)
 
 
 def _pair_label(row: np.ndarray, net: ReactionNetwork) -> str | None:

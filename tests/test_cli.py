@@ -177,6 +177,40 @@ def test_gap_rejects_non_equilibrium(workdir, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("masses", ["inf,1,1", "1,nan,1"])
+def test_equilibrium_refuses_non_finite_masses(workdir, capsys, masses):
+    code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
+                     "--masses", masses])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be strictly positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("a_inf", ["inf,1,1,1", "nan,1,1,1"])
+def test_gap_refuses_non_finite_equilibrium(workdir, capsys, a_inf):
+    code = dispatch(["gap", str(workdir / "four_species.rdn"),
+                     "--domain", "interval:1", "--a-inf", a_inf])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a_inf must be a strictly positive, finite vector" in captured.err
+
+
+def test_equilibrium_refuses_too_many_extreme_rays(tmp_path, capsys):
+    # X_l + Y_l <-> X_{l+1} + Y_{l+1} for 16 layers has 2^16 extreme rays
+    species = [f"{s}{l}" for l in range(16) for s in "XY"]
+    lines = [f"species {' '.join(species)}",
+             "diffusion " + " ".join(f"{name}=1" for name in species)]
+    lines += [f"reaction X{l} + Y{l} <-> X{l + 1} + Y{l + 1} : kf=1 kb=1" for l in range(15)]
+    (tmp_path / "layered.rdn").write_text("\n".join(lines) + "\n")
+    code = dispatch(["equilibrium", str(tmp_path / "layered.rdn"), "--masses", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too many extreme rays" in captured.err
+
+
 def test_simulate_and_fit(workdir, capsys):
     code = dispatch(["simulate", str(workdir / "run.cfg")])
     assert code == 0

@@ -155,6 +155,13 @@ class TestNewtonSolver:
         with pytest.raises(ValueError, match="strictly positive"):
             detailed_balance_equilibrium(net, decompose(net), [3, -1, 1])
 
+    @pytest.mark.parametrize("m, name", [([np.inf, 1, 1], "M12 = inf"),
+                                         ([1, np.nan, 1], "M14 = nan")])
+    def test_masses_must_be_finite(self, m, name):
+        net = four_species_network()
+        with pytest.raises(ValueError, match=f"{name} must be strictly positive and finite"):
+            detailed_balance_equilibrium(net, decompose(net), m)
+
     @pytest.mark.parametrize("mass", [1.0770175e-4, 1e-6])
     def test_small_mass_of_a_mixed_sign_law(self, mass):
         # Q = [[1, 0, -1, 0]]: m = a1 - a3 is far below the terms a1, a3 ~ 3,

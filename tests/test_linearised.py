@@ -63,6 +63,11 @@ class TestLinearisedMatrix:
         with pytest.raises(NotEquilibriumError):
             linearised_matrix(four_species_network(), [2, 1, 1, 1])
 
+    @pytest.mark.parametrize("a", [[np.inf, 1, 1, 1], [np.nan, 1, 1, 1], [0, 1, 1, 1]])
+    def test_rejects_non_positive_or_non_finite_state(self, a):
+        with pytest.raises(ValueError, match="strictly positive, finite"):
+            linearised_matrix(four_species_network(), a)
+
     def test_weighted_symmetry_random(self, rng):
         for _ in range(20):
             net, a_star = random_balanced_network(rng)
@@ -335,3 +340,8 @@ class TestAnalyticBound:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             analytic_gap_bound_four_species([1, 1, 1], [1, 1, 1], PI2)
+
+    @pytest.mark.parametrize("a", [[np.inf, 1, 1, 1], [1, np.nan, 1, 1]])
+    def test_rejects_non_finite_equilibrium(self, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            analytic_gap_bound_four_species(a, [1, 1, 1, 1], PI2)

@@ -1,5 +1,10 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdbalance import (
     Reaction,
@@ -11,6 +16,7 @@ from rdbalance import (
     stoichiometric_matrix,
     validate_network,
 )
+from rdbalance.network import _extreme_rays
 
 from conftest import exchange_network, four_species_network, random_admissible_network
 
@@ -100,9 +106,132 @@ class TestConservationBasis:
         W = np.array([[0, 1, 0, -1, 1], [0, 0, 0, -1, -1], [0, 0, 1, 0, 1]])
         assert conservation_basis(W).tolist() == [[1, 0, 0, 0, 0], [0, 2, 1, 1, -1]]
 
+    def test_semipositive_rows_lead_where_a_support_search_ran_out(self):
+        # 13 species: an enumeration capped at 4096 supports found no
+        # semi-positive law here and returned a mixed-sign row first
+        W = np.array([[0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, -1, 0],
+                      [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0],
+                      [1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, -1],
+                      [0, -1, 0, 1, 0, 0, 0, 0, 0, -1, 1, 0, 0],
+                      [-1, 1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1],
+                      [-1, 0, 1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+                      [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0],
+                      [1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, -1, 1],
+                      [0, 1, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1]])
+        assert conservation_basis(W).tolist() == [
+            [2, 2, 2, 1, 1, 1, 3, 0, 0, 0, 1, 1, 0],
+            [1, 2, 3, 0, 2, 0, 2, 2, 0, 0, 2, 2, 1],
+            [1, 0, -1, 1, -1, 1, 1, -1, -1, 1, 0, 0, 0]]
+
+    @staticmethod
+    def layered(reactions):
+        # X_l + Y_l <-> X_{l+1} + Y_{l+1}: x_Xl + x_Yl is the same at every
+        # layer, so each choice of X or Y per layer is an extreme ray
+        W = np.zeros((reactions, 2 * reactions + 2), dtype=np.int64)
+        for l in range(reactions):
+            W[l, 2 * l:2 * l + 2] = -1
+            W[l, 2 * l + 2:2 * l + 4] = 1
+        return W
+
+    def test_exponentially_many_extreme_rays(self):
+        W = self.layered(3)
+        assert len(_extreme_rays(W.tolist(), 8)) == 16
+        assert conservation_basis(W).tolist() == [
+            [1, 0, 1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 0, 1],
+            [1, 0, 1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0, 1, 0],
+            [0, 1, 1, 0, 1, 0, 1, 0]]
+        assert len(_extreme_rays(self.layered(9).tolist(), 20)) == 1024
+
+    def test_too_many_extreme_rays_raise(self):
+        # 32 species would have 65536 extreme rays; the pass stops at the
+        # first cut that forms more than 1024 candidates (1024 pairs and
+        # the 12 unit vectors of layers not yet reached) and says so
+        with pytest.raises(ValueError, match="row 9 of W forms 1036, more than 1024"):
+            conservation_basis(self.layered(15))
+
     def test_labels(self):
         stoich = decompose(four_species_network())
         assert stoich.labels == ("M12", "M14", "M32")
+
+
+def rational_kernel(rows, ncols):
+    """Basis of {x : rows x = 0} over the rationals, by textbook reduction
+    to reduced row echelon form with unit pivots."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            factor = m[i][c]
+            if i != r and factor != 0:
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = [Fraction(0)] * ncols
+            x[f] = Fraction(1)
+            for row, p in zip(m, pivots):
+                x[p] = -row[f]
+            basis.append(x)
+    return basis
+
+
+def semipositive_circuits(W):
+    """Every support whose restricted kernel is a single positive vector,
+    as primitive integer vectors in (support size, support) order."""
+    ncols = W.shape[1]
+    found = []
+    for size in range(1, ncols + 1):
+        for support in itertools.combinations(range(ncols), size):
+            kernel = rational_kernel(W[:, list(support)].tolist(), size)
+            if len(kernel) != 1 or not (all(x > 0 for x in kernel[0])
+                                        or all(x < 0 for x in kernel[0])):
+                continue
+            scaled = [abs(x) * math.lcm(*(y.denominator for y in kernel[0]))
+                      for x in kernel[0]]
+            g = math.gcd(*(int(x) for x in scaled))
+            vector = [0] * ncols
+            for c, x in zip(support, scaled):
+                vector[c] = int(x) // g
+            found.append(vector)
+    return found
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """A random integer matrix with at most 8 columns, or the stoichiometric
+    matrix of a random admissible network."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return stoichiometric_matrix(random_admissible_network(rng))
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+                         max_size=6))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(W=small_integer_matrices())
+def test_semipositive_rows_are_the_independent_positive_circuits(W):
+    # the positive circuits are the extreme rays of {x >= 0 : W x = 0}; Q
+    # takes each one, in order, when it raises the rank
+    ncols = W.shape[1]
+    circuits = semipositive_circuits(W)
+    assert _extreme_rays(W.tolist(), ncols) == circuits
+    expected = []
+    for v in circuits:
+        if ncols - len(rational_kernel(expected + [v], ncols)) > len(expected):
+            expected.append(v)
+    Q = conservation_basis(W).tolist()
+    assert Q[:len(expected)] == expected
+    assert [row for row in Q if all(x >= 0 for x in row)] == expected
 
 
 class TestProductionTerm:
