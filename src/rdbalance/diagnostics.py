@@ -9,6 +9,7 @@ discretization (boundary faces carry zero flux).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,18 +55,6 @@ def relative_entropy(a_fields, a_inf, grid: Grid) -> float:
     return float(np.sum(integrand) * grid.cell_volume)
 
 
-def _face_gradient_integral(u: np.ndarray, base: np.ndarray, grid: Grid) -> float:
-    """integral |grad u|^2 / base via face differences; zero boundary flux."""
-    total = 0.0
-    for axis in range(grid.ndim):
-        h = grid.spacing[axis]
-        du = np.diff(u, axis=axis) / h
-        lead = (slice(None),) * axis
-        mid = 0.5 * (base[lead + (slice(1, None),)] + base[lead + (slice(None, -1),)])
-        total += np.sum(du * du / mid) * grid.cell_volume
-    return total
-
-
 def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
                         grid: Grid) -> tuple[float, float]:
     """Fisher and reaction dissipation of the relative free energy.
@@ -81,15 +70,25 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
         i, *cell = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(f"non-positive cell value for species {int(i)} "
                          f"at cell {tuple(int(c) for c in cell)}")
-    fisher = 0.0
-    for i in range(a.shape[0]):
-        fisher += net.diffusion[i] * _face_gradient_integral(a[i], a[i], grid)
+    # integral |grad a_i|^2 / a_i for all species at once, in two temporaries:
+    # face differences over face means of a_i (boundary faces carry no flux)
+    per_species = np.zeros(len(a))
+    for axis in range(1, a.ndim):
+        lead = (slice(None),) * axis
+        du = np.diff(a, axis=axis)
+        du /= grid.spacing[axis - 1]
+        mid = np.add(a[lead + (slice(1, None),)], a[lead + (slice(None, -1),)])
+        mid *= 0.5
+        du *= du
+        du /= mid
+        per_species += np.add.reduce(du.reshape(len(a), -1), axis=1) * grid.cell_volume
+    # summed over species in order, as one running float total
+    fisher = np.add.accumulate(net.diffusion_array() * per_species)[-1]
 
     kinetics = net.kinetics
     coeff, _ = kinetics.fluxes(a_star)  # kf a*^alpha = kb a*^beta
     u = (a / a_star.reshape((-1,) + (1,) * grid.ndim)).reshape(a.shape[0], -1)
-    u_alpha = kinetics.monomials(u, kinetics.forward)
-    u_beta = kinetics.monomials(u, kinetics.backward)
+    u_alpha, u_beta = np.split(kinetics.monomials(u), 2)
     reaction = np.sum(coeff[:, np.newaxis] * (u_alpha - u_beta)
                       * np.log(u_alpha / u_beta))
     reaction *= grid.cell_volume
@@ -199,18 +198,25 @@ class DiagnosticsSeries:
         return cls(data[:, 0], data[:, 1:1 + q], *data[:, 1 + q:].T)
 
 
-def _write_table(path, header, table: np.ndarray, comment: str | None = None) -> None:
+def _write_table(path, header, table: np.ndarray, comment: str | None = None,
+                 prefixes=None) -> None:
     """CSV table of diag.csv and snapshots: an optional "# comment" line,
     then csv.writer's bytes ("%.17g" numbers, CRLF line ends) for the header
-    and one row per record, formatted a block of rows at a time."""
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    and one row per record, formatted a block of rows at a time.  An iterator
+    of ``prefixes`` (fields already formatted, each with its comma) starts the rows."""
+    row = "%s" * (prefixes is not None) + ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         csv.writer(fh).writerow(header)
         for start in range(0, len(table), _ROWS_PER_WRITE):
             block = table[start:start + _ROWS_PER_WRITE]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            if prefixes is None:
+                values = block.ravel().tolist()
+            else:  # row by row: the prefix, then the row's values
+                values = itertools.chain.from_iterable(zip(
+                    itertools.islice(prefixes, len(block)), *block.T.tolist()))
+            fh.write(row * len(block) % tuple(values))
 
 
 def _read_table(path, kind: str) -> tuple[list[str], np.ndarray]:

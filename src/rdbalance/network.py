@@ -20,6 +20,7 @@ the rank and completes the kernel.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -319,71 +320,55 @@ def decompose(net: ReactionNetwork) -> StoichiometryDecomposition:
 # Mass-action kinetics.
 
 
-def _factor_slots(side: np.ndarray) -> list:
-    """Gather table of one reaction side (R x I stoichiometric matrix).
-
-    A reaction's factors are its species indices repeated by coefficient
-    (``2 A1 + A3`` gives [0, 0, 2]).  Slot s pairs the reactions that have
-    an s-th factor (None when all do) with that factor's species; a
-    reaction without one skips the slot, i.e. multiplies by 1.
-    """
-    factors = [np.repeat(np.arange(side.shape[1]), row) for row in side]
-    slots = []
-    for s in range(max(map(len, factors), default=0)):
-        rows = [r for r, f in enumerate(factors) if len(f) > s]
-        species = np.array([factors[r][s] for r in rows])
-        slots.append((None if len(rows) == len(factors) else np.array(rows), species))
-    return slots
-
-
 class Kinetics:
     """Mass-action fluxes of one network, the only place monomials are built.
 
-    Each monomial a^alpha is a product of gathered species rows, one per
-    factor (at most two for an admissible network), with no powers taken;
-    an empty side is the monomial 1.  Build it through
-    ``ReactionNetwork.kinetics``, which keeps one per network.
+    ``gather`` is an (F, 2R) table: column r lists the factors of reaction
+    r's forward side, column R + r those of its backward side, as species
+    rows repeated by coefficient (``2 A1 + A3`` gives 0, 0, 2).  F is the
+    most factors of any side (2 for an admissible network); a shorter side
+    is padded with row I, a row of ones appended to the fields only when
+    some side is padded, so an empty side is the monomial 1.  A monomial is
+    the product of its rows in factor order, with no powers taken.  Build
+    it through ``ReactionNetwork.kinetics``, which keeps one per network.
     """
 
     def __init__(self, net: ReactionNetwork):
-        alpha, beta = net.alpha_matrix(), net.beta_matrix()
-        self.kf = net.kf_array()[:, np.newaxis]
-        self.kb = net.kb_array()[:, np.newaxis]
-        self.wt = (beta - alpha).T.astype(float)  # I x R, i.e. W^T
-        self.forward = _factor_slots(alpha)
-        self.backward = _factor_slots(beta)
+        reactions = net.reactions
+        sides = [r.alpha for r in reactions] + [r.beta for r in reactions]
+        factors = [[i for i, c in enumerate(side) for _ in range(c)] for side in sides]
+        rows = list(itertools.zip_longest(*factors, fillvalue=net.n_species))
+        self.gather = np.array(rows or [[net.n_species] * len(sides)])
+        self._padded = any(len(f) < len(self.gather) for f in factors)
+        self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
+        self.wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)  # W^T
 
-    def monomials(self, flat: np.ndarray, slots) -> np.ndarray:
-        """(R, N) monomials of the (I, N) array ``flat`` for one side's slots."""
-        # a full first slot starts the product; otherwise it starts from 1
-        mono = None if slots and slots[0][0] is None \
-            else np.ones((len(self.kf), flat.shape[1]))
-        for rows, species in slots:
-            if mono is None:
-                mono = flat[species]
-            elif rows is None:
-                mono *= flat[species]
-            else:
-                mono[rows] *= flat[species]
+    def monomials(self, flat: np.ndarray) -> np.ndarray:
+        """(2R, N) monomials of the (I, N) array ``flat``: a^alpha for each
+        reaction, then a^beta."""
+        if self._padded:
+            flat = np.concatenate([flat, np.ones((1, flat.shape[1]))])
+        first, *rest = self.gather
+        mono = flat.take(first, axis=0)
+        for species in rest:
+            mono *= flat.take(species, axis=0)
         return mono
 
     def fluxes(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-sided fluxes (kf a^alpha, kb a^beta), each (R,) for an (I,)
         vector ``a`` or (R, *cells) for (I, *cells) fields."""
-        flat = a.reshape(a.shape[0], -1)
-        shape = (len(self.kf),) + a.shape[1:]
-        return ((self.kf * self.monomials(flat, self.forward)).reshape(shape),
-                (self.kb * self.monomials(flat, self.backward)).reshape(shape))
+        mono = self.monomials(a.reshape(a.shape[0], -1))
+        mono *= self.rates
+        shape = (len(mono) // 2,) + a.shape[1:]
+        return mono[:shape[0]].reshape(shape), mono[shape[0]:].reshape(shape)
 
     def production(self, fields: np.ndarray) -> np.ndarray:
         """Species production W^T K over (I, *cells) fields (the stepper's
         hot path: one reshape, the gathers, one product)."""
-        flat = fields.reshape(fields.shape[0], -1)
-        flux = self.monomials(flat, self.forward)
-        flux *= self.kf
-        backward = self.monomials(flat, self.backward)
-        backward *= self.kb
-        flux -= backward
+        mono = self.monomials(fields.reshape(fields.shape[0], -1))
+        mono *= self.rates
+        flux = mono[:len(mono) // 2]
+        flux -= mono[len(flux):]
         # np.dot uses BLAS for R = 1, where the matmul ufunc loops (about 4x slower)
         return np.dot(self.wt, flux).reshape(fields.shape)
 

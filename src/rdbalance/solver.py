@@ -29,6 +29,7 @@ would silently destroy the conservation laws the scheme is built around.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -178,8 +179,10 @@ class _DiffusionSemigroup:
                                    overwrite_x=overwrite)
             modes *= multiplier
             return self._fft.idctn(modes, axes=self.axes, norm="ortho", overwrite_x=True)
-        # the propagators' column sums are 1 only to rounding: keep the mean out
-        mean = fields.mean(axis=self.axes, keepdims=True)
+        # the propagators' column sums are 1 only to rounding: keep the mean
+        # out (np.mean's own sum and divide, without its per-call overhead)
+        mean = np.add.reduce(fields, axis=self.axes, keepdims=True)
+        mean /= fields.size // len(fields)
         out = np.subtract(fields, mean, out=fields if overwrite else None)
         for propagator, (i, a, n, b) in zip(multiplier, self._views):
             # on the last axis, rows times the (symmetric) propagator: one gemm
@@ -210,14 +213,18 @@ class Stepper:
                          else self.diffusion.multiplier)
 
     def _check(self, fields: np.ndarray, t: float) -> None:
-        # argmin and argmax both stop at the first NaN; +inf is the maximum
-        worst_low, worst_high = int(np.argmin(fields)), int(np.argmax(fields))
-        floor = NEGATIVE_TOL * abs(float(fields.flat[worst_high]))
-        for worst in (worst_low, worst_high):
-            value = float(fields.flat[worst])
+        # argmin and argmax stop at the first NaN (+inf is the maximum), so a
+        # NaN fails the test; only a failure pays for locating the bad cell.
+        flat = fields.reshape(-1)
+        worst_low, worst_high = flat.argmin(), flat.argmax()
+        low, high = flat[worst_low], flat[worst_high]
+        floor = NEGATIVE_TOL * abs(high)
+        if low >= floor and -math.inf < low and high < math.inf:
+            return
+        for worst, value in ((worst_low, low), (worst_high, high)):
             if not (value >= floor and math.isfinite(value)):
                 i, *cell = np.unravel_index(worst, fields.shape)
-                raise NonPositivityError(self.net.species[i], tuple(cell), t, value)
+                raise NonPositivityError(self.net.species[i], cell, t, float(value))
 
     def _react(self, fields: np.ndarray) -> np.ndarray:
         """One reaction substep over dt, in place on ``fields``."""
@@ -326,11 +333,13 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
 
 def write_snapshot_csv(path, state: State, species_names,
                        comment: str | None = None) -> None:
-    """Snapshot CSV: header x[,y[,z[,w]]],A1,...,AI, one row per cell."""
+    """Snapshot CSV: header x[,y[,z[,w]]],A1,...,AI, one row per cell (row-major,
+    as ``grid.centers()``); each axis's centres are formatted once."""
     grid = state.grid
-    table = np.column_stack([c.ravel() for c in grid.centers()]
-                            + list(state.fields.reshape(state.n_species, -1)))
-    _write_table(path, list("xyzw"[:grid.ndim]) + list(species_names), table, comment)
+    axes = [["%.17g," % x for x in grid.axis_centers(k).tolist()] for k in range(grid.ndim)]
+    _write_table(path, list("xyzw"[:grid.ndim]) + list(species_names),
+                 state.fields.reshape(state.n_species, -1).T, comment,
+                 map("".join, itertools.product(*axes)))
 
 
 def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:

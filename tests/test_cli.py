@@ -394,6 +394,31 @@ def test_bundled_perturbed_config(tmp_path, capsys):
     assert abs(rate - target) <= 0.05 * target
 
 
+def test_bundled_square_config_and_its_restart(tmp_path, capsys):
+    # square.cfg writes snapshots; square_restart.cfg starts from the last
+    import shutil
+    from pathlib import Path
+
+    data = Path(__file__).parent / "data"
+    for name in ("four_species_unit.rdn", "square.cfg", "square_restart.cfg"):
+        shutil.copy(data / name, tmp_path / name)
+    assert dispatch(["simulate", str(tmp_path / "square.cfg")]) == 0
+    assert dispatch(["simulate", str(tmp_path / "square_restart.cfg")]) == 0
+    capsys.readouterr()
+    final = (tmp_path / "out" / "square" / "snapshot_00000100.csv").read_text()
+    start = (tmp_path / "out" / "square_restart" / "snapshot_00000000.csv").read_text()
+    assert start.splitlines()[1:] == final.splitlines()[1:]
+    fresh = DiagnosticsSeries.read_csv(tmp_path / "out" / "square" / "diag.csv")
+    restart = DiagnosticsSeries.read_csv(tmp_path / "out" / "square_restart" / "diag.csv")
+    assert np.array_equal(restart.masses[0], fresh.masses[-1])
+    assert restart.l2[0] == fresh.l2[-1]
+    assert dispatch(["fit", str(tmp_path / "out" / "square_restart" / "diag.csv"),
+                     "--column", "L2sq"]) == 0
+    rate = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+    target = 2 * (2 * np.pi ** 2 + 4)
+    assert abs(rate - target) <= 0.01 * target
+
+
 def test_gap_rectangle_domain(workdir, capsys):
     code = dispatch(["gap", str(workdir / "four_species.rdn"),
                      "--domain", "rect:5,4", "--a-inf", "1,1,1,1"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rdbalance import (
+    Box,
     DiagnosticsSeries,
     Grid,
     Interval,
@@ -137,6 +138,30 @@ class TestEntropyDissipation:
             _, got = entropy_dissipation(a, net, a_star, grid)
             assert got == pytest.approx(want, rel=1e-12)
         assert squared and empty
+
+    @pytest.mark.parametrize("extents, shape", [
+        ((1.0,), (64,)), ((1.0, 0.6), (24, 16)), ((1.0, 2.0, 0.5), (8, 6, 5))])
+    def test_fisher_is_the_per_species_sum_bitwise(self, rng, extents, shape):
+        # the per-species loop the one-pass Fisher term replaced, the reference
+        def face_gradient_integral(u, base, grid):
+            total = 0.0
+            for axis in range(grid.ndim):
+                du = np.diff(u, axis=axis) / grid.spacing[axis]
+                lead = (slice(None),) * axis
+                mid = 0.5 * (base[lead + (slice(1, None),)]
+                             + base[lead + (slice(None, -1),)])
+                total += np.sum(du * du / mid) * grid.cell_volume
+            return total
+
+        net = four_species_network(d=(1.0, 0.37, 2.5, 0.011))
+        grid = Grid(Box(extents), shape)
+        for _ in range(5):
+            a = rng.uniform(0.05, 3.0, size=(4,) + shape)
+            want = 0.0
+            for i in range(4):
+                want += net.diffusion[i] * face_gradient_integral(a[i], a[i], grid)
+            fisher, _ = entropy_dissipation(a, net, [1, 1, 1, 1], grid)
+            assert fisher == want
 
     def test_rejects_zero_cells(self):
         net = four_species_network()

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from rdbalance import (
     default_dt,
     fit_decay_rate,
     operator_spectral_gap,
+    parse_network,
     simulate,
     step,
     write_snapshot_csv,
 )
 
 from rdbalance.network import Kinetics
-from rdbalance.solver import _dct_basis
+from rdbalance.solver import NEGATIVE_TOL, _dct_basis
 
 from conftest import build_laplacian, four_species_network, random_balanced_network
 
@@ -196,6 +198,16 @@ class TestMultiStepAdvance:
             got = Kinetics(net).production(fields)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
+    def test_stepping_a_three_factor_side(self, rng):
+        # cubic.rdn is inadmissible (3 A1) but still steps: its table is 3 deep
+        net = parse_network((DATA / "cubic.rdn").read_text())
+        grid = Grid(Interval(1.0), (8,))
+        fields = 0.5 + rng.random((2, 8))
+        got = Stepper(net, grid, 1e-3, "imex").advance(State(0.0, fields, grid)).fields
+        want = Stepper(net, grid, 1e-3, "imex").diffusion.apply(fields)
+        want = want + 1e-3 * power_production(net, want)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("scheme, calls_per_step", [("strang", 2), ("imex", 1)])
     def test_nan_mid_chunk_aborts(self, scheme, calls_per_step):
         grid = Grid(Interval(1.0), (16,))
@@ -222,6 +234,146 @@ class TestMultiStepAdvance:
         stepper = Stepper(dimer_network(), Grid(Interval(1.0), (8,)), 1e-3, "strang")
         with pytest.raises(ValueError, match="n_steps"):
             stepper.advance(State(t=0.0, fields=np.ones((3, 8)), grid=stepper.grid), 0)
+
+
+DATA = Path(__file__).parent / "data"
+
+GATHER_NETWORKS = {
+    # name: (.rdn text, factor count F of the deepest side)
+    "empty side": ("species A1 A2\ndiffusion A1=1 A2=1\n"
+                   "reaction 0 <-> A1 : kf=1.5 kb=0.5\n", 1),
+    "one factor": ("species A1 A2\ndiffusion A1=1 A2=1\n"
+                   "reaction A1 <-> A2 : kf=2 kb=1\n", 1),
+    "2 A": ("species A1 A2\ndiffusion A1=1 A2=1\n"
+            "reaction 2 A1 <-> A2 : kf=1.3 kb=0.7\n", 2),
+    "A + B": ("species A1 A2 A3 A4\ndiffusion A1=1 A2=1 A3=1 A4=1\n"
+              "reaction A1 + A3 <-> A2 + A4 : kf=1 kb=3\n", 2),
+    "mixed": ("species A1 A2 A3 A4\ndiffusion A1=1 A2=1 A3=1 A4=1\n"
+              "reaction 2 A1 <-> A2 : kf=1.3 kb=0.7\n"
+              "reaction A1 + A3 <-> A4 : kf=0.9 kb=1.1\n"
+              "reaction 0 <-> A3 : kf=0.5 kb=0.8\n"
+              "reaction A4 <-> A2 + A3 : kf=2 kb=0.25\n", 2),
+    "cubic.rdn": ((DATA / "cubic.rdn").read_text(), 3),
+}
+
+
+def slot_monomials(net, flat):
+    """(2R, N) monomials, forward sides then backward, each the product of
+    its factors taken one at a time in species order: the reference."""
+    sides = [r.alpha for r in net.reactions] + [r.beta for r in net.reactions]
+    rows = []
+    for side in sides:
+        mono = np.ones(flat.shape[1])
+        for i, count in enumerate(side):
+            for _ in range(count):
+                mono = mono * flat[i]
+        rows.append(mono)
+    return np.array(rows)
+
+
+class TestGatherTable:
+    @pytest.fixture(params=sorted(GATHER_NETWORKS))
+    def case(self, request):
+        text, depth = GATHER_NETWORKS[request.param]
+        return parse_network(text), depth
+
+    def test_table_shape(self, case):
+        net, depth = case
+        assert net.kinetics.gather.shape == (depth, 2 * net.n_reactions)
+
+    def test_monomials_and_fluxes_are_the_slot_products(self, case, rng):
+        net, _ = case
+        fields = rng.uniform(0.1, 3.0, size=(net.n_species, 7, 5))
+        flat = fields.reshape(net.n_species, -1)
+        want = slot_monomials(net, flat)
+        assert np.array_equal(net.kinetics.monomials(flat), want)
+        r = net.n_reactions
+        forward, backward = net.kinetics.fluxes(fields)
+        assert np.array_equal(forward, (net.kf_array()[:, None] * want[:r]).reshape(forward.shape))
+        assert np.array_equal(backward, (net.kb_array()[:, None] * want[r:]).reshape(backward.shape))
+        vector = fields[:, 2, 3]
+        forward, backward = net.kinetics.fluxes(vector)
+        assert forward.shape == backward.shape == (r,)
+        assert np.array_equal(forward, net.kf_array() * want[:r, 2 * 5 + 3])
+
+    def test_production_is_the_slot_product_and_the_power_law(self, case, rng):
+        net, _ = case
+        fields = rng.uniform(0.1, 3.0, size=(net.n_species, 7, 5))
+        mono = slot_monomials(net, fields.reshape(net.n_species, -1))
+        r = net.n_reactions
+        flux = net.kf_array()[:, None] * mono[:r] - net.kb_array()[:, None] * mono[r:]
+        wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)
+        got = net.kinetics.production(fields)
+        assert np.array_equal(got, np.dot(wt, flux).reshape(fields.shape))
+        assert np.allclose(got, power_production(net, fields), rtol=1e-13, atol=1e-13)
+
+
+class TestPositivityCheck:
+    """``Stepper._check`` names the cell that argmin/argmax pick: the first
+    NaN if there is one, else the minimum, then the maximum."""
+
+    SHAPE = (3, 4, 5)
+
+    @staticmethod
+    def argmin_argmax(fields):
+        """(species, cell, value) at fault, or None: the reference."""
+        worst_low, worst_high = int(np.argmin(fields)), int(np.argmax(fields))
+        floor = NEGATIVE_TOL * abs(float(fields.flat[worst_high]))
+        for worst in (worst_low, worst_high):
+            value = float(fields.flat[worst])
+            if not (value >= floor and math.isfinite(value)):
+                i, *cell = np.unravel_index(worst, fields.shape)
+                return ("A%d" % (i + 1), tuple(int(c) for c in cell), value)
+        return None
+
+    def check(self, fields):
+        grid = Grid(Rectangle(1.0, 2.0), self.SHAPE[1:])
+        net = ReactionNetwork(("A1", "A2", "A3"),
+                              (Reaction((1, 0, 0), (0, 1, 1), 1.0, 1.0),), (1.0, 1.0, 1.0))
+        want = self.argmin_argmax(fields)
+        if want is None:
+            Stepper(net, grid, 1e-3, "strang")._check(fields, 0.25)
+            return
+        with pytest.raises(NonPositivityError) as info:
+            Stepper(net, grid, 1e-3, "strang")._check(fields, 0.25)
+        error = info.value
+        got = (error.species, error.cell, error.value)
+        assert got[:2] == want[:2]
+        assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+        assert error.t == 0.25
+
+    @pytest.mark.parametrize("cells", [
+        {(0, 0, 0): math.nan},
+        {(2, 3, 1): math.nan},
+        {(1, 0, 0): -1.0, (2, 3, 1): math.nan},  # the NaN is named, not the minimum
+        {(1, 2, 2): math.inf},
+        {(0, 1, 3): -math.inf},
+        {(1, 2, 2): math.inf, (2, 0, 4): -0.5},
+        {(0, 3, 4): -1e-3},
+    ])
+    def test_rejected_cells_are_named_as_argmin_argmax_name_them(self, rng, cells):
+        fields = 0.5 + rng.random(self.SHAPE)
+        for index, value in cells.items():
+            fields[index] = value
+        assert self.argmin_argmax(fields) is not None
+        self.check(fields)
+
+    def test_tolerance_edge(self):
+        fields = np.ones(self.SHAPE)
+        fields[2, 1, 1] = 2.0
+        floor = NEGATIVE_TOL * 2.0
+        fields[1, 3, 2] = floor  # accepted
+        self.check(fields)
+        fields[1, 3, 2] = np.nextafter(floor, -math.inf)  # rejected
+        assert self.argmin_argmax(fields) == ("A2", (3, 2), fields[1, 3, 2])
+        self.check(fields)
+
+    def test_all_zero_and_all_negative(self):
+        self.check(np.zeros(self.SHAPE))
+        fields = np.full(self.SHAPE, -1.0)
+        fields[1, 2, 3] = -4.0
+        self.check(fields)
+        self.check(np.full(self.SHAPE, -math.inf))
 
 
 class TestSnapshotCsv:
