@@ -96,10 +96,8 @@ def _nonnegative(text: str) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    path: Path
-    raw: bytes
+    config_hash: str  # of the config file's bytes: the provenance of its outputs
     network_path: Path
-    domain: Box
     grid: Grid
     scheme: str
     dt: float | None
@@ -109,10 +107,6 @@ class RunConfig:
     snapshot_every: int | None
     species_profiles: dict[str, SpeciesProfile] | None
     initial_csv: Path | None
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.raw).hexdigest()[:12]
 
 
 _TOP_KEYS = {"network", "domain", "grid", "scheme", "dt", "t_end",
@@ -195,9 +189,9 @@ def load_config(path) -> RunConfig:
                 if "modes" in data else ())
 
     return RunConfig(
-        path=path, raw=raw, network_path=base_dir / entries["network"],
-        domain=domain, grid=grid, scheme=scheme, dt=dt, t_end=t_end,
-        output_every=output_every,
+        config_hash=hashlib.sha256(raw).hexdigest()[:12],
+        network_path=base_dir / entries["network"], grid=grid, scheme=scheme,
+        dt=dt, t_end=t_end, output_every=output_every,
         output_dir=base_dir / entries.get("output_dir", "out"),
         snapshot_every=snapshot_every, species_profiles=profiles,
         initial_csv=initial_csv)

@@ -140,62 +140,58 @@ def fit_decay_rate(t, y, window: tuple[float, float] | None = None) -> FitResult
 _FIXED_COLUMNS = ("H", "L2", "L4", "Linf", "fisher", "reaction")
 
 
+def _named_column(name: str) -> property:
+    return property(lambda self: self.column(name), doc=f"the {name} column")
+
+
 @dataclass(frozen=True)
 class DiagnosticsSeries:
-    """Per-output-time record of masses, free energy, norms and dissipation."""
+    """diag.csv as one (n, q + 7) float table: a row per output time, in the
+    column order of ``header()`` (time, the q conserved masses, relative free
+    energy, weighted norms, dissipation terms).  The named attributes are
+    read-only column views of it."""
 
-    t: np.ndarray
-    masses: np.ndarray  # (n, q)
-    entropy: np.ndarray
-    l2: np.ndarray
-    l4: np.ndarray
-    linf: np.ndarray
-    fisher: np.ndarray
-    reaction: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        n = self.t.shape[0]
-        for name in ("entropy", "l2", "l4", "linf", "fisher", "reaction"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"column {name} has the wrong length")
-        if self.masses.shape[0] != n:
-            raise ValueError("masses block has the wrong length")
-        if n and np.any(np.diff(self.t) <= 0):
+        if self.table.ndim != 2 or self.table.shape[1] < 1 + len(_FIXED_COLUMNS):
+            raise ValueError("a diagnostics table has shape (n, q + 7), "
+                             f"not {self.table.shape}")
+        if np.any(np.diff(self.table[:, 0]) <= 0):
             raise ValueError("times must be strictly increasing")
+
+    t = _named_column("t")
+    entropy, l2, l4, linf, fisher, reaction = map(_named_column, _FIXED_COLUMNS)
 
     @property
     def n_masses(self) -> int:
-        return self.masses.shape[1]
+        return self.table.shape[1] - 1 - len(_FIXED_COLUMNS)
 
-    def column(self, name: str) -> np.ndarray:
-        """Column by CSV header name (t, M1..Mq, H, L2, L4, Linf, fisher, reaction)."""
-        if name == "t":
-            return self.t
-        if name.startswith("M") and name[1:].isdigit():
-            k = int(name[1:]) - 1
-            if 0 <= k < self.n_masses:
-                return self.masses[:, k]
-        mapping = dict(zip(_FIXED_COLUMNS, (self.entropy, self.l2, self.l4,
-                                            self.linf, self.fisher, self.reaction)))
-        if name in mapping:
-            return mapping[name]
-        raise KeyError(f"unknown diagnostics column {name!r}")
+    @property
+    def masses(self) -> np.ndarray:  # (n, q)
+        return self.table[:, 1:1 + self.n_masses]
 
     def header(self) -> list[str]:
         return ["t"] + [f"M{k + 1}" for k in range(self.n_masses)] + list(_FIXED_COLUMNS)
 
+    def column(self, name: str) -> np.ndarray:
+        """Column by CSV header name (t, M1..Mq, H, L2, L4, Linf, fisher, reaction)."""
+        try:
+            return self.table[:, self.header().index(name)]
+        except ValueError:
+            raise KeyError(f"unknown diagnostics column {name!r}") from None
+
     def write_csv(self, path, comment: str | None = None) -> None:
-        table = np.column_stack([self.t, self.masses, self.entropy, self.l2,
-                                 self.l4, self.linf, self.fisher, self.reaction])
-        _write_table(path, self.header(), table, comment)
+        _write_table(path, self.header(), self.table, comment)
 
     @classmethod
     def read_csv(cls, path) -> "DiagnosticsSeries":
+        """The series of a diag.csv whose header is exactly ``header()`` for
+        its width."""
         header, data = _read_table(path, "diagnostics")
-        if header[0] != "t" or header[-6:] != list(_FIXED_COLUMNS):
+        if len(header) < 1 + len(_FIXED_COLUMNS) or header != cls(data[:0]).header():
             raise ValueError(f"unrecognized diagnostics header in {path}")
-        q = len(header) - 7  # the _FIXED_COLUMNS follow the masses, in field order
-        return cls(data[:, 0], data[:, 1:1 + q], *data[:, 1 + q:].T)
+        return cls(data)
 
 
 def _write_table(path, header, table: np.ndarray, comment: str | None = None,

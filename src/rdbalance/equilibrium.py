@@ -53,9 +53,6 @@ class ConservedMasses:
     def vector(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
 
-    def label(self, k: int) -> str:
-        return self.labels[k] if self.labels is not None else f"m{k + 1}"
-
 
 @dataclass(frozen=True)
 class EquilibriumState:

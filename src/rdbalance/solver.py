@@ -314,7 +314,10 @@ def build_initial(spec: InitialSpec, grid: Grid,
 def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
     header, values = _read_table(path, "snapshot")
     n_coord = grid.ndim
-    columns = header[n_coord:]
+    axes, columns = header[:n_coord], header[n_coord:]
+    if axes != list("xyzw"[:n_coord]):
+        raise ValueError(f"snapshot {path} has columns {axes} where a {n_coord}-d grid "
+                         f"needs its coordinates {list('xyzw'[:n_coord])}")
     if species_names is not None:
         try:
             order = [columns.index(name) for name in species_names]
@@ -325,6 +328,13 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
     if len(values) != grid.n_cells:
         raise ValueError(
             f"snapshot {path} has {len(values)} cells, grid needs {grid.n_cells}")
+    # each row's coordinates lie in the cell that the row fills, in row-major order
+    for k, centres in enumerate(grid.centers()):
+        outside = np.flatnonzero(~(abs(values[:, k] - centres.ravel()) < grid.spacing[k] / 2))
+        if outside.size:
+            row = outside[0]
+            raise ValueError(f"snapshot {path} data row {row + 1}: {axes[k]} = "
+                             f"{values[row, k]:.17g} lies outside the grid cell it fills")
     fields = np.empty((len(order),) + grid.shape)
     for i, col in enumerate(order):
         fields[i] = values[:, n_coord + col].reshape(grid.shape)
@@ -374,17 +384,17 @@ def reference_equilibrium(net: ReactionNetwork, state: State
     return stoich, detailed_balance_equilibrium(net, stoich, masses)
 
 
-def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
+def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
              dt: float | None, t_end: float, output_every: int = 1,
              scheme: str = "strang",
              snapshot_every: int | None = None) -> SimulationResult:
-    """Advance to t_end, recording diagnostics every ``output_every`` steps
-    and at t_end, and a snapshot every ``snapshot_every`` outputs (0 or
-    None: the initial and final states only; negative is refused).  t_end
-    must be a whole number of steps dt.  With dt None
-    the step is ``default_dt`` at the reference equilibrium, shortened to
-    t_end / ceil(t_end / dt) so that whole steps reach t_end; the result
-    carries the dt used.
+    """Advance ``initial`` (built by ``build_initial``) to t_end, recording a
+    diag.csv row every ``output_every`` steps and at t_end, and a snapshot
+    every ``snapshot_every`` outputs (0 or None: the initial and final states
+    only; negative is refused).  t_end must be a whole number of steps dt.
+    With dt None the step is ``default_dt`` at the reference equilibrium,
+    shortened to t_end / ceil(t_end / dt) so that whole steps reach t_end;
+    the result carries the dt used, and ``series`` the diag.csv table.
 
     The reference equilibrium is computed from the conserved masses of the
     initial data.  Deterministic: identical inputs give identical outputs.
@@ -392,14 +402,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
     the dissipation integrals genuinely diverge); all other columns are
     finite throughout.
     """
-    if isinstance(initial, State):
-        if initial.grid != grid:
-            raise ValueError("initial state lives on a different grid")
-        state = initial
-    else:
-        state = build_initial(initial, grid, species_names=net.species)
-    if state.n_species != net.n_species:
-        raise ValueError("initial data does not match the species count")
+    state = build_initial(initial, grid, species_names=net.species)
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     if output_every < 1:
@@ -422,24 +425,19 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
         raise ValueError(f"t_end = {t_end!r} is not a whole number of steps "
                          f"of dt = {dt!r}")
 
-    rows = {name: [] for name in
-            ("t", "masses", "entropy", "l2", "l4", "linf", "fisher", "reaction")}
+    rows: list[list[float]] = []  # diag.csv's rows, in header order
     snapshots: list[State] = []
 
     def record(st: State) -> None:
-        rows["t"].append(st.t)
-        rows["masses"].append(q_matrix @ st.means() * volume)
         h = st.fields - a_inf.reshape((-1,) + (1,) * grid.ndim)
-        rows["entropy"].append(relative_entropy(st.fields, a_inf, grid))
-        rows["l2"].append(weighted_norm(h, a_inf, 2, grid))
-        rows["l4"].append(weighted_norm(h, a_inf, 4, grid))
-        rows["linf"].append(weighted_norm(h, a_inf, math.inf, grid))
         if st.fields.min() > 0:
-            fisher, reaction = entropy_dissipation(st.fields, net, a_inf, grid)
+            dissipation = entropy_dissipation(st.fields, net, a_inf, grid)
         else:
-            fisher, reaction = math.nan, math.nan
-        rows["fisher"].append(fisher)
-        rows["reaction"].append(reaction)
+            dissipation = (math.nan, math.nan)
+        rows.append([st.t, *(q_matrix @ st.means() * volume),
+                     relative_entropy(st.fields, a_inf, grid),
+                     weighted_norm(h, a_inf, 2, grid), weighted_norm(h, a_inf, 4, grid),
+                     weighted_norm(h, a_inf, math.inf, grid), *dissipation])
 
     record(state)
     snapshots.append(state)
@@ -457,10 +455,5 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec | State,
     if state is not snapshots[-1]:
         snapshots.append(state)
 
-    series = DiagnosticsSeries(
-        t=np.array(rows["t"]), masses=np.array(rows["masses"]),
-        entropy=np.array(rows["entropy"]), l2=np.array(rows["l2"]),
-        l4=np.array(rows["l4"]), linf=np.array(rows["linf"]),
-        fisher=np.array(rows["fisher"]), reaction=np.array(rows["reaction"]))
-    return SimulationResult(series=series, snapshots=tuple(snapshots),
-                            equilibrium=eq, dt=dt)
+    return SimulationResult(series=DiagnosticsSeries(np.array(rows)),
+                            snapshots=tuple(snapshots), equilibrium=eq, dt=dt)

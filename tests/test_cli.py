@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +420,37 @@ def test_bundled_square_config_and_its_restart(tmp_path, capsys):
     assert abs(rate - target) <= 0.01 * target
 
 
+def test_diag_csv_of_a_network_without_conserved_masses(workdir, capsys):
+    # 0 <-> A1 and 0 <-> A2 conserve nothing: diag.csv has no mass columns
+    text = CONFIG.replace("four_species.rdn", "sources.rdn").replace("= out\n", "= out_q0\n")
+    kept = [line for line in text.splitlines(True)
+            if not line.startswith(("species.A3", "species.A4"))]
+    (workdir / "q0.cfg").write_text("".join(kept))
+    assert dispatch(["simulate", str(workdir / "q0.cfg")]) == 0
+    diag = workdir / "out_q0" / "diag.csv"
+    comment, header = diag.read_text().splitlines()[:2]
+    assert header == "t,H,L2,L4,Linf,fisher,reaction"
+    series = DiagnosticsSeries.read_csv(diag)
+    assert series.table.shape == (11, 7) and series.masses.shape == (11, 0)
+    series.write_csv(workdir / "copy.csv", comment=comment[2:])
+    assert (workdir / "copy.csv").read_bytes() == diag.read_bytes()
+    assert np.array_equal(DiagnosticsSeries.read_csv(workdir / "copy.csv").table, series.table)
+    assert dispatch(["fit", str(diag), "--column", "L2sq"]) == 0
+
+
+def test_readme_python_example(monkeypatch):
+    # the documented example runs as written, from the repository root
+    root = Path(__file__).resolve().parents[1]
+    example = (root / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    assert scope["report"].lambda_star == pytest.approx(4.0, rel=1e-12)
+    assert scope["report"].analytic_bound == pytest.approx(4.0, rel=1e-12)
+    target = 2 * (np.pi ** 2 + 4)
+    assert abs(scope["fit"].rate - target) <= 0.05 * target
+
+
 def test_gap_rectangle_domain(workdir, capsys):
     code = dispatch(["gap", str(workdir / "four_species.rdn"),
                      "--domain", "rect:5,4", "--a-inf", "1,1,1,1"])
@@ -484,7 +516,7 @@ def test_config_in_4d(workdir):
 
     (workdir / "box4.cfg").write_text(box_config("box:1,1,1,1", "8", "(1,0,0,0)"))
     config = load_config(workdir / "box4.cfg")
-    assert config.domain.extents == (1.0, 1.0, 1.0, 1.0)
+    assert config.grid.domain.extents == (1.0, 1.0, 1.0, 1.0)
     assert config.grid.shape == (8, 8, 8, 8)
     assert config.species_profiles["A2"].modes == (((1, 0, 0, 0), -0.01),)
     assert dispatch(["simulate", str(workdir / "box4.cfg")]) == 0

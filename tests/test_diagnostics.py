@@ -256,11 +256,29 @@ class TestSeriesCsv:
         with pytest.raises(KeyError):
             series.column("bogus")
 
+    @pytest.mark.parametrize("name", ["M0", "M01", "M3", "bogus"])
+    def test_column_outside_the_header(self, name):
+        series = DiagnosticsSeries(np.zeros((2, 9)) + [[0.0], [1.0]])
+        assert series.header()[1:3] == ["M1", "M2"]
+        with pytest.raises(KeyError, match="unknown diagnostics column"):
+            series.column(name)
+
+    @pytest.mark.parametrize("header", ["t,X,H,L2,L4,Linf,fisher,reaction",
+                                        "t,M2,M1,H,L2,L4,Linf,fisher,reaction",
+                                        "t,M1,H,L2,L4,Linf,reaction,fisher",
+                                        "t,H,L2,L4,Linf,fisher"])
+    def test_read_csv_refuses_a_header_not_its_own(self, tmp_path, header):
+        path = tmp_path / "diag.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + "".join(
+            ",".join([str(k)] + ["1"] * (width - 1)) + "\n" for k in range(3)))
+        with pytest.raises(ValueError, match="unrecognized diagnostics header"):
+            DiagnosticsSeries.read_csv(path)
+
     def test_full_precision(self, tmp_path):
         t = np.array([0.0, 1 / 3, 2 / 3])
-        series = DiagnosticsSeries(
-            t=t, masses=np.full((3, 1), 1 / 7), entropy=t * math.pi,
-            l2=t + 1 / 9, l4=t, linf=t, fisher=t, reaction=t)
+        series = DiagnosticsSeries(np.column_stack(
+            [t, np.full(3, 1 / 7), t * math.pi, t + 1 / 9, t, t, t, t]))
         path = tmp_path / "d.csv"
         series.write_csv(path)
         loaded = DiagnosticsSeries.read_csv(path)
@@ -271,10 +289,9 @@ class TestSeriesCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
         t = np.array([0.0, 0.1, 0.2])
         nan_first = np.array([math.nan, 1 / 3, 2e-300])
-        series = DiagnosticsSeries(
-            t=t, masses=np.array([[1 / 7, 3.0], [1 / 7, 3.0], [1 / 7, 3.0]]),
-            entropy=t * math.pi, l2=t + 1 / 9, l4=t, linf=-t, fisher=nan_first,
-            reaction=nan_first * 1e300)
+        series = DiagnosticsSeries(np.column_stack(
+            [t, np.full(3, 1 / 7), np.full(3, 3.0), t * math.pi, t + 1 / 9, t, -t,
+             nan_first, nan_first * 1e300]))
         path = tmp_path / "diag.csv"
         series.write_csv(path, comment="rdbalance test")
         buf = io.StringIO(newline="")

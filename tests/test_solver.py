@@ -445,10 +445,32 @@ class TestSnapshotCsv:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_cell(self, tmp_path, value):
-        spec = self.write(tmp_path, "x,A1\n" + "0.5,1\n" * 2 + f"0.5,{value}\n"
-                          + "0.5,1\n")
+        spec = self.write(tmp_path, f"x,A1\n0.125,1\n0.375,1\n0.625,{value}\n0.875,1\n")
         with pytest.raises(ValueError, match=r"non-finite initial value .* cell \(2,\)"):
             build_initial(spec, Grid(Interval(1.0), (4,)), ("A1",))
+
+    @pytest.mark.parametrize("grid, message", [
+        (Grid(Rectangle(1.0, 1.0), (16, 16)), "data row 1: y = 0.0625 lies outside"),
+        (Grid(Interval(1.0), (256,)), "data row 1: x = 0.015625 lies outside"),
+        (Grid(Rectangle(2.0, 1.0), (32, 8)), "data row 9: x = 0.046875 lies outside"),
+        (Grid(Box((1.0, 1.0, 1.0)), (8, 8, 4)), r"columns \['x', 'y', 'A1'\] where a 3-d"),
+    ])
+    def test_snapshot_of_another_grid_is_refused(self, tmp_path, rng, grid, message):
+        source = Grid(Rectangle(1.0, 1.0), (32, 8))
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(path, State(t=0.0, fields=rng.random((2, 32, 8)), grid=source),
+                           ["A1", "A2"])
+        with pytest.raises(ValueError, match=message):
+            build_initial(InitialSpec(csv_path=str(path)), grid, ("A1", "A2"))
+
+    def test_coordinates_rounded_to_six_digits_load(self, tmp_path, rng):
+        grid = Grid(Rectangle(1.0, 3.0), (6, 7))
+        fields = rng.random((1, 6, 7))
+        x, y = grid.centers()
+        rows = "".join(f"{a:.6g},{b:.6g},{v!r}\n"
+                       for a, b, v in zip(x.ravel(), y.ravel(), fields.ravel().tolist()))
+        spec = self.write(tmp_path, "x,y,A1\n" + rows)
+        assert np.array_equal(build_initial(spec, grid, ("A1",)).fields, fields)
 
 
 class TestInitialData:
