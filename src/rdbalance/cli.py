@@ -244,15 +244,15 @@ def _equilibrium_from_args(net, args):
     if m.shape != (stoich.n_conserved,):
         raise ConfigError(
             f"expected {stoich.n_conserved} masses "
-            f"({', '.join(stoich.label(k) for k in range(stoich.n_conserved))})")
+            f"({', '.join(stoich.labels)})")
     return stoich, detailed_balance_equilibrium(net, stoich, m)
 
 
 def _cmd_equilibrium(args) -> int:
     net = _load_network(args.network)
     stoich, eq = _equilibrium_from_args(net, args)
-    for k in range(stoich.n_conserved):
-        print(f"{stoich.label(k)} = {eq.masses.values[k]:.17g}")
+    for label, value in zip(stoich.labels, eq.masses.values):
+        print(f"{label} = {value:.17g}")
     for name, value in zip(net.species, eq.a_inf):
         print(f"{name} = {value:.17g}")
     print(f"db_residual = {eq.db_residual:.3e}")

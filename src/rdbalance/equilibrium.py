@@ -33,8 +33,9 @@ class NoDetailedBalanceError(EquilibriumError):
 
 
 class NewtonDivergenceError(EquilibriumError):
-    """The mass-matching Newton iteration failed; for strictly positive,
-    realizable masses this indicates a bug or an infeasible mass vector."""
+    """The mass-matching Newton iteration failed: most often no positive
+    state realizes the masses (a mixed-sign law's mass is admitted at any
+    value, so Newton is what decides), otherwise a bug."""
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,9 @@ class ConservedMasses:
     """Values of Q . integral(a), one per conservation law."""
 
     values: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.labels is not None and len(self.labels) != len(self.values):
-            raise ValueError("one label per mass required")
 
     @property
     def vector(self) -> np.ndarray:
@@ -69,27 +67,14 @@ class EquilibriumState:
 
 def conserved_masses(stoich: StoichiometryDecomposition, a0_mean,
                      volume: float = 1.0) -> ConservedMasses:
-    """Masses m = Q . a0_mean * |Omega| of (nonnegative) mean initial data.
-
-    Raises ValueError when a component is not strictly positive, which
-    means the positivity hypothesis on the initial condition fails and no
-    strictly positive equilibrium is compatible with the data.
-    """
+    """Masses m = Q . a0_mean * |Omega| of (nonnegative) mean initial data;
+    ``detailed_balance_equilibrium`` decides which masses are admissible."""
     a0_mean = np.asarray(a0_mean, dtype=float)
     if a0_mean.shape != (stoich.Q.shape[1],):
         raise ValueError("mean initial data has the wrong length")
     if np.any(a0_mean < 0):
         raise ValueError("mean initial data must be nonnegative")
-    m = stoich.Q.astype(float) @ a0_mean * float(volume)
-    for k, value in enumerate(m):
-        if not value > 0:
-            raise ValueError(
-                f"conserved mass {stoich.label(k)} = {value:g} must be strictly "
-                f"positive (initial-data positivity hypothesis fails)")
-    return ConservedMasses(tuple(m), labels=stoich.labels)
-
-
-_FOUR_SPECIES_LABELS = ("M12", "M14", "M32")
+    return ConservedMasses(tuple(stoich.Q.astype(float) @ a0_mean * float(volume)))
 
 
 def four_species_equilibrium(m12: float, m14: float, m32: float,
@@ -110,8 +95,7 @@ def four_species_equilibrium(m12: float, m14: float, m32: float,
             f"M14 + M32 = {m14 + m32:g}")
     a = (m12 * m14 / total, m12 * m32 / total, m32 * m34 / total, m14 * m34 / total)
     residual = abs(a[0] * a[2] - a[1] * a[3])
-    return EquilibriumState(a, ConservedMasses((m12, m14, m32),
-                                               labels=_FOUR_SPECIES_LABELS), residual)
+    return EquilibriumState(a, ConservedMasses((m12, m14, m32)), residual)
 
 
 def _relative_db_residual(forward: np.ndarray,
@@ -134,19 +118,23 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
                                  m) -> EquilibriumState:
     """Strictly positive equilibrium with prescribed conserved masses.
 
+    Each mass must be finite, and > 0 where its row of Q has no negative
+    coefficient (such a law is positive at every positive state), else a
+    ValueError names the law.  A mixed-sign law's mass may be any real, so
+    Newton alone decides whether the masses are realizable.
+
     Two stages: solve W mu = log(kf/kb) by least squares (residual beyond
     ``_WEGSCHEIDER_TOL`` means no detailed-balance equilibrium exists); then
     Newton on theta for Q exp(mu + Q^T theta) = m, damped by a backtracking
     line search on the convex dual potential.
     """
-    labels = m.labels if isinstance(m, ConservedMasses) else stoich.labels
     m = m.vector if isinstance(m, ConservedMasses) else np.asarray(m, dtype=float)
     q = stoich.Q.shape[0]
     if m.shape != (q,):
         raise ValueError(f"expected {q} conserved masses, got {m.shape}")
-    for k, value in enumerate(m):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"conserved mass {stoich.label(k)} = {value:g} must "
+    for label, row, value in zip(stoich.labels, stoich.Q, m):
+        if not (math.isfinite(value) and (value > 0 or (row < 0).any())):
+            raise ValueError(f"conserved mass {label} = {value:g} must "
                              f"be strictly positive and finite")
 
     W = stoich.W.astype(float)
@@ -211,6 +199,5 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     if relative > 1e-10 or mass_err > mass_tol(a, 1e-10):
         raise NewtonDivergenceError(
             f"converged state fails invariants (db residual {relative:.2e}, "
-            f"mass error {mass_err / m_norm if q else 0.0:.2e})")
-    return EquilibriumState(tuple(a), ConservedMasses(tuple(m), labels=labels),
-                            absolute)
+            f"mass error {mass_err:.2e})")
+    return EquilibriumState(tuple(a), ConservedMasses(tuple(m)), absolute)

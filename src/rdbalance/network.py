@@ -119,7 +119,7 @@ class StoichiometryDecomposition:
 
     W: np.ndarray
     Q: np.ndarray
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.int64)
@@ -136,17 +136,12 @@ class StoichiometryDecomposition:
             raise ValueError("Q rows must be a basis of Ker W")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Q", Q)
-        if self.labels is not None and len(self.labels) != Q.shape[0]:
+        if len(self.labels) != Q.shape[0]:
             raise ValueError("one label per conservation law required")
 
     @property
     def n_conserved(self) -> int:
         return self.Q.shape[0]
-
-    def label(self, k: int) -> str:
-        if self.labels is not None:
-            return self.labels[k]
-        return f"m{k + 1}"
 
 
 def stoichiometric_matrix(net: ReactionNetwork) -> np.ndarray:
@@ -310,10 +305,8 @@ def decompose(net: ReactionNetwork) -> StoichiometryDecomposition:
     """Stoichiometric matrix and deterministic conservation basis of a network."""
     W = stoichiometric_matrix(net)
     Q = conservation_basis(W)
-    labels = []
-    for row in Q:
-        labels.append(_pair_label(row, net) or f"m{len(labels) + 1}")
-    return StoichiometryDecomposition(W=W, Q=Q, labels=tuple(labels))
+    labels = tuple(_pair_label(row, net) or f"m{k + 1}" for k, row in enumerate(Q))
+    return StoichiometryDecomposition(W=W, Q=Q, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,9 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
     if axes != list("xyzw"[:n_coord]):
         raise ValueError(f"snapshot {path} has columns {axes} where a {n_coord}-d grid "
                          f"needs its coordinates {list('xyzw'[:n_coord])}")
+    for k, name in enumerate(columns):
+        if name in columns[:k]:
+            raise ValueError(f"snapshot {path} names the column {name} twice")
     if species_names is not None:
         try:
             order = [columns.index(name) for name in species_names]

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+pytest.importorskip("scipy")  # rdbench/run.py records its version
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

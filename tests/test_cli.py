@@ -45,6 +45,12 @@ reaction A1 + A3 <-> 0 : kf=0.995334 kb=8.68080
 reaction A2 <-> 0 : kf=2.66435 kb=6.08085
 """
 
+PAIR_SOURCE = """\
+species A1 A2
+diffusion A1=1 A2=1
+reaction 0 <-> A1 + A2 : kf=2 kb=1
+"""
+
 CONFIG = """\
 network = four_species.rdn
 domain = interval:1
@@ -74,6 +80,7 @@ def workdir(tmp_path):
     (tmp_path / "slow_swap.rdn").write_text(SLOW_SWAP)
     (tmp_path / "sources.rdn").write_text(SOURCES)
     (tmp_path / "small_mass.rdn").write_text(SMALL_MASS)
+    (tmp_path / "pair_source.rdn").write_text(PAIR_SOURCE)
     (tmp_path / "run.cfg").write_text(CONFIG)
     return tmp_path
 
@@ -186,6 +193,34 @@ def test_equilibrium_refuses_non_finite_masses(workdir, capsys, masses):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be strictly positive and finite" in captured.err
+
+
+def test_equilibrium_of_a_negative_mixed_sign_mass(workdir, capsys):
+    # 0 <-> A1 + A2 conserves m1 = a1 - a2; at a1 a2 = kf / kb = 2, m1 = -1 is (1, 2)
+    code = dispatch(["equilibrium", str(workdir / "pair_source.rdn"), "--masses=-1"])
+    assert code == 0
+    values = {line.split(" = ")[0]: float(line.split(" = ")[1])
+              for line in capsys.readouterr().out.strip().splitlines()}
+    assert values["m1"] == -1.0
+    assert abs(values["A1"] * values["A2"] - 2.0) <= 1e-14
+    assert abs(values["A1"] - values["A2"] + 1.0) <= 1e-14
+
+
+def test_gap_of_a_negative_mixed_sign_mass(workdir, capsys):
+    code = dispatch(["gap", str(workdir / "pair_source.rdn"),
+                     "--domain", "interval:1", "--masses=-1"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("lambda_star = 3.000000000\n")
+
+
+def test_simulate_with_a_negative_mixed_sign_mass(workdir):
+    head = CONFIG.split("species.A1")[0].replace("four_species.rdn", "pair_source.rdn")
+    (workdir / "pair.cfg").write_text(head + "species.A1.base = 1.0\n"
+                                      "species.A1.modes = 1:0.05\nspecies.A2.base = 2.0\n")
+    assert dispatch(["simulate", str(workdir / "pair.cfg")]) == 0
+    series = DiagnosticsSeries.read_csv(workdir / "out" / "diag.csv")
+    assert series.masses.shape == (11, 1)
+    assert np.max(np.abs(series.masses + 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("a_inf", ["inf,1,1,1", "nan,1,1,1"])
@@ -352,6 +387,7 @@ def test_module_entry_point(workdir):
 
 def test_small_grids_run_without_scipy(workdir):
     # scipy's DCT is imported only for a grid with an axis over 192 cells
+    pytest.importorskip("scipy")  # which the last run has
     runs = [("interval:1", "64", "1"), ("rect:1,1", "128", "1,0"),
             ("rect:8,0.5", "200,4", "1,0")]
     configs = []

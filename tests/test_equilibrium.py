@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rdbalance import (
     Grid,
@@ -14,6 +15,7 @@ from rdbalance import (
     decompose,
     detailed_balance_equilibrium,
     four_species_equilibrium,
+    operator_spectral_gap,
     production_term,
     relative_entropy,
     stoichiometric_matrix,
@@ -21,6 +23,12 @@ from rdbalance import (
 
 from conftest import exchange_network, four_species_network, \
     random_balanced_network, triangle_network
+
+
+def pair_source_network() -> ReactionNetwork:
+    return ReactionNetwork(species=("A1", "A2"),
+                           reactions=(Reaction((0, 0), (1, 1), 2.0, 1.0),),
+                           diffusion=(1.0, 1.0))
 
 
 def sample_consistent_masses(rng):
@@ -37,7 +45,6 @@ class TestConservedMasses:
         stoich = decompose(four_species_network())
         masses = conserved_masses(stoich, [2, 0, 2, 0])
         assert masses.values == (2.0, 2.0, 2.0)
-        assert masses.labels == ("M12", "M14", "M32")
 
     def test_equilibrium_data_round_trip(self):
         stoich = decompose(four_species_network())
@@ -51,9 +58,11 @@ class TestConservedMasses:
         assert masses.values == (1.0, 1.0, 1.0)
 
     def test_zero_mass_rejected(self):
-        stoich = decompose(four_species_network())
+        net = four_species_network()
+        stoich = decompose(net)
+        masses = conserved_masses(stoich, [1, 0, 0, 0])
         with pytest.raises(ValueError, match="M32"):
-            conserved_masses(stoich, [1, 0, 0, 0])
+            detailed_balance_equilibrium(net, stoich, masses)
 
 
 class TestFourSpeciesClosedForm:
@@ -180,6 +189,24 @@ class TestNewtonSolver:
         assert 0.995334 * a[0] * a[2] == pytest.approx(8.68080, rel=1e-12)
         assert a[0] > a[2] > 0
 
+    @pytest.mark.parametrize("mass", [-50.0, -1.0, 0.0])
+    def test_mixed_sign_law_takes_any_mass(self, mass):
+        # 0 <-> A1 + A2 conserves m = a1 - a2, <= 0 wherever a2 >= a1; with
+        # a1 a2 = kf / kb = 2 the equilibrium has a2 = (sqrt(m^2 + 8) - m) / 2
+        net = pair_source_network()
+        stoich = decompose(net)
+        assert stoich.Q.tolist() == [[1, -1]]
+        a = detailed_balance_equilibrium(net, stoich, [mass]).vector
+        a2 = (np.sqrt(mass * mass + 8.0) - mass) / 2
+        assert a[1] == pytest.approx(a2, rel=1e-12)
+        assert a[0] == pytest.approx(2.0 / a2, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [-np.inf, np.inf, np.nan])
+    def test_mixed_sign_law_mass_must_be_finite(self, mass):
+        net = pair_source_network()
+        with pytest.raises(ValueError, match=f"m1 = {mass:g} must be strictly positive"):
+            detailed_balance_equilibrium(net, decompose(net), [mass])
+
     def test_infeasible_masses_diverge(self):
         # M34 = M14 + M32 - M12 < 0: no positive state has these masses
         net = four_species_network()
@@ -203,3 +230,52 @@ class TestNewtonSolver:
             assert np.allclose(stoich.Q @ p, (3, 4, 1), rtol=1e-12)
             h = relative_entropy(np.tile(p[:, None], (1, 4)), a_inf, grid)
             assert h > 0
+
+
+MIXED_SIGN_SEED = 1  # its state gives a mixed-sign law a mass <= 0 (1 draw in 10 does)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=MIXED_SIGN_SEED)
+def test_masses_of_a_positive_state_are_realized(seed):
+    rng = np.random.default_rng(seed)
+    net, _ = random_balanced_network(rng)
+    stoich = decompose(net)
+    masses = conserved_masses(stoich, rng.uniform(0.3, 3.0, size=net.n_species))
+    if seed == MIXED_SIGN_SEED:  # the example still draws the case it is for
+        Q = stoich.Q
+        mixed = (Q > 0).any(axis=1) & (Q < 0).any(axis=1)
+        assert np.any(mixed & (masses.vector <= 0))
+    a = detailed_balance_equilibrium(net, stoich, masses).vector
+    forward = net.kf_array() * np.prod(a ** net.alpha_matrix(), axis=1)
+    backward = net.kb_array() * np.prod(a ** net.beta_matrix(), axis=1)
+    assert np.all(np.abs(forward - backward) <= 1e-10 * np.maximum(forward, backward))
+    m = masses.vector
+    floor = 1e-12 * np.linalg.norm(np.abs(stoich.Q) @ a)
+    assert np.linalg.norm(stoich.Q @ a - m) <= max(1e-10 * np.linalg.norm(m), floor)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shuffle=st.integers(0, 2 ** 32 - 1))
+@example(seed=MIXED_SIGN_SEED, shuffle=0)
+def test_relabelling_species_permutes_the_equilibrium(seed, shuffle):
+    rng = np.random.default_rng(seed)
+    net, _ = random_balanced_network(rng)
+    state = rng.uniform(0.3, 3.0, size=net.n_species)
+    perm = np.random.default_rng(shuffle).permutation(net.n_species)
+    relabelled = ReactionNetwork(
+        species=tuple(net.species[i] for i in perm),
+        reactions=tuple(Reaction(tuple(r.alpha[i] for i in perm),
+                                 tuple(r.beta[i] for i in perm), r.kf, r.kb)
+                        for r in net.reactions),
+        diffusion=tuple(net.diffusion[i] for i in perm))
+    results = []
+    for network, a in ((net, state), (relabelled, state[perm])):
+        stoich = decompose(network)
+        eq = detailed_balance_equilibrium(network, stoich, conserved_masses(stoich, a))
+        results.append((eq.vector, operator_spectral_gap(network, eq.vector,
+                                                         Interval(1.3)).lambda_star))
+    (a_star, gap), (a_perm, gap_perm) = results
+    assert np.allclose(a_perm, a_star[perm], rtol=1e-10, atol=0)
+    assert gap_perm == pytest.approx(gap, rel=1e-10)

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from rdbalance import (
     Box,
@@ -90,8 +89,7 @@ class TestLaplacian:
 class TestDiffusionSemigroup:
     @pytest.mark.parametrize("n", [4, 5, 64, 192])
     def test_basis_is_the_orthonormal_dct(self, n):
-        from scipy import fft
-
+        fft = pytest.importorskip("scipy.fft")
         c = _dct_basis(n)
         want = fft.dct(np.eye(n), axis=0, norm="ortho")
         assert np.max(np.abs(c - want)) <= 1e-15
@@ -107,6 +105,7 @@ class TestDiffusionSemigroup:
     def test_matches_matrix_exponential(self, rng, scheme, tau, domain, shape):
         # The long sides keep tau d |L| moderate: at h = 1/256 expm itself
         # drifts the mean by 7e-13 while the DCT stays within 1e-14.
+        expm = pytest.importorskip("scipy.linalg").expm
         d = (1.0, 0.5, 2.0, 0.1)
         grid = Grid(domain, shape)
         lap = build_laplacian(grid)
@@ -123,6 +122,8 @@ class TestDiffusionSemigroup:
     @pytest.mark.parametrize("n", [64, 256])  # dense propagators, DCT
     def test_single_cell_spike_stays_positive(self, n):
         # Crank-Nicolson half steps overshoot this spike to -5.9 in one step
+        if n > 192:
+            pytest.importorskip("scipy")
         net = four_species_network()
         grid = Grid(Interval(1.0), (n,))
         fields = np.ones((4, n))
@@ -429,6 +430,12 @@ class TestSnapshotCsv:
     def test_missing_species_column(self, tmp_path):
         spec = self.write(tmp_path, "x,A1\n" + "0.5,1\n" * 4)
         with pytest.raises(ValueError, match="missing a species column"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1", "A2"))
+
+    def test_repeated_species_column(self, tmp_path):
+        spec = self.write(tmp_path, "x,A1,A1,A2\n" + "0.125,1,9,2\n0.375,1,9,2\n"
+                          "0.625,1,9,2\n0.875,1,9,2\n")
+        with pytest.raises(ValueError, match="cells.csv names the column A1 twice"):
             build_initial(spec, Grid(Interval(1.0), (4,)), ("A1", "A2"))
 
     def test_wrong_cell_count(self, tmp_path):
