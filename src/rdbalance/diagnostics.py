@@ -21,6 +21,21 @@ from .network import ReactionNetwork
 _ROWS_PER_WRITE = 1024  # bounds the transient strings of a table write
 
 
+def _over_cells(a_inf, grid: Grid) -> np.ndarray:
+    """a* as an (I, 1, ..., 1) array, for broadcasting against fields."""
+    return np.asarray(a_inf, dtype=float).reshape((-1,) + (1,) * grid.ndim)
+
+
+def _norm(abs_h: np.ndarray, weights, p, cell_volume: float) -> float:
+    """The weighted L^p norm of ``abs_h`` = |h|, given (I, 1, ..., 1)
+    ``weights`` a*^(p-1) for finite p (unused for p = inf)."""
+    if p == math.inf:
+        return float(abs_h.max()) if abs_h.size else 0.0
+    terms = abs_h ** p
+    terms /= weights
+    return float((np.add.reduce(terms, axis=None) * cell_volume) ** (1.0 / p))
+
+
 def weighted_norm(h, a_inf, p, grid: Grid) -> float:
     """Equilibrium-weighted L^p norm of a perturbation field.
 
@@ -32,13 +47,23 @@ def weighted_norm(h, a_inf, p, grid: Grid) -> float:
     a = np.asarray(a_inf, dtype=float)
     if h.shape[0] != a.shape[0] or h.shape[1:] != grid.shape:
         raise ValueError("field shape does not match species count and grid")
-    if p == math.inf:
-        return float(np.max(np.abs(h))) if h.size else 0.0
     if not p >= 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    weights = a ** (p - 1.0)
-    total = np.sum(np.abs(h) ** p / weights.reshape((-1,) + (1,) * grid.ndim))
-    return float((total * grid.cell_volume) ** (1.0 / p))
+    weights = None if p == math.inf else _over_cells(a ** (p - 1.0), grid)
+    return _norm(np.abs(h), weights, p, grid.cell_volume)
+
+
+def _entropy(a_fields: np.ndarray, a_star: np.ndarray, cell_volume: float) -> float:
+    """relative_entropy with ``a_star`` already (I, 1, ..., 1)."""
+    a = np.maximum(a_fields, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = a / a_star
+        np.log(integrand, out=integrand)
+        integrand *= a
+        np.copyto(integrand, 0.0, where=a == 0)  # 0 ln 0 = 0
+        integrand -= a
+        integrand += a_star
+    return float(np.add.reduce(integrand, axis=None) * cell_volume)
 
 
 def relative_entropy(a_fields, a_inf, grid: Grid) -> float:
@@ -47,12 +72,42 @@ def relative_entropy(a_fields, a_inf, grid: Grid) -> float:
     Nonnegative, and zero exactly at a = a*.  Uses the continuous
     extension 0 ln 0 = 0; tiny negative roundoff values are treated as 0.
     """
-    a = np.asarray(a_fields, dtype=float)
-    a_star = np.asarray(a_inf, dtype=float).reshape((-1,) + (1,) * grid.ndim)
-    a = np.maximum(a, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(a > 0, a * np.log(a / a_star), 0.0) - a + a_star
-    return float(np.sum(integrand) * grid.cell_volume)
+    return _entropy(np.asarray(a_fields, dtype=float), _over_cells(a_inf, grid),
+                    grid.cell_volume)
+
+
+def _fisher(a: np.ndarray, diffusion: np.ndarray, spacing, cell_volume: float) -> float:
+    """sum_i d_i integral |grad a_i|^2 / a_i for all species at once: face
+    differences over face means of a_i (boundary faces carry no flux)."""
+    per_species = np.zeros(len(a))
+    for axis, h in enumerate(spacing, start=1):
+        lead = (slice(None),) * axis
+        upper, lower = a[lead + (slice(1, None),)], a[lead + (slice(None, -1),)]
+        du = np.subtract(upper, lower)
+        du /= h
+        mid = np.add(upper, lower)
+        mid *= 0.5
+        du *= du
+        du /= mid
+        per_species += np.add.reduce(du.reshape(len(a), -1), axis=1) * cell_volume
+        del du, mid  # before the next axis makes its own
+    # summed over species in order, as one running float total
+    return float(np.add.accumulate(diffusion * per_species)[-1])
+
+
+def _reaction(a: np.ndarray, kinetics, coeff: np.ndarray, a_star: np.ndarray,
+              cell_volume: float) -> float:
+    """integral of sum_r coeff_r (u^alpha - u^beta)(ln u^alpha - ln u^beta),
+    u = a / a*, with ``coeff`` the (R, 1) column kf a*^alpha and ``a_star``
+    (I, 1, ..., 1)."""
+    mono = kinetics.monomials((a / a_star).reshape(a.shape[0], -1))
+    u_alpha, u_beta = mono[:len(coeff)], mono[len(coeff):]
+    terms = coeff * (u_alpha - u_beta) * np.log(u_alpha / u_beta)
+    return float(np.add.reduce(terms, axis=None) * cell_volume)
+
+
+def _reaction_coefficients(net: ReactionNetwork, a_inf: np.ndarray) -> np.ndarray:
+    return net.kinetics.fluxes(a_inf)[0][:, np.newaxis]  # kf a*^alpha = kb a*^beta
 
 
 def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
@@ -70,29 +125,51 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
         i, *cell = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(f"non-positive cell value for species {int(i)} "
                          f"at cell {tuple(int(c) for c in cell)}")
-    # integral |grad a_i|^2 / a_i for all species at once, in two temporaries:
-    # face differences over face means of a_i (boundary faces carry no flux)
-    per_species = np.zeros(len(a))
-    for axis in range(1, a.ndim):
-        lead = (slice(None),) * axis
-        du = np.diff(a, axis=axis)
-        du /= grid.spacing[axis - 1]
-        mid = np.add(a[lead + (slice(1, None),)], a[lead + (slice(None, -1),)])
-        mid *= 0.5
-        du *= du
-        du /= mid
-        per_species += np.add.reduce(du.reshape(len(a), -1), axis=1) * grid.cell_volume
-    # summed over species in order, as one running float total
-    fisher = np.add.accumulate(net.diffusion_array() * per_species)[-1]
+    return (_fisher(a, net.diffusion_array(), grid.spacing, grid.cell_volume),
+            _reaction(a, net.kinetics, _reaction_coefficients(net, a_star),
+                      _over_cells(a_star, grid), grid.cell_volume))
 
-    kinetics = net.kinetics
-    coeff, _ = kinetics.fluxes(a_star)  # kf a*^alpha = kb a*^beta
-    u = (a / a_star.reshape((-1,) + (1,) * grid.ndim)).reshape(a.shape[0], -1)
-    u_alpha, u_beta = np.split(kinetics.monomials(u), 2)
-    reaction = np.sum(coeff[:, np.newaxis] * (u_alpha - u_beta)
-                      * np.log(u_alpha / u_beta))
-    reaction *= grid.cell_volume
-    return float(fisher), float(reaction)
+
+class DiagnosticsRecord:
+    """diag.csv's rows for one run: built once from the network, the
+    reference equilibrium ``a_inf``, the grid and the conservation basis
+    ``q``, it holds what every row reuses (a* shaped for broadcasting, the
+    norm weights a*^(p-1), the reaction coefficients kf a*^alpha).  Each
+    column is the value of its standalone function (``relative_entropy``,
+    ``weighted_norm``, ``entropy_dissipation``), bit for bit: they share
+    one formula each."""
+
+    def __init__(self, net: ReactionNetwork, a_inf, grid: Grid, q):
+        a_inf = np.asarray(a_inf, dtype=float)
+        self._a_star = _over_cells(a_inf, grid)
+        self._weights = {p: _over_cells(a_inf ** (p - 1.0), grid) for p in (2, 4)}
+        self._coeff = _reaction_coefficients(net, a_inf)
+        self._kinetics = net.kinetics
+        self._diffusion = net.diffusion_array()
+        self._q = np.asarray(q).astype(float)
+        self._volume = grid.domain.measure
+        self._spacing = grid.spacing
+        self._cell_volume = grid.cell_volume
+
+    def row(self, state) -> list[float]:
+        """The diag.csv row of a ``solver.State``: t, the conserved masses
+        Q mean(a) |Omega|, H, L2, L4, Linf, fisher and reaction.  The two
+        dissipation columns are NaN unless every cell is positive.  No
+        full-grid temporary outlives the column that needs it."""
+        a, cell_volume = state.fields, self._cell_volume
+        if a.min() > 0:
+            dissipation = (_fisher(a, self._diffusion, self._spacing, cell_volume),
+                           _reaction(a, self._kinetics, self._coeff, self._a_star,
+                                     cell_volume))
+        else:
+            dissipation = (math.nan, math.nan)
+        entropy = _entropy(a, self._a_star, cell_volume)
+        abs_h = np.subtract(a, self._a_star)
+        np.abs(abs_h, out=abs_h)
+        norms = [_norm(abs_h, self._weights.get(p), p, cell_volume)
+                 for p in (2, 4, math.inf)]
+        return [state.t, *(self._q @ state.means() * self._volume), entropy,
+                *norms, *dissipation]
 
 
 @dataclass(frozen=True)

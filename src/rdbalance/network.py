@@ -336,6 +336,12 @@ class Kinetics:
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
         self.wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)  # W^T
 
+    @functools.cached_property
+    def signed(self) -> np.ndarray:
+        """S = [W^T diag(kf) | -W^T diag(kb)], I x 2R, built on first use
+        (only the stepper's ``production`` needs it)."""
+        return np.hstack([self.wt, -self.wt]) * self.rates.T
+
     def monomials(self, flat: np.ndarray) -> np.ndarray:
         """(2R, N) monomials of the (I, N) array ``flat``: a^alpha for each
         reaction, then a^beta."""
@@ -356,14 +362,16 @@ class Kinetics:
         return mono[:shape[0]].reshape(shape), mono[shape[0]:].reshape(shape)
 
     def production(self, fields: np.ndarray) -> np.ndarray:
-        """Species production W^T K over (I, *cells) fields (the stepper's
-        hot path: one reshape, the gathers, one product)."""
+        """Species production W^T K = S m over (I, *cells) fields, m the
+        monomials and S = ``signed`` (the stepper's hot path: one reshape, the
+        gathers, one BLAS product).  BLAS may fuse a multiply and an add, so
+        this differs from W^T K at roundoff in general.  With rates and
+        coefficients that are powers of two and no species in two reactions
+        (the four-species swap with unit rates), every product is exact and
+        both round one subtraction only, so the two agree bitwise."""
         mono = self.monomials(fields.reshape(fields.shape[0], -1))
-        mono *= self.rates
-        flux = mono[:len(mono) // 2]
-        flux -= mono[len(flux):]
-        # np.dot uses BLAS for R = 1, where the matmul ufunc loops (about 4x slower)
-        return np.dot(self.wt, flux).reshape(fields.shape)
+        # np.dot: less per-call overhead than np.matmul on small grids
+        return np.dot(self.signed, mono).reshape(fields.shape)
 
 
 def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries, _read_table, _write_table, \
-    entropy_dissipation, relative_entropy, weighted_norm
+from .diagnostics import DiagnosticsRecord, DiagnosticsSeries, _read_table, \
+    _write_table
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Grid
@@ -415,8 +415,6 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
 
     stoich, eq = reference_equilibrium(net, state)
     a_inf = eq.vector
-    q_matrix = stoich.Q.astype(float)
-    volume = grid.domain.measure
     if dt is None:
         dt = default_dt(net, a_inf, grid)
         dt = t_end / math.ceil(t_end / dt)
@@ -428,22 +426,9 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         raise ValueError(f"t_end = {t_end!r} is not a whole number of steps "
                          f"of dt = {dt!r}")
 
-    rows: list[list[float]] = []  # diag.csv's rows, in header order
-    snapshots: list[State] = []
-
-    def record(st: State) -> None:
-        h = st.fields - a_inf.reshape((-1,) + (1,) * grid.ndim)
-        if st.fields.min() > 0:
-            dissipation = entropy_dissipation(st.fields, net, a_inf, grid)
-        else:
-            dissipation = (math.nan, math.nan)
-        rows.append([st.t, *(q_matrix @ st.means() * volume),
-                     relative_entropy(st.fields, a_inf, grid),
-                     weighted_norm(h, a_inf, 2, grid), weighted_norm(h, a_inf, 4, grid),
-                     weighted_norm(h, a_inf, math.inf, grid), *dissipation])
-
-    record(state)
-    snapshots.append(state)
+    record = DiagnosticsRecord(net, a_inf, grid, stoich.Q)
+    rows = [record.row(state)]  # diag.csv's rows, in header order
+    snapshots = [state]
     outputs = k = 0
     while k < n_steps:  # one advance per output interval
         chunk = min(output_every, n_steps - k)
@@ -451,7 +436,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         k += chunk
         # keep recorded times exact multiples of dt
         state = State(t=k * dt, fields=state.fields, grid=grid)
-        record(state)
+        rows.append(record.row(state))
         outputs += 1
         if snapshot_every and outputs % snapshot_every == 0 and k != n_steps:
             snapshots.append(state)

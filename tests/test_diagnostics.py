@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,14 +11,22 @@ from rdbalance import (
     Box,
     DiagnosticsSeries,
     Grid,
+    InitialSpec,
     Interval,
     Rectangle,
+    SpeciesProfile,
+    State,
+    conserved_masses,
+    decompose,
     entropy_dissipation,
     fit_decay_rate,
+    parse_network,
     relative_entropy,
     simulate,
     weighted_norm,
 )
+
+from rdbalance.diagnostics import DiagnosticsRecord
 
 from conftest import four_species_network, random_balanced_network
 from test_solver import mode1_spec
@@ -313,3 +322,101 @@ class TestSeriesCsv:
         assert series.t.shape == (0,) and series.masses.shape == (0, 1)
         with pytest.warns(UserWarning):  # why the reader skips loadtxt here
             np.loadtxt([], delimiter=",", ndmin=2)
+
+
+def multi_reaction_network():
+    """A seeded random balanced network with at least two reactions."""
+    rng = np.random.default_rng(11)
+    while True:
+        net, a_star = random_balanced_network(rng, max_species=5, max_reactions=4)
+        if net.n_reactions >= 2:
+            return net, a_star
+
+
+RECORD_NETWORKS = {
+    "four species": lambda: (four_species_network(d=(1.0, 2.0, 0.5, 1.5), kf=1.3, kb=0.6),
+                             np.ones(4)),
+    "random": multi_reaction_network,
+    # 0 <-> A3 pads the gather table with the row of ones
+    "empty side": lambda: (parse_network(
+        "species A1 A2 A3\ndiffusion A1=1 A2=0.3 A3=2\n"
+        "reaction 2 A1 <-> A2 : kf=1.3 kb=0.7\n"
+        "reaction 0 <-> A3 : kf=0.5 kb=0.8\n"), np.array([0.8, 1.2, 0.6])),
+}
+
+
+def oracle_row(net, stoich, a_inf, state):
+    """A diag.csv row from the standalone functions."""
+    grid = state.grid
+    h = state.fields - a_inf.reshape((-1,) + (1,) * grid.ndim)
+    if state.fields.min() > 0:
+        dissipation = entropy_dissipation(state.fields, net, a_inf, grid)
+    else:
+        dissipation = (math.nan, math.nan)
+    return [state.t,
+            *conserved_masses(stoich, state.means(), grid.domain.measure).values,
+            relative_entropy(state.fields, a_inf, grid),
+            *(weighted_norm(h, a_inf, p, grid) for p in (2, 4, math.inf)),
+            *dissipation]
+
+
+class TestDiagnosticsRecord:
+    @pytest.mark.parametrize("name", sorted(RECORD_NETWORKS))
+    @pytest.mark.parametrize("domain, shape", [(Interval(1.0), (24,)),
+                                               (Rectangle(1.0, 0.7), (8, 6)),
+                                               (Box((1.0, 0.5, 0.8)), (5, 4, 6))])
+    def test_rows_are_the_oracles_bitwise(self, name, domain, shape):
+        net, base = RECORD_NETWORKS[name]()
+        grid = Grid(domain, shape)
+        mode = (1,) * grid.ndim
+        spec = InitialSpec(profiles=tuple(
+            SpeciesProfile(float(b), ((mode, (-0.1) ** i * b),)) for i, b in enumerate(base)))
+        result = simulate(net, grid, spec, dt=1e-3, t_end=4e-3, snapshot_every=1)
+        stoich = decompose(net)
+        a_inf = result.equilibrium.vector
+        rows = result.series.table
+        assert len(rows) == len(result.snapshots) == 5
+        for row, snapshot in zip(rows, result.snapshots):
+            want = oracle_row(net, stoich, a_inf, snapshot)
+            assert np.all(np.isfinite(want))
+            assert np.array_equal(row, want)
+
+    def test_a_zero_cell_gives_nan_dissipation_only(self):
+        net = four_species_network(d=(1.0, 2.0, 0.5, 1.5))
+        grid = Grid(Rectangle(1.0, 0.7), (8, 6))
+        stoich = decompose(net)
+        a_inf = np.array([1.0, 2.0, 0.5, 4.0])
+        fields = constant_fields(a_inf, grid) * 1.1
+        fields[2, 3, 4] = 0.0
+        state = State(t=0.5, fields=fields, grid=grid)
+        row = DiagnosticsRecord(net, a_inf, grid, stoich.Q).row(state)
+        assert np.all(np.isfinite(row[:-2])) and np.all(np.isnan(row[-2:]))
+        assert np.array_equal(row, oracle_row(net, stoich, a_inf, state), equal_nan=True)
+
+    def test_row_peak_memory_is_no_more_than_a_standalone_call(self):
+        # one row must not hold more full-grid temporaries at once than the
+        # worst of the calls it replaces; the slack covers the row's own
+        # Python floats and tuples, far below one (4, 64, 64) array (128 KiB)
+        net = four_species_network(d=(1.0, 2.0, 0.5, 1.5))
+        grid = Grid(Rectangle(1.0, 1.0), (64, 64))
+        a_inf = np.array([1.0, 2.0, 0.5, 1.5])
+        x, y = grid.centers()
+        fields = a_inf.reshape(-1, 1, 1) * (1 + 0.1 * np.cos(math.pi * x) * np.cos(math.pi * y))
+        h = fields - a_inf.reshape(-1, 1, 1)
+        record = DiagnosticsRecord(net, a_inf, grid, decompose(net).Q)
+        state = State(t=0.0, fields=fields, grid=grid)
+
+        def peak(call):
+            call()  # warm caches first
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        standalone = [peak(lambda: relative_entropy(fields, a_inf, grid)),
+                      peak(lambda: entropy_dissipation(fields, net, a_inf, grid))]
+        standalone += [peak(lambda: weighted_norm(h, a_inf, p, grid))
+                       for p in (2, 4, math.inf)]
+        assert peak(lambda: record.row(state)) <= max(standalone) + 1024

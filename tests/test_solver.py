@@ -301,12 +301,37 @@ class TestGatherTable:
         net, _ = case
         fields = rng.uniform(0.1, 3.0, size=(net.n_species, 7, 5))
         mono = slot_monomials(net, fields.reshape(net.n_species, -1))
+        wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)
+        signed = np.hstack([wt * net.kf_array(), -wt * net.kb_array()])
+        got = net.kinetics.production(fields)
+        assert np.array_equal(net.kinetics.signed, signed)
+        assert np.array_equal(got, np.dot(signed, mono).reshape(fields.shape))
+        assert np.allclose(got, power_production(net, fields), rtol=1e-13, atol=1e-13)
+
+
+UNIT_RATE_NETWORKS = {
+    "four_species_unit.rdn": (DATA / "four_species_unit.rdn").read_text(),
+    # exchange-style: one reaction, rates that are powers of two
+    "exchange 2:1": ("species A1 A2\ndiffusion A1=1 A2=1\n"
+                     "reaction A1 <-> A2 : kf=2 kb=1\n"),
+    "2 A1 <-> A2": ("species A1 A2\ndiffusion A1=1 A2=1\n"
+                    "reaction 2 A1 <-> A2 : kf=1 kb=1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_RATE_NETWORKS))
+def test_unit_rate_production_is_the_flux_product_bitwise(name, rng):
+    # every product of S m is exact here, so S m and W^T K round the same one
+    # subtraction: the relax outputs of the four-species swap do not move
+    net = parse_network(UNIT_RATE_NETWORKS[name])
+    for shape in [(64,), (7, 5), (16, 16)]:
+        fields = rng.uniform(0.01, 3.0, size=(net.n_species,) + shape)
+        mono = slot_monomials(net, fields.reshape(net.n_species, -1))
         r = net.n_reactions
         flux = net.kf_array()[:, None] * mono[:r] - net.kb_array()[:, None] * mono[r:]
         wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)
-        got = net.kinetics.production(fields)
-        assert np.array_equal(got, np.dot(wt, flux).reshape(fields.shape))
-        assert np.allclose(got, power_production(net, fields), rtol=1e-13, atol=1e-13)
+        assert np.array_equal(net.kinetics.production(fields),
+                              np.dot(wt, flux).reshape(fields.shape))
 
 
 class TestPositivityCheck:
