@@ -21,7 +21,7 @@ from .network import Kinetics, Reaction, ReactionNetwork, \
     is_four_species, production_term, stoichiometric_matrix, validate_network
 from .parser import ParseError, parse_network, serialize_network
 from .solver import InitialSpec, NonPositivityError, SimulationResult, SpeciesProfile, \
-    State, Stepper, build_initial, default_dt, simulate, step, write_snapshot_csv
+    State, Stepper, build_initial, default_dt, simulate, write_snapshot_csv
 
 __all__ = [
     "Box", "ConservedMasses", "DiagnosticsSeries", "EquilibriumError",
@@ -35,6 +35,6 @@ __all__ = [
     "detailed_balance_equilibrium", "entropy_dissipation", "fit_decay_rate",
     "four_species_equilibrium", "is_four_species", "linearised_matrix",
     "operator_spectral_gap", "parse_network", "production_term", "relative_entropy",
-    "serialize_network", "simulate", "step", "stoichiometric_matrix",
+    "serialize_network", "simulate", "stoichiometric_matrix",
     "validate_network", "weighted_norm", "weighted_spectrum", "write_snapshot_csv",
 ]

@@ -24,8 +24,8 @@ from .geometry import MAX_NDIM, Box, Grid
 from .linearised import NotEquilibriumError, operator_spectral_gap
 from .network import ReactionNetwork, decompose, validate_network
 from .parser import ParseError, parse_network
-from .solver import InitialSpec, NonPositivityError, SpeciesProfile, build_initial, \
-    reference_equilibrium, simulate, write_snapshot_csv
+from .solver import SCHEMES, InitialSpec, NonPositivityError, SpeciesProfile, \
+    build_initial, reference_equilibrium, simulate, write_snapshot_csv
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -70,14 +70,21 @@ def _parse_modes(text: str, ndim: int):
         mode = tuple(int(k) for k in m.group(2).split(","))
         if len(mode) != ndim:
             raise ConfigError(f"mode {token!r} does not match a {ndim}-d domain")
-        modes.append((mode, float(m.group(3))))
+        modes.append((mode, _finite(m.group(3))))
     return tuple(modes)
 
 
 def _parse_scheme(text: str) -> str:
-    if text not in ("strang", "imex"):
-        raise ConfigError(f"scheme must be strang or imex, got {text!r}")
+    if text not in SCHEMES:
+        raise ConfigError(f"scheme must be {' or '.join(SCHEMES)}, got {text!r}")
     return text
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {text}")
+    return value
 
 
 def _positive(text: str, kind):
@@ -104,7 +111,7 @@ class RunConfig:
     t_end: float
     output_every: int
     output_dir: Path
-    snapshot_every: int | None
+    snapshot_every: int  # 0: the initial and final snapshots only
     species_profiles: dict[str, SpeciesProfile] | None
     initial_csv: Path | None
 
@@ -168,7 +175,7 @@ def load_config(path) -> RunConfig:
     dt = located("dt", _positive, float)
     t_end = located("t_end", _positive, float)
     output_every = located("output_every", _positive, int, default=1)
-    snapshot_every = located("snapshot_every", _nonnegative)
+    snapshot_every = located("snapshot_every", _nonnegative, default=0)
 
     initial_csv = None
     profiles: dict[str, SpeciesProfile] | None = None
@@ -184,7 +191,7 @@ def load_config(path) -> RunConfig:
             if "base" not in data:
                 raise ConfigError(f"species.{name}.base is required")
             profiles[name] = SpeciesProfile(
-                base=located(data["base"], float),
+                base=located(data["base"], _finite),
                 modes=located(data["modes"], _parse_modes, domain.ndim)
                 if "modes" in data else ())
 

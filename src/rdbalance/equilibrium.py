@@ -123,10 +123,11 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     ValueError names the law.  A mixed-sign law's mass may be any real, so
     Newton alone decides whether the masses are realizable.
 
-    Two stages: solve W mu = log(kf/kb) by least squares (residual beyond
-    ``_WEGSCHEIDER_TOL`` means no detailed-balance equilibrium exists); then
-    Newton on theta for Q exp(mu + Q^T theta) = m, damped by a backtracking
-    line search on the convex dual potential.
+    Two stages: solve W mu = log(kf/kb) by least squares (a residual beyond
+    ``_WEGSCHEIDER_TOL``, or NaN from a ratio kf/kb past float range, means
+    no detailed-balance equilibrium exists); then Newton on theta for
+    Q exp(mu + Q^T theta) = m, damped by a backtracking line search on the
+    convex dual potential.
     """
     m = m.vector if isinstance(m, ConservedMasses) else np.asarray(m, dtype=float)
     q = stoich.Q.shape[0]
@@ -138,10 +139,11 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
                              f"be strictly positive and finite")
 
     W = stoich.W.astype(float)
-    c = np.log(net.kf_array() / net.kb_array())
+    with np.errstate(over="ignore", divide="ignore"):
+        c = np.log(net.kf_array() / net.kb_array())
     mu, *_ = np.linalg.lstsq(W, c, rcond=None)
     residual = np.max(np.abs(W @ mu - c)) if c.size else 0.0
-    if residual > _WEGSCHEIDER_TOL:
+    if not residual <= _WEGSCHEIDER_TOL:
         raise NoDetailedBalanceError(
             f"no detailed-balance equilibrium: W log a = log(kf/kb) is "
             f"unsolvable (residual {residual:.3e})")

@@ -144,16 +144,15 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     or over the finite set of a grid's (the semi-discrete gap).
 
     Mode 0 acts on Im W^T (the conservation constraint), mode k >= 1 on the
-    full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0.
-    As S - mu' D <= S - mu D - (mu' - mu) min_i d_i I for mu' > mu, the mode
-    gap rises strictly with mu_k: only mode 1 can undercut mode 0, and only
-    when mu_1 min_i d_i, a lower bound of its gap, lies below the mode-0 gap.
+    full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0
+    (``ReactionNetwork`` refuses other d).  As S - mu' D <= S - mu D -
+    (mu' - mu) min_i d_i I for mu' > mu, the mode gap rises strictly with
+    mu_k: only mode 1 can undercut mode 0, and only when mu_1 min_i d_i, a
+    lower bound of its gap, lies below the mode-0 gap.
     """
     lin = linearised_matrix(net, a_inf)
     a = np.asarray(a_inf, dtype=float)
     d = net.diffusion_array()
-    if np.any(d <= 0):
-        raise ValueError("diffusion coefficients must be strictly positive")
 
     mode0 = weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)
     if mode0.size == 0:

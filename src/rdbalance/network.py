@@ -27,9 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _positive_finite(value, what: str) -> float:
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be strictly positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Reaction:
-    """One reversible reaction: alpha -> beta at rate kf, beta -> alpha at kb."""
+    """One reversible reaction: alpha -> beta at rate kf, beta -> alpha at kb,
+    both rates positive and finite (ValueError otherwise), so log(kf/kb) exists."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
@@ -49,8 +57,8 @@ class Reaction:
             raise ValueError("stoichiometric coefficients must be nonnegative")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "kf", float(self.kf))
-        object.__setattr__(self, "kb", float(self.kb))
+        object.__setattr__(self, "kf", _positive_finite(self.kf, "rate kf"))
+        object.__setattr__(self, "kb", _positive_finite(self.kb, "rate kb"))
 
     @property
     def order_forward(self) -> int:
@@ -63,6 +71,9 @@ class Reaction:
 
 @dataclass(frozen=True)
 class ReactionNetwork:
+    """Distinctly named species, reactions over them, and one positive, finite
+    diffusion coefficient per species; ValueError otherwise."""
+
     species: tuple[str, ...]
     reactions: tuple[Reaction, ...]
     diffusion: tuple[float, ...]
@@ -70,13 +81,17 @@ class ReactionNetwork:
     def __post_init__(self):
         species = tuple(str(s) for s in self.species)
         reactions = tuple(self.reactions)
-        diffusion = tuple(float(d) for d in self.diffusion)
         if len(species) < 2:
             raise ValueError("need at least two species")
+        for k, name in enumerate(species):
+            if name in species[:k]:
+                raise ValueError(f"species name {name!r} is repeated")
         if not reactions:
             raise ValueError("need at least one reaction")
-        if len(diffusion) != len(species):
+        if len(self.diffusion) != len(species):
             raise ValueError("one diffusion coefficient per species required")
+        diffusion = tuple(_positive_finite(d, f"diffusion {name}")
+                          for name, d in zip(species, self.diffusion))
         for r in reactions:
             if len(r.alpha) != len(species):
                 raise ValueError("reaction coefficient length does not match species count")
@@ -420,29 +435,17 @@ class ValidationReport:
 
 
 def validate_network(net: ReactionNetwork) -> ValidationReport:
-    """Check the admissibility hypotheses; never raises.
+    """Check the hypotheses that construction leaves open; never raises.
 
-    Violations cover non-positive rates or diffusion coefficients,
-    more-than-quadratic reactions, alpha = beta no-ops and duplicate
-    species names.  Empty reaction sides are legal but noted, since they
-    change which quantities are conserved.
+    Violations cover more-than-quadratic reactions and alpha = beta no-ops
+    (rates, diffusion and names are refused when the network is built).
+    Empty reaction sides are legal but noted, since they change which
+    quantities are conserved.
     """
     violations: list[str] = []
     notes: list[str] = []
-    seen: set[str] = set()
-    for name in net.species:
-        if name in seen:
-            violations.append(f"species: duplicate name {name!r}")
-        seen.add(name)
-    for name, d in zip(net.species, net.diffusion):
-        if not (d > 0) or not math.isfinite(d):
-            violations.append(f"diffusion {name}: must be strictly positive, got {d}")
     for idx, r in enumerate(net.reactions):
         where = f"reaction {idx + 1}"
-        if not (r.kf > 0) or not math.isfinite(r.kf):
-            violations.append(f"{where}: rate must be strictly positive, got kf={r.kf}")
-        if not (r.kb > 0) or not math.isfinite(r.kb):
-            violations.append(f"{where}: rate must be strictly positive, got kb={r.kb}")
         if r.order_forward > 2:
             violations.append(f"{where}: non-quadratic: |alpha| = {r.order_forward}")
         if r.order_backward > 2:

@@ -51,7 +51,7 @@ NEGATIVE_TOL = -1e-10  # relative to the largest cell
 # scipy import (0.16 s, 27 MB), which 192^2 repays after about 250 steps.
 _DENSE_AXIS_MAX = 192
 
-_SCHEMES = ("strang", "imex")
+SCHEMES = ("strang", "imex")  # Stepper and the CLI take exactly these names
 
 
 class NonPositivityError(RuntimeError):
@@ -192,24 +192,23 @@ class _DiffusionSemigroup:
 
 
 class Stepper:
-    """Integrator bound to a network, grid, dt and scheme."""
+    """Integrator bound to a network, grid, dt > 0 and scheme (in ``SCHEMES``)."""
 
     def __init__(self, net: ReactionNetwork, grid: Grid, dt: float, scheme: str):
-        key = str(scheme).lower()
-        if key not in _SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r} (use 'strang' or 'imex')")
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r} (use {' or '.join(SCHEMES)})")
         if not dt > 0:
             raise ValueError("dt must be positive")
         self.net = net
         self.grid = grid
         self.dt = dt
-        self.scheme = key
+        self.scheme = scheme
         self.reaction = net.kinetics
         # opening substep of a step: D(dt/2) for strang, D(dt) for imex
         self.diffusion = _DiffusionSemigroup(
-            grid, net.diffusion, 0.5 * dt if key == "strang" else dt)
+            grid, net.diffusion, 0.5 * dt if scheme == "strang" else dt)
         # between two reactions: D(dt) for both (strang's two halves merged)
-        self._between = (self.diffusion.multiplier_over(dt) if key == "strang"
+        self._between = (self.diffusion.multiplier_over(dt) if scheme == "strang"
                          else self.diffusion.multiplier)
 
     def _check(self, fields: np.ndarray, t: float) -> None:
@@ -266,19 +265,13 @@ class Stepper:
         return State(t=t, fields=fields, grid=state.grid)
 
 
-def step(state: State, net: ReactionNetwork, dt: float, scheme: str = "strang") -> State:
-    """Advance one time step (builds a fresh Stepper; loops should reuse one)."""
-    return Stepper(net, state.grid, dt, scheme).advance(state)
+def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
+    """Evaluate an initial condition for ``species_names`` on the grid at t = 0.
 
-
-def build_initial(spec: InitialSpec, grid: Grid,
-                  species_names=None) -> State:
-    """Evaluate an initial condition on the grid at t = 0.
-
-    Cosine profiles are evaluated at cell centers: base + sum over modes
-    (k1, ..., kd) of eps prod_axes cos(k_j pi x_j / L_j).  CSV input is
-    loaded verbatim in snapshot format.  The result must be finite and
-    nonnegative.
+    Cosine profiles, one per species, are evaluated at cell centers: base +
+    sum over modes (k1, ..., kd) of eps prod_axes cos(k_j pi x_j / L_j).  CSV
+    input is loaded verbatim in snapshot format, its columns picked by
+    name.  The result must be finite and nonnegative.
     """
     if spec.csv_path is not None:
         fields = _read_snapshot_csv(spec.csv_path, grid, species_names)
@@ -299,7 +292,7 @@ def build_initial(spec: InitialSpec, grid: Grid,
                                          * centers[axis] / extents[axis])
                 field = field + bump
             fields[i] = field
-        if species_names is not None and len(species_names) != len(spec.profiles):
+        if len(species_names) != len(spec.profiles):
             raise ValueError("one profile per species required")
     bad = ~(np.isfinite(fields) & (fields >= 0))
     if bad.any():
@@ -321,13 +314,10 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
     for k, name in enumerate(columns):
         if name in columns[:k]:
             raise ValueError(f"snapshot {path} names the column {name} twice")
-    if species_names is not None:
-        try:
-            order = [columns.index(name) for name in species_names]
-        except ValueError as exc:
-            raise ValueError(f"snapshot {path} is missing a species column: {exc}")
-    else:
-        order = list(range(len(columns)))
+    try:
+        order = [columns.index(name) for name in species_names]
+    except ValueError as exc:
+        raise ValueError(f"snapshot {path} is missing a species column: {exc}")
     if len(values) != grid.n_cells:
         raise ValueError(
             f"snapshot {path} has {len(values)} cells, grid needs {grid.n_cells}")
@@ -338,10 +328,7 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
             row = outside[0]
             raise ValueError(f"snapshot {path} data row {row + 1}: {axes[k]} = "
                              f"{values[row, k]:.17g} lies outside the grid cell it fills")
-    fields = np.empty((len(order),) + grid.shape)
-    for i, col in enumerate(order):
-        fields[i] = values[:, n_coord + col].reshape(grid.shape)
-    return fields
+    return values.T[[n_coord + col for col in order]].reshape((len(order),) + grid.shape)
 
 
 def write_snapshot_csv(path, state: State, species_names,
@@ -390,11 +377,11 @@ def reference_equilibrium(net: ReactionNetwork, state: State
 def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
              dt: float | None, t_end: float, output_every: int = 1,
              scheme: str = "strang",
-             snapshot_every: int | None = None) -> SimulationResult:
+             snapshot_every: int = 0) -> SimulationResult:
     """Advance ``initial`` (built by ``build_initial``) to t_end, recording a
     diag.csv row every ``output_every`` steps and at t_end, and a snapshot
-    every ``snapshot_every`` outputs (0 or None: the initial and final states
-    only; negative is refused).  t_end must be a whole number of steps dt.
+    every ``snapshot_every`` outputs (0: the initial and final states only;
+    negative is refused).  t_end must be a whole number of steps dt.
     With dt None the step is ``default_dt`` at the reference equilibrium,
     shortened to t_end / ceil(t_end / dt) so that whole steps reach t_end;
     the result carries the dt used, and ``series`` the diag.csv table.
@@ -410,7 +397,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         raise ValueError("t_end must be positive")
     if output_every < 1:
         raise ValueError("output_every must be >= 1")
-    if snapshot_every is not None and snapshot_every < 0:
+    if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
 
     stoich, eq = reference_equilibrium(net, state)

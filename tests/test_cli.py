@@ -588,6 +588,8 @@ def test_unbalanced_mode_parentheses(workdir, capsys, domain, token):
     ("t_end = -1", 6, "must be positive, got -1"),
     ("output_every = 2.5", 7, "invalid literal for int() with base 10: '2.5'"),
     ("species.A1.base = one", 9, "could not convert string to float: 'one'"),
+    ("species.A1.base = nan", 9, "must be finite, got nan"),
+    ("species.A2.modes = 1:1e999", 12, "must be finite, got 1e999"),
     ("species.A1.modes = 1:0.01:2", 10, "bad mode entry '1:0.01:2'"),
     ("species.A1.modes = (1,0):0.01", 10, "mode '(1,0):0.01' does not match a 1-d domain"),
     ("snapshot_every = -2", 17, "must be >= 0, got -2"),

@@ -135,6 +135,14 @@ class TestNewtonSolver:
         with pytest.raises(NoDetailedBalanceError):
             detailed_balance_equilibrium(net, decompose(net), [3.0])
 
+    @pytest.mark.parametrize("kf, kb", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_rate_ratio_beyond_float_range_is_refused(self, kf, kb):
+        # log(kf/kb) is +-inf and the least-squares residual NaN, which must
+        # fail the Wegscheider test rather than reach Newton
+        net = four_species_network(kf=kf, kb=kb)
+        with pytest.raises(NoDetailedBalanceError, match="residual nan"):
+            detailed_balance_equilibrium(net, decompose(net), [1.0, 2.0, 3.0])
+
     def test_unbalanced_rates_still_work(self):
         net = four_species_network(kf=3.0, kb=0.5)
         stoich = decompose(net)

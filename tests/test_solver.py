@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdbalance import (
     Box,
@@ -26,7 +27,6 @@ from rdbalance import (
     operator_spectral_gap,
     parse_network,
     simulate,
-    step,
     write_snapshot_csv,
 )
 
@@ -507,14 +507,15 @@ class TestSnapshotCsv:
 
 class TestInitialData:
     def test_uniform(self):
-        state = build_initial(uniform_spec([1, 1, 1, 1]), Grid(Interval(1.0), (8,)))
+        state = build_initial(uniform_spec([1, 1, 1, 1]), Grid(Interval(1.0), (8,)),
+                              ("A1", "A2", "A3", "A4"))
         assert np.all(state.fields == 1.0)
         assert state.t == 0.0
 
     def test_cosine_profile_matches_formula(self):
         grid = Grid(Interval(2.0), (32,))
         state = build_initial(
-            uniform_spec([1, 1], modes={0: (((2,), 0.25),)}), grid)
+            uniform_spec([1, 1], modes={0: (((2,), 0.25),)}), grid, ("A1", "A2"))
         x = grid.axis_centers(0)
         assert np.allclose(state.fields[0], 1 + 0.25 * np.cos(2 * math.pi * x / 2.0))
         assert np.all(state.fields[1] == 1.0)
@@ -522,12 +523,12 @@ class TestInitialData:
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError, match="negative initial value"):
             build_initial(uniform_spec([1, 1], modes={0: (((1,), 2.0),)}),
-                          Grid(Interval(1.0), (8,)))
+                          Grid(Interval(1.0), (8,)), ("A1", "A2"))
 
     def test_2d_mode(self):
         grid = Grid(Rectangle(1.0, 1.0), (8, 8))
         state = build_initial(
-            uniform_spec([1], modes={0: (((1, 1), 0.5),)}), grid)
+            uniform_spec([1], modes={0: (((1, 1), 0.5),)}), grid, ("A1",))
         x, y = grid.centers()
         assert np.allclose(state.fields[0],
                            1 + 0.5 * np.cos(math.pi * x) * np.cos(math.pi * y))
@@ -535,7 +536,7 @@ class TestInitialData:
     def test_mode_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             build_initial(uniform_spec([1], modes={0: (((1, 1), 0.1),)}),
-                          Grid(Interval(1.0), (8,)))
+                          Grid(Interval(1.0), (8,)), ("A1",))
 
     @pytest.mark.parametrize("extents, message", [((), "1 to 4 sides, got 0"),
                                                   ((1.0,) * 5, "1 to 4 sides, got 5"),
@@ -547,7 +548,8 @@ class TestInitialData:
 
     def test_cosine_profile_in_4d(self):
         grid = Grid(Box((1.0, 2.0, 0.5, 1.5)), (4, 5, 6, 4))
-        state = build_initial(uniform_spec([1], modes={0: (((1, 0, 2, 1), 0.5),)}), grid)
+        state = build_initial(uniform_spec([1], modes={0: (((1, 0, 2, 1), 0.5),)}), grid,
+                              ("A1",))
         x, y, z, w = grid.centers()
         want = 1 + 0.5 * np.cos(math.pi * x) * np.cos(2 * math.pi * z / 0.5) \
             * np.cos(math.pi * w / 1.5)
@@ -559,15 +561,15 @@ class TestStep:
     def test_equilibrium_fixed_point(self, scheme):
         net = four_species_network()
         grid = Grid(Interval(1.0), (16,))
-        state = build_initial(uniform_spec([1, 1, 1, 1]), grid)
-        advanced = step(state, net, dt=1e-2, scheme=scheme)
+        state = build_initial(uniform_spec([1, 1, 1, 1]), grid, net.species)
+        advanced = Stepper(net, grid, 1e-2, scheme).advance(state)
         assert np.max(np.abs(advanced.fields - 1.0)) <= 1e-14
 
     def test_homogeneous_closed_form(self):
         # a1(t) = 1 + exp(-4 t) from a0 = (2, 0, 2, 0)
         net = four_species_network()
         grid = Grid(Interval(1.0), (8,))
-        state = build_initial(uniform_spec([2, 0, 2, 0]), grid)
+        state = build_initial(uniform_spec([2, 0, 2, 0]), grid, net.species)
         stepper = Stepper(net, grid, 1e-3, "strang")
         for _ in range(500):
             state = stepper.advance(state)
@@ -579,7 +581,7 @@ class TestStep:
         net = four_species_network(d=(1.0, 1.0, 1.0, 1.0))
         grid = Grid(Interval(1.0), (64,))
         spec = uniform_spec([1, 0, 0, 0], modes={0: (((1,), 0.1),)})
-        state = build_initial(spec, grid)
+        state = build_initial(spec, grid, net.species)
         stepper = Stepper(net, grid, 1e-3, "strang")
         for _ in range(100):
             state = stepper.advance(state)
@@ -594,7 +596,7 @@ class TestStep:
         fields[1, 3] = -1e-3
         state = State(t=0.0, fields=fields, grid=grid)
         with pytest.raises(NonPositivityError, match="A2"):
-            step(state, net, dt=1e-5, scheme="strang")
+            Stepper(net, grid, 1e-5, "strang").advance(state)
 
     @pytest.mark.parametrize("scheme", ["strang", "imex"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -605,7 +607,7 @@ class TestStep:
         fields[2, 5] = value
         state = State(t=0.0, fields=fields, grid=grid)
         with pytest.raises(NonPositivityError, match=r"A3 .* at cell \(5,\)"):
-            step(state, net, dt=1e-3, scheme=scheme)
+            Stepper(net, grid, 1e-3, scheme).advance(state)
 
     def test_tolerance_scales_with_the_field(self):
         # -5e-11 is 50 times the scale of a 1e-12 field: not roundoff
@@ -614,7 +616,7 @@ class TestStep:
         fields = np.full((4, 8), 1e-12)
         fields[1, 3] = -5e-11
         with pytest.raises(NonPositivityError, match="A2 went negative"):
-            step(State(t=0.0, fields=fields, grid=grid), net, dt=1e-3)
+            Stepper(net, grid, 1e-3, "strang").advance(State(0.0, fields, grid))
 
     def test_roundoff_of_a_large_field_passes(self):
         stepper = Stepper(four_species_network(), Grid(Interval(1.0), (8,)), 1e-3,
@@ -626,8 +628,9 @@ class TestStep:
     def test_unknown_scheme(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (8,))
-        with pytest.raises(ValueError, match="unknown scheme"):
-            Stepper(net, grid, 1e-3, "rk4")
+        for scheme in ("rk4", "Strang", "IMEX"):  # names are taken as spelled
+            with pytest.raises(ValueError, match="unknown scheme"):
+                Stepper(net, grid, 1e-3, scheme)
 
 
 class TestSimulate:
@@ -842,3 +845,34 @@ class TestBoxRelaxation:
             assert abs(fit.rate - scale * rate) <= scale * tol
             # the continuum mode-1 rate pi^2 + 4 is far outside that tolerance
             assert abs(fit.rate - scale * (PI2 + kappa)) > 50 * scale * tol
+
+
+PROPERTY_SHAPES = {1: (8,), 2: (6, 5), 3: (4, 5, 4), 4: (4, 4, 4, 4)}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ndim=st.sampled_from(sorted(PROPERTY_SHAPES)),
+       scheme=st.sampled_from(["strang", "imex"]))
+def test_short_runs_keep_the_invariants(seed, ndim, scheme):
+    """A short run of a random admissible network, from a positive state
+    with one cosine bump per species, at the default step: every column is
+    finite, the masses stay constant, H does not rise and both dissipation
+    terms are nonnegative (q = 0 leaves the mass check empty)."""
+    rng = np.random.default_rng(seed)
+    net, a_star = random_balanced_network(rng)
+    grid = Grid(Box((1.0, 0.8, 1.2, 0.9)[:ndim]), PROPERTY_SHAPES[ndim])
+    base = a_star * rng.uniform(0.5, 2.0, size=net.n_species)
+    spec = InitialSpec(profiles=tuple(
+        SpeciesProfile(float(b), ((tuple(int(k) for k in rng.integers(0, 3, size=ndim)),
+                                   float(b * rng.uniform(-0.5, 0.5))),))
+        for b in base))
+    result = simulate(net, grid, spec, dt=None, t_end=0.02, scheme=scheme)
+    series = result.series
+    assert np.all(np.isfinite(series.table))
+    # each mass is a sum of terms of size |Q| a, so its roundoff scales with those
+    scale = np.abs(decompose(net).Q) @ result.snapshots[0].means() * grid.domain.measure
+    assert np.all(np.abs(series.masses - series.masses[0]) <= 1e-12 * scale)
+    # H sums terms of size a over the cells, and so do its rounding errors
+    h_roundoff = 1e-12 * result.snapshots[0].means().sum() * grid.domain.measure
+    assert np.all(np.diff(series.entropy) <= h_roundoff)
+    assert np.all(series.fisher >= 0) and np.all(series.reaction >= 0)
