@@ -103,6 +103,8 @@ def _nonnegative(text: str) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
+    path: Path
+    lines: dict[str, int]  # key -> its line in the file
     config_hash: str  # of the config file's bytes: the provenance of its outputs
     network_path: Path
     grid: Grid
@@ -164,10 +166,11 @@ def load_config(path) -> RunConfig:
             species_data.setdefault(parts[1], {})[parts[2]] = key
     unknown = {key for key in entries if not key.startswith("species.")} - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"{path}:{min(lines[key] for key in unknown)}: "
+                          f"unknown config keys: {sorted(unknown)}")
     for required in ("network", "domain", "grid", "t_end"):
         if required not in entries:
-            raise ConfigError(f"missing config key {required!r}")
+            raise ConfigError(f"{path}: missing config key {required!r}")
 
     domain = located("domain", _parse_domain)
     grid = located("grid", _parse_grid, domain)
@@ -181,22 +184,24 @@ def load_config(path) -> RunConfig:
     profiles: dict[str, SpeciesProfile] | None = None
     if "initial_csv" in entries:
         if species_data:
-            raise ConfigError("give either initial_csv or species.* keys, not both")
+            raise ConfigError(f"{path}:{lines['initial_csv']}: give either "
+                              f"initial_csv or species.* keys, not both")
         initial_csv = base_dir / entries["initial_csv"]
     else:
         if not species_data:
-            raise ConfigError("missing initial data (species.*.base or initial_csv)")
+            raise ConfigError(f"{path}: missing initial data (species.*.base or initial_csv)")
         profiles = {}
         for name, data in sorted(species_data.items()):
             if "base" not in data:
-                raise ConfigError(f"species.{name}.base is required")
+                raise ConfigError(f"{path}:{lines[data['modes']]}: "
+                                  f"species.{name}.base is required")
             profiles[name] = SpeciesProfile(
                 base=located(data["base"], _finite),
                 modes=located(data["modes"], _parse_modes, domain.ndim)
                 if "modes" in data else ())
 
     return RunConfig(
-        config_hash=hashlib.sha256(raw).hexdigest()[:12],
+        path=path, lines=lines, config_hash=hashlib.sha256(raw).hexdigest()[:12],
         network_path=base_dir / entries["network"], grid=grid, scheme=scheme,
         dt=dt, t_end=t_end, output_every=output_every,
         output_dir=base_dir / entries.get("output_dir", "out"),
@@ -204,8 +209,14 @@ def load_config(path) -> RunConfig:
         initial_csv=initial_csv)
 
 
-def _load_network(path) -> ReactionNetwork:
-    return parse_network(Path(path).read_text())
+def _load_network(path) -> ReactionNetwork | None:
+    """The network at ``path``; None, its validation report on stderr, if inadmissible."""
+    net = parse_network(Path(path).read_text())
+    report = validate_network(net)
+    if not report.ok:
+        print(report, file=sys.stderr)
+        return None
+    return net
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
@@ -221,10 +232,11 @@ def _initial_spec(config: RunConfig, net: ReactionNetwork) -> InitialSpec:
         return InitialSpec(csv_path=str(config.initial_csv))
     missing = [s for s in net.species if s not in config.species_profiles]
     if missing:
-        raise ConfigError(f"missing initial data for species {missing}")
+        raise ConfigError(f"{config.path}: missing initial data for species {missing}")
     extra = [s for s in config.species_profiles if s not in net.species]
     if extra:
-        raise ConfigError(f"initial data for unknown species {extra}")
+        line = min(config.lines[f"species.{s}.base"] for s in extra)
+        raise ConfigError(f"{config.path}:{line}: initial data for unknown species {extra}")
     return InitialSpec(profiles=tuple(config.species_profiles[s]
                                       for s in net.species))
 
@@ -234,8 +246,7 @@ def _initial_spec(config: RunConfig, net: ReactionNetwork) -> InitialSpec:
 
 
 def _cmd_validate(args) -> int:
-    net = _load_network(args.network)
-    report = validate_network(net)
+    report = validate_network(parse_network(Path(args.network).read_text()))
     print(report)
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -248,15 +259,12 @@ def _equilibrium_from_args(net, args):
         return reference_equilibrium(net, state)
     stoich = decompose(net)
     m = _parse_floats(args.masses, "mass vector")
-    if m.shape != (stoich.n_conserved,):
-        raise ConfigError(
-            f"expected {stoich.n_conserved} masses "
-            f"({', '.join(stoich.labels)})")
     return stoich, detailed_balance_equilibrium(net, stoich, m)
 
 
 def _cmd_equilibrium(args) -> int:
-    net = _load_network(args.network)
+    if (net := _load_network(args.network)) is None:
+        return EXIT_INVALID
     stoich, eq = _equilibrium_from_args(net, args)
     for label, value in zip(stoich.labels, eq.masses.values):
         print(f"{label} = {value:.17g}")
@@ -267,7 +275,8 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    net = _load_network(args.network)
+    if (net := _load_network(args.network)) is None:
+        return EXIT_INVALID
     domain = _parse_domain(args.domain)
     if args.a_inf is not None:
         a_inf = _parse_floats(args.a_inf, "equilibrium vector")
@@ -286,10 +295,7 @@ def _cmd_gap(args) -> int:
 
 def _run_one_config(config_path) -> int:
     config = load_config(config_path)
-    net = _load_network(config.network_path)
-    report = validate_network(net)
-    if not report.ok:
-        print(report, file=sys.stderr)
+    if (net := _load_network(config.network_path)) is None:
         return EXIT_INVALID
     result = simulate(net, config.grid, _initial_spec(config, net), config.dt,
                       config.t_end, output_every=config.output_every,

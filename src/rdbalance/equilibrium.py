@@ -33,9 +33,9 @@ class NoDetailedBalanceError(EquilibriumError):
 
 
 class NewtonDivergenceError(EquilibriumError):
-    """The mass-matching Newton iteration failed: most often no positive
-    state realizes the masses (a mixed-sign law's mass is admitted at any
-    value, so Newton is what decides), otherwise a bug."""
+    """The mass-matching Newton iteration failed or left float range: most
+    often no positive state realizes the masses (a mixed-sign law's mass is
+    admitted at any value, so Newton is what decides), otherwise a bug."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,7 @@ _ROUNDOFF = 64.0 * np.finfo(float).eps  # ulp-scale slack, relative to the terms
 _MAX_NEWTON_ITER = 200
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks refuse inf, 0 and NaN
 def detailed_balance_equilibrium(net: ReactionNetwork,
                                  stoich: StoichiometryDecomposition,
                                  m) -> EquilibriumState:
@@ -123,26 +124,30 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     ValueError names the law.  A mixed-sign law's mass may be any real, so
     Newton alone decides whether the masses are realizable.
 
-    Two stages: solve W mu = log(kf/kb) by least squares (a residual beyond
-    ``_WEGSCHEIDER_TOL``, or NaN from a ratio kf/kb past float range, means
-    no detailed-balance equilibrium exists); then Newton on theta for
+    Two stages: solve W mu = log(kf/kb) by least squares (a ratio kf/kb
+    past float range is refused, and a residual beyond ``_WEGSCHEIDER_TOL``
+    means no detailed-balance equilibrium exists); then Newton on theta for
     Q exp(mu + Q^T theta) = m, damped by a backtracking line search on the
-    convex dual potential.
+    convex dual potential, to a strictly positive, finite state.
     """
     m = m.vector if isinstance(m, ConservedMasses) else np.asarray(m, dtype=float)
     q = stoich.Q.shape[0]
     if m.shape != (q,):
-        raise ValueError(f"expected {q} conserved masses, got {m.shape}")
+        raise ValueError(f"expected {q} masses ({', '.join(stoich.labels)})")
     for label, row, value in zip(stoich.labels, stoich.Q, m):
         if not (math.isfinite(value) and (value > 0 or (row < 0).any())):
             raise ValueError(f"conserved mass {label} = {value:g} must "
                              f"be strictly positive and finite")
 
+    ratio = net.kf_array() / net.kb_array()
+    for k, (r, value) in enumerate(zip(net.reactions, ratio)):
+        if not 0 < value < math.inf:
+            raise EquilibriumError(f"reaction {k + 1}: rate ratio kf/kb = "
+                                   f"{r.kf:g}/{r.kb:g} is outside float range")
     W = stoich.W.astype(float)
-    with np.errstate(over="ignore", divide="ignore"):
-        c = np.log(net.kf_array() / net.kb_array())
+    c = np.log(ratio)
     mu, *_ = np.linalg.lstsq(W, c, rcond=None)
-    residual = np.max(np.abs(W @ mu - c)) if c.size else 0.0
+    residual = np.max(np.abs(W @ mu - c))
     if not residual <= _WEGSCHEIDER_TOL:
         raise NoDetailedBalanceError(
             f"no detailed-balance equilibrium: W log a = log(kf/kb) is "
@@ -154,22 +159,22 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     theta = np.zeros(q)
     m_norm = np.linalg.norm(m)
 
-    def mass_tol(a, rel):
+    def matched(a, rel):
         # Q a is a difference of terms of size |Q| a, so a small m cannot be
-        # matched more closely than the roundoff of those terms
-        terms = Q_abs @ a
-        return max(rel * m_norm, _ROUNDOFF * math.sqrt(terms.dot(terms)))
+        # matched more closely than their roundoff; inf matches nothing
+        g, terms = Q @ a - m, Q_abs @ a
+        # sqrt(x.x) is np.linalg.norm's arithmetic without its call overhead
+        tol = max(rel * m_norm, _ROUNDOFF * math.sqrt(terms.dot(terms)))
+        return g, math.sqrt(g.dot(g)) <= tol < math.inf
 
     def potential(th):
-        with np.errstate(over="ignore"):
-            a = np.exp(mu + QT @ th)
+        a = np.exp(mu + QT @ th)
         return a, float(a.sum() - m @ th)
 
     a, phi = potential(theta)
     for _ in range(_MAX_NEWTON_ITER):
-        g = Q @ a - m
-        # sqrt(g.g) is np.linalg.norm's arithmetic without its call overhead
-        if math.sqrt(g.dot(g)) <= mass_tol(a, _NEWTON_TOL):
+        g, done = matched(a, _NEWTON_TOL)
+        if done:
             break
         hessian = (Q * a) @ QT
         try:
@@ -197,9 +202,9 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
             f"unrealizable by a positive state)")
 
     absolute, relative = _relative_db_residual(*net.kinetics.fluxes(a))
-    mass_err = np.linalg.norm(Q @ a - m)
-    if relative > 1e-10 or mass_err > mass_tol(a, 1e-10):
+    g, done = matched(a, 1e-10)
+    if not (done and relative <= 1e-10 and np.all((a > 0) & (a < math.inf))):
         raise NewtonDivergenceError(
-            f"converged state fails invariants (db residual {relative:.2e}, "
-            f"mass error {mass_err:.2e})")
+            f"converged state fails invariants (a* in [{a.min():.3g}, {a.max():.3g}], "
+            f"db residual {relative:.2e}, mass error {np.linalg.norm(g):.2e})")
     return EquilibriumState(tuple(a), ConservedMasses(tuple(m)), absolute)

@@ -7,14 +7,14 @@ the I x I matrix
     L[i, j] = - sum_r kf_r a*^alpha^r (alpha_i - beta_i)(alpha_j - beta_j) / a*_j,
 
 which is symmetric in the inner product <u, v> = sum_i u_i v_i / a*_i and
-negative semidefinite, vanishing exactly on Ker(W)^perp complements.  On a
-box with no-flux boundaries the full operator h -> diag(d) Lap h + L h
-block-diagonalizes over Neumann cosine modes: mode k contributes the
-matrix -mu_k diag(d) + L, with the k = 0 block restricted to Im W^T by the
-conservation laws.  The spectral gap is the smallest distance from these
-block spectra to zero; only mode 0 and mode 1 can set it, where mu_1, the
-Poincare constant of a box or of a grid (the semi-discrete gap of a run),
-is the smallest first axis eigenvalue.
+negative semidefinite; its null space diag(a*) Ker W is the weighted
+complement of Im W^T, where the conservation laws keep mode 0.  On a box
+with no-flux boundaries the full operator h -> diag(d) Lap h + L h
+block-diagonalizes over Neumann cosine modes: mode k contributes the matrix
+-mu_k diag(d) + L, so mode 0's gap is L's smallest nonzero |eigenvalue|.
+The spectral gap is the smallest block gap; only mode 0 and mode 1 can set
+it, where mu_1, the Poincare constant of a box or of a grid (the
+semi-discrete gap of a run), is the smallest first axis eigenvalue.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, Grid
-from .network import ReactionNetwork, is_four_species, stoichiometric_matrix
+from .network import ReactionNetwork, is_four_species
 from .equilibrium import _relative_db_residual
 
 
@@ -85,28 +85,17 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     return LinearisedMatrix(matrix=L, weights=1.0 / a)
 
 
-def weighted_spectrum(lin: LinearisedMatrix,
-                      subspace: np.ndarray | None = None) -> np.ndarray:
-    """Ascending real eigenvalues of L in its weighted inner product.
-
-    Works on the symmetric form of ``lin``, optionally projected onto
-    ``subspace`` (columns spanning a subspace in state coordinates,
-    orthonormalized in the weighted inner product by an SVD that drops
-    dependent columns), and returns LAPACK's ``eigvalsh`` of the result.
-    """
+def weighted_spectrum(lin: LinearisedMatrix) -> np.ndarray:
+    """Ascending real eigenvalues of L in its weighted inner product:
+    LAPACK's ``eigvalsh`` of the symmetric form of ``lin``, which must be
+    symmetric to ``_SYMMETRY_TOL`` (ValueError otherwise)."""
     S = lin.symmetric()
     asym = np.max(np.abs(S - S.T))
     if asym > _SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
         raise ValueError(
             f"operator is not symmetric in the weighted inner product "
             f"(asymmetry {asym:.3e}); the base state is not a valid equilibrium")
-    S = 0.5 * (S + S.T)
-    if subspace is not None:
-        columns = np.sqrt(lin.weights)[:, np.newaxis] * np.asarray(subspace, float)
-        u, s, _ = np.linalg.svd(columns, full_matrices=False)
-        basis = u[:, s > 1e-12 * np.max(s, initial=1.0)]
-        S = basis.T @ S @ basis
-    return np.linalg.eigvalsh(S)
+    return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
@@ -143,8 +132,9 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     """Spectral gap of h -> diag(d) Lap h + L h over Neumann modes of a box,
     or over the finite set of a grid's (the semi-discrete gap).
 
-    Mode 0 acts on Im W^T (the conservation constraint), mode k >= 1 on the
-    full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0
+    Mode 0 acts on Im W^T (the conservation constraint): L's lowest rank W
+    eigenvalues, by the exact integer ``Kinetics.rank``.  Mode k >= 1 acts
+    on the full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0
     (``ReactionNetwork`` refuses other d).  As S - mu' D <= S - mu D -
     (mu' - mu) min_i d_i I for mu' > mu, the mode gap rises strictly with
     mu_k: only mode 1 can undercut mode 0, and only when mu_1 min_i d_i, a
@@ -154,10 +144,10 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     a = np.asarray(a_inf, dtype=float)
     d = net.diffusion_array()
 
-    mode0 = weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)
-    if mode0.size == 0:
+    rank = net.kinetics.rank
+    if rank == 0:
         raise ValueError("network has no reactive directions")
-    per_mode = [(0.0, float(-mode0[-1]))]
+    per_mode = [(0.0, float(-weighted_spectrum(lin)[rank - 1]))]
 
     # every mode k != 0 has some k_j >= 1, and each axis spectrum rises with k
     poincare = float(min(domain.axis_eigenvalue(j, 1) for j in range(domain.ndim)))

@@ -281,13 +281,8 @@ def conservation_basis(W) -> np.ndarray:
     rays are too many to list (see ``_extreme_rays``), never truncating.
     """
     W = np.asarray(W)
-    if W.ndim != 2 or W.shape[1] < 1:
-        raise ValueError("W must be a matrix")
-    if not np.issubdtype(W.dtype, np.integer):
-        Wi = np.rint(W).astype(np.int64)
-        if not np.array_equal(Wi, W):
-            raise ValueError("W must be an integer matrix")
-        W = Wi
+    if W.ndim != 2 or W.shape[1] < 1 or not np.issubdtype(W.dtype, np.integer):
+        raise ValueError("W must be an integer matrix")
     rows = W.tolist()
     ncols = W.shape[1]
     kernel = _elimination_kernel(rows, ncols)
@@ -349,7 +344,9 @@ class Kinetics:
         self.gather = np.array(rows or [[net.n_species] * len(sides)])
         self._padded = any(len(f) < len(self.gather) for f in factors)
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
-        self.wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)  # W^T
+        W = stoichiometric_matrix(net)
+        self.wt = W.T.astype(float)  # W^T
+        self.rank = _rank(W.tolist(), net.n_species)  # exact, by integer elimination
 
     @functools.cached_property
     def signed(self) -> np.ndarray:

@@ -59,7 +59,10 @@ def _parse_side(text: str, offset: int, species_index: dict[str, int],
         m = _TERM_RE.match(piece)
         if m is None:
             raise ParseError(f"malformed term {piece.strip()!r}", line, col)
-        coeff = int(m.group(1)) if m.group(1) else 1
+        try:
+            coeff = int(m.group(1)) if m.group(1) else 1
+        except ValueError:  # more digits than int() converts
+            raise ParseError("coefficient has too many digits", line, col) from None
         if coeff < 1:
             raise ParseError(f"coefficient must be >= 1, got {coeff}", line, col)
         name = m.group(2)
@@ -93,7 +96,8 @@ def parse_network(text: str | bytes) -> ReactionNetwork:
     """Parse ``.rdn`` text into a ReactionNetwork.
 
     Total over arbitrary input: every failure is a ParseError carrying the
-    offending line and column, never any other exception.
+    offending line and column, never any other exception (the checks here
+    include every rule of ``Reaction`` and ``ReactionNetwork``).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -160,10 +164,7 @@ def parse_network(text: str | bytes) -> ReactionNetwork:
             beta = _parse_side(rest[arrow + 3:colon], rest_offset + arrow + 3,
                                species_index, lineno)
             kf, kb = _parse_rates(rest[colon + 1:], rest_offset + colon + 1, lineno)
-            try:
-                reactions.append(Reaction(tuple(alpha), tuple(beta), kf, kb))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, head_col) from None
+            reactions.append(Reaction(tuple(alpha), tuple(beta), kf, kb))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, head_col)
 
@@ -176,11 +177,8 @@ def parse_network(text: str | bytes) -> ReactionNetwork:
         raise ParseError(f"missing diffusion for {missing[0]}", text.count("\n") + 1)
     if not reactions:
         raise ParseError("need at least one reaction line", text.count("\n") + 1)
-    try:
-        return ReactionNetwork(tuple(species), tuple(reactions),
-                               tuple(diffusion[s] for s in species))
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise ParseError(str(exc), 1) from None
+    return ReactionNetwork(tuple(species), tuple(reactions),
+                           tuple(diffusion[s] for s in species))
 
 
 def _format_side(counts, names) -> str:

@@ -276,13 +276,14 @@ def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
     if spec.csv_path is not None:
         fields = _read_snapshot_csv(spec.csv_path, grid, species_names)
     else:
+        if len(species_names) != len(spec.profiles):
+            raise ValueError("one profile per species required")
         centers = grid.centers()
         extents = grid.domain.extents
         fields = np.zeros((len(spec.profiles),) + grid.shape)
         for i, profile in enumerate(spec.profiles):
             field = np.full(grid.shape, float(profile.base))
             for mode, amplitude in profile.modes:
-                mode = (mode,) if isinstance(mode, int) else tuple(mode)
                 if len(mode) != grid.ndim:
                     raise ValueError(
                         f"mode {mode} does not match a {grid.ndim}-d grid")
@@ -292,15 +293,16 @@ def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
                                          * centers[axis] / extents[axis])
                 field = field + bump
             fields[i] = field
-        if len(species_names) != len(spec.profiles):
-            raise ValueError("one profile per species required")
     bad = ~(np.isfinite(fields) & (fields >= 0))
     if bad.any():
         worst = int(np.argmax(bad))
         i, *cell = np.unravel_index(worst, fields.shape)
         kind = "negative" if fields.flat[worst] < 0 else "non-finite"
-        raise ValueError(f"{kind} initial value for species index {int(i)} "
-                         f"at cell {tuple(int(c) for c in cell)}")
+        # a snapshot's data rows are its cells in row-major order
+        source = ("" if spec.csv_path is None else
+                  f"snapshot {spec.csv_path} data row {worst % grid.n_cells + 1}: ")
+        raise ValueError(f"{source}{kind} initial value for species "
+                         f"{species_names[i]} at cell {tuple(int(c) for c in cell)}")
     return State(t=0.0, fields=fields, grid=grid)
 
 

@@ -51,6 +51,20 @@ diffusion A1=1 A2=1
 reaction 0 <-> A1 + A2 : kf=2 kb=1
 """
 
+HUGE_COEFFICIENT = """\
+species A1 A2
+diffusion A1=1 A2=1
+reaction 100000000000000000000000000000 A1 <-> A2 : kf=1 kb=1
+"""
+
+# an equilibrium of mass 3 needs A1 = 3e-616, below float range
+SPAN = """\
+species A1 A2 A3
+diffusion A1=1 A2=1 A3=1
+reaction A1 <-> A2 : kf=1e154 kb=1e-154
+reaction A2 <-> A3 : kf=1e154 kb=1e-154
+"""
+
 CONFIG = """\
 network = four_species.rdn
 domain = interval:1
@@ -81,6 +95,8 @@ def workdir(tmp_path):
     (tmp_path / "sources.rdn").write_text(SOURCES)
     (tmp_path / "small_mass.rdn").write_text(SMALL_MASS)
     (tmp_path / "pair_source.rdn").write_text(PAIR_SOURCE)
+    (tmp_path / "huge.rdn").write_text(HUGE_COEFFICIENT)
+    (tmp_path / "span.rdn").write_text(SPAN)
     (tmp_path / "run.cfg").write_text(CONFIG)
     return tmp_path
 
@@ -139,6 +155,35 @@ def test_equilibrium_wrong_mass_count(workdir, capsys):
     code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
                      "--masses", "3,4"])
     assert code == 2
+
+
+@pytest.mark.parametrize("network, violation", [
+    ("cubic.rdn", "non-quadratic: |alpha| = 3"),
+    ("huge.rdn", "non-quadratic: |alpha| = 100000000000000000000000000000"),
+])
+@pytest.mark.parametrize("command", [
+    ["equilibrium", "--masses", "1"],
+    ["gap", "--domain", "interval:1", "--masses", "1"],
+    ["gap", "--domain", "interval:1", "--a-inf", "1,1"],
+])
+def test_every_command_refuses_an_inadmissible_network(workdir, capsys, network,
+                                                       violation, command):
+    # one admissibility check, the one simulate makes, before any arithmetic
+    argv = command[:1] + [str(workdir / network)] + command[1:]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"violation: reaction 1: {violation}\n"
+
+
+@pytest.mark.parametrize("command", [["equilibrium"], ["gap", "--domain", "interval:1"]])
+def test_equilibrium_past_float_range_is_a_numerical_failure(workdir, capsys, command):
+    # Newton's mass error and tolerance overflow to inf; neither may pass a test
+    argv = command[:1] + [str(workdir / "span.rdn"), "--masses", "3"] + command[1:]
+    assert dispatch(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: no convergence")
 
 
 def test_blank_masses_serve_a_network_without_conservation_laws(workdir, capsys):
@@ -354,6 +399,21 @@ def test_initial_from_csv_round_trip(workdir, capsys):
     (workdir / "csv.cfg").write_text(cfg)
     assert dispatch(["simulate", str(workdir / "csv.cfg")]) == 0
     assert (workdir / "out2" / "diag.csv").exists()
+
+
+def test_bad_mass_vector(workdir, capsys):
+    code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
+                     "--masses", "1,x,3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad mass vector: '1,x,3'\n"
+
+
+def test_fit_window_needs_two_bounds(workdir, capsys):
+    assert dispatch(["simulate", str(workdir / "run.cfg")]) == 0
+    capsys.readouterr()
+    assert dispatch(["fit", str(workdir / "out" / "diag.csv"), "--column", "L2",
+                     "--window", "0.05"]) == 2
+    assert capsys.readouterr().err == "error: window must be 'a,b'\n"
 
 
 def test_equilibrium_from_initial(workdir, capsys):
@@ -593,6 +653,7 @@ def test_unbalanced_mode_parentheses(workdir, capsys, domain, token):
     ("species.A1.modes = 1:0.01:2", 10, "bad mode entry '1:0.01:2'"),
     ("species.A1.modes = (1,0):0.01", 10, "mode '(1,0):0.01' does not match a 1-d domain"),
     ("snapshot_every = -2", 17, "must be >= 0, got -2"),
+    ("grid = 3", 3, "need at least 4 cells per axis, got (3,)"),
 ])
 def test_config_value_errors_name_their_line(workdir, capsys, line, lineno, message):
     lines = CONFIG.splitlines()
@@ -603,3 +664,41 @@ def test_config_value_errors_name_their_line(workdir, capsys, line, lineno, mess
     path.write_text("\n".join(lines) + "\n")
     assert dispatch(["simulate", str(path)]) == 2
     assert f"error: {path}:{lineno}: {key}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({18: "bogus"}, "{path}:18: expected key = value"),
+    ({18: "dt = 2e-3"}, "{path}:18: duplicate key dt"),
+    ({18: "species.A1.base.x = 1"}, "{path}:18: bad species key 'species.A1.base.x'"),
+    ({7: "zeta = 1", 18: "alpha = 2"}, "{path}:7: unknown config keys: ['alpha', 'zeta']"),
+    ({6: "# t_end left out"}, "{path}: missing config key 't_end'"),
+    ({18: "initial_csv = cells.csv"},
+     "{path}:18: give either initial_csv or species.* keys, not both"),
+    ({k: "#" for k in range(9, 17)},
+     "{path}: missing initial data (species.*.base or initial_csv)"),
+    ({11: "# base left out"}, "{path}:12: species.A2.base is required"),
+    ({15: "#", 16: "#"}, "{path}: missing initial data for species ['A4']"),
+    ({18: "species.B1.base = 1", 19: "species.B0.base = 1"},
+     "{path}:18: initial data for unknown species ['B0', 'B1']"),
+])
+def test_config_refusals_name_their_file(workdir, capsys, edits, message):
+    # the refusals of load_config and of the species check name the file,
+    # and the line where the key they refuse stands
+    lines = CONFIG.splitlines() + ["", ""]
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path = workdir / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert dispatch(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("line, lineno", [("species.A2.base = -1.0", 11),
+                                          ("species.A2.modes = 1:-2", 12)])
+def test_negative_initial_value_names_its_species(workdir, capsys, line, lineno):
+    lines = CONFIG.splitlines()
+    lines[lineno - 1] = line
+    (workdir / "bad.cfg").write_text("\n".join(lines) + "\n")
+    assert dispatch(["simulate", str(workdir / "bad.cfg")]) == 2
+    assert capsys.readouterr().err == \
+        "error: negative initial value for species A2 at cell (0,)\n"

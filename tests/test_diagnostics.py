@@ -76,6 +76,12 @@ class TestWeightedNorm:
         with pytest.raises(ValueError):
             weighted_norm(constant_fields([1, 1, 1, 1]), [1, 1, 1, 1], 0.5, GRID4)
 
+    @pytest.mark.parametrize("a_inf, grid", [([1, 1, 1], GRID4),
+                                             ([1, 1, 1, 1], Grid(Interval(1.0), (5,)))])
+    def test_field_of_another_shape_rejected(self, a_inf, grid):
+        with pytest.raises(ValueError, match="field shape does not match"):
+            weighted_norm(constant_fields([1, 1, 1, 1]), a_inf, 2, grid)
+
 
 class TestRelativeEntropy:
     def test_zero_at_equilibrium(self):
@@ -214,6 +220,15 @@ class TestFitDecayRate:
         with pytest.raises(ValueError, match="at least 10"):
             fit_decay_rate(np.linspace(0, 1, 5), np.ones(5))
 
+    @pytest.mark.parametrize("t, y, message", [
+        (np.linspace(0, 1, 20), np.ones(19), "matching 1-d arrays"),
+        (np.ones((2, 10)), np.ones((2, 10)), "matching 1-d arrays"),
+        (np.ones(12), np.linspace(1, 2, 12), "all samples share one time"),
+    ])
+    def test_malformed_samples(self, t, y, message):
+        with pytest.raises(ValueError, match=message):
+            fit_decay_rate(t, y)
+
     def test_nonpositive_y(self):
         t = np.linspace(0, 1, 20)
         y = np.ones(20)
@@ -271,6 +286,15 @@ class TestSeriesCsv:
         assert series.header()[1:3] == ["M1", "M2"]
         with pytest.raises(KeyError, match="unknown diagnostics column"):
             series.column(name)
+
+    @pytest.mark.parametrize("table, message", [
+        (np.zeros(8), r"shape \(n, q \+ 7\), not \(8,\)"),
+        (np.zeros((3, 6)), r"shape \(n, q \+ 7\), not \(3, 6\)"),
+        (np.array([[0.0] * 7, [1.0] * 7, [1.0] * 7]), "times must be strictly increasing"),
+    ])
+    def test_malformed_table(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            DiagnosticsSeries(table)
 
     @pytest.mark.parametrize("header", ["t,X,H,L2,L4,Linf,fisher,reaction",
                                         "t,M2,M1,H,L2,L4,Linf,fisher,reaction",

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rdbalance import (
+    EquilibriumError,
     Grid,
     Interval,
     Reaction,
@@ -56,6 +58,12 @@ class TestConservedMasses:
         stoich = decompose(four_species_network())
         masses = conserved_masses(stoich, [2, 0, 2, 0], volume=0.5)
         assert masses.values == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("mean, message", [([1, 1, 1], "has the wrong length"),
+                                               ([1, -0.5, 1, 1], "must be nonnegative")])
+    def test_malformed_mean_rejected(self, mean, message):
+        with pytest.raises(ValueError, match=f"mean initial data {message}"):
+            conserved_masses(decompose(four_species_network()), mean)
 
     def test_zero_mass_rejected(self):
         net = four_species_network()
@@ -137,11 +145,13 @@ class TestNewtonSolver:
 
     @pytest.mark.parametrize("kf, kb", [(1e300, 1e-300), (1e-300, 1e300)])
     def test_rate_ratio_beyond_float_range_is_refused(self, kf, kb):
-        # log(kf/kb) is +-inf and the least-squares residual NaN, which must
-        # fail the Wegscheider test rather than reach Newton
+        # kf/kb overflows to inf or underflows to 0, so log(kf/kb) does not
+        # exist in floats: refused before the Wegscheider solve
         net = four_species_network(kf=kf, kb=kb)
-        with pytest.raises(NoDetailedBalanceError, match="residual nan"):
+        message = f"reaction 1: rate ratio kf/kb = {kf:g}/{kb:g} is outside float range"
+        with pytest.raises(EquilibriumError, match=re.escape(message)) as info:
             detailed_balance_equilibrium(net, decompose(net), [1.0, 2.0, 3.0])
+        assert type(info.value) is EquilibriumError
 
     def test_unbalanced_rates_still_work(self):
         net = four_species_network(kf=3.0, kb=0.5)
@@ -214,6 +224,35 @@ class TestNewtonSolver:
         net = pair_source_network()
         with pytest.raises(ValueError, match=f"m1 = {mass:g} must be strictly positive"):
             detailed_balance_equilibrium(net, decompose(net), [mass])
+
+    @pytest.mark.parametrize("m", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []])
+    def test_mass_count_is_refused_with_the_law_names(self, m):
+        net = four_species_network()
+        with pytest.raises(ValueError, match=r"\Aexpected 3 masses \(M12, M14, M32\)\Z"):
+            detailed_balance_equilibrium(net, decompose(net), m)
+
+    def test_masses_past_float_range_do_not_converge(self):
+        # A3 / A1 = 1e616: the mass error and its tolerance overflow to inf at
+        # the start, and neither may count as converged
+        rate = Reaction((1, 0, 0), (0, 1, 0), 1e154, 1e-154)
+        net = ReactionNetwork(("A1", "A2", "A3"),
+                              (rate, Reaction((0, 1, 0), (0, 0, 1), 1e154, 1e-154)),
+                              (1.0, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonDivergenceError, match="no convergence"):
+                detailed_balance_equilibrium(net, decompose(net), [3.0])
+
+    def test_equilibrium_that_underflows_is_refused(self):
+        # 0 <-> A1 and A1 <-> A2 fix a* = (1e-300, 1e-600): A2 underflows to 0
+        net = ReactionNetwork(("A1", "A2"),
+                              (Reaction((0, 0), (1, 0), 1.0, 1e300),
+                               Reaction((1, 0), (0, 1), 1.0, 1e300)),
+                              (1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonDivergenceError, match=r"a\* in \[0, 1e-300\]"):
+                detailed_balance_equilibrium(net, decompose(net), [])
 
     def test_infeasible_masses_diverge(self):
         # M34 = M14 + M32 - M12 < 0: no positive state has these masses

@@ -10,6 +10,7 @@ from rdbalance import (
     Interval,
     LinearisedMatrix,
     NotEquilibriumError,
+    Reaction,
     ReactionNetwork,
     Rectangle,
     analytic_gap_bound_four_species,
@@ -104,36 +105,32 @@ class TestLinearisedMatrix:
             assert residual <= 1e-12 * max(1.0, np.abs(lin.matrix).max())
 
     def test_strictly_negative_on_reactive_subspace(self, rng):
+        # exactly q eigenvalues vanish (the conservation laws), the rest are < 0
+        from rdbalance import decompose
+
         for _ in range(20):
             net, a_star = random_balanced_network(rng)
             lin = linearised_matrix(net, a_star)
-            W = stoichiometric_matrix(net)
-            spectrum = weighted_spectrum(lin, subspace=W.T.astype(float))
-            assert spectrum.size >= 1
-            assert np.all(spectrum <= -1e-12)
+            rank = net.n_species - decompose(net).n_conserved
+            scale = np.linalg.norm(lin.symmetric())
+            spectrum = weighted_spectrum(lin)
+            assert rank >= 1
+            assert np.all(np.abs(spectrum[rank:]) <= 1e-12 * scale)
+            assert np.all(spectrum[:rank] < -1e-12 * scale)
+
+
+def test_gap_needs_a_reactive_direction():
+    # a lone no-op reaction has W = 0: every direction is conserved
+    net = ReactionNetwork(("A1", "A2"), (Reaction((1, 0), (1, 0), 1.0, 1.0),), (1.0, 1.0))
+    assert net.kinetics.rank == 0
+    with pytest.raises(ValueError, match="network has no reactive directions"):
+        operator_spectral_gap(net, [1.0, 1.0], Interval(1.0))
 
 
 class TestWeightedSpectrum:
     def test_full_space(self):
         lin = linearised_matrix(four_species_network(), [1, 1, 1, 1])
         assert np.allclose(weighted_spectrum(lin), [-4, 0, 0, 0], atol=1e-11)
-
-    def test_restricted(self):
-        net = four_species_network()
-        lin = linearised_matrix(net, [1, 1, 1, 1])
-        spectrum = weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)
-        assert np.allclose(spectrum, [-4.0], atol=1e-11)
-
-    def test_dependent_subspace_column_dropped(self, rng):
-        for _ in range(10):
-            net, a_star = random_balanced_network(rng)
-            lin = linearised_matrix(net, a_star)
-            columns = stoichiometric_matrix(net).T
-            doubled = np.column_stack([columns, columns[:, :1]])
-            want = weighted_spectrum(lin, subspace=columns)
-            got = weighted_spectrum(lin, subspace=doubled)
-            assert got.shape == want.shape
-            assert np.allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_zero_matrix(self):
         lin = LinearisedMatrix(matrix=np.zeros((3, 3)), weights=np.ones(3))
@@ -263,6 +260,17 @@ class TestSpectralGap:
         assert report.analytic_bound <= report.lambda_star * (1 + 1e-9)
 
 
+def projected_mode0_gap(lin, W):
+    """Mode-0 gap by projection: the symmetric form of L restricted to an
+    orthonormal basis of its range, the weighted image of Im W^T, found by
+    an SVD with a relative cutoff of 1e-12 (an oracle independent of rank W)."""
+    columns = np.sqrt(lin.weights)[:, np.newaxis] * W.T.astype(float)
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    basis = u[:, s > 1e-12 * np.max(s, initial=1.0)]
+    S = lin.symmetric()
+    return -np.linalg.eigvalsh(basis.T @ (0.5 * (S + S.T)) @ basis)[-1]
+
+
 @st.composite
 def small_grids(draw):
     """A grid of 1 to 4 dimensions with at most 64 cells (256 in 4D, which
@@ -290,7 +298,7 @@ def test_gap_is_the_smallest_gap_over_every_mode_block(grid, seed, slow, exponen
     report = operator_spectral_gap(net, a_star, grid)
 
     lin = linearised_matrix(net, a_star)
-    gaps = [-weighted_spectrum(lin, subspace=stoichiometric_matrix(net).T)[-1]]
+    gaps = [projected_mode0_gap(lin, stoichiometric_matrix(net))]
     for mu in laplacian_spectrum(grid, grid.shape)[1:]:
         block = LinearisedMatrix(matrix=-mu * np.diag(d) + lin.matrix,
                                  weights=lin.weights)

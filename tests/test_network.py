@@ -340,6 +340,35 @@ class TestTypes:
         with pytest.raises(ValueError, match="diffusion A2 must be strictly positive"):
             ReactionNetwork(("A1", "A2"), (Reaction((1, 0), (0, 1), 1.0, 1.0),), (1.0, d))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Reaction((1.5, 0), (0, 1), 1.0, 1.0), "coefficients must be integers"),
+        (lambda: Reaction((), (), 1.0, 1.0), "at least one species slot"),
+        (lambda: ReactionNetwork(("A1",), (Reaction((1,), (0,), 1.0, 1.0),), (1.0,)),
+         "need at least two species"),
+        (lambda: ReactionNetwork(("A1", "A2"), (Reaction((1, 0), (0, 1), 1.0, 1.0),),
+                                 (1.0,)),
+         "one diffusion coefficient per species"),
+        (lambda: ReactionNetwork(("A1", "A2"), (Reaction((1, 0, 0), (0, 1, 0), 1.0, 1.0),),
+                                 (1.0, 1.0)),
+         "reaction coefficient length does not match species count"),
+        (lambda: conservation_basis(np.array([[-1.0, 1.0]])), "W must be an integer matrix"),
+        (lambda: conservation_basis(np.array([-1, 1])), "W must be an integer matrix"),
+        (lambda: conservation_basis(np.zeros((1, 0), dtype=np.int64)),
+         "W must be an integer matrix"),
+        (lambda: production_term(four_species_network(), [1.0, 1.0]),
+         "expected concentration vector of length 4"),
+    ])
+    def test_malformed_input_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_kinetics_keeps_the_exact_rank_of_w(self, rng):
+        for _ in range(40):
+            net = random_admissible_network(rng)
+            rank = net.kinetics.rank
+            assert rank == net.n_species - decompose(net).n_conserved
+            assert rank == np.linalg.matrix_rank(stoichiometric_matrix(net))
+
     def test_is_four_species(self):
         assert is_four_species(four_species_network())
         assert not is_four_species(exchange_network())

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,13 @@ def test_unknown_species_has_location():
      "missing rates"),
     ("species A1 A2\ndiffusion A1=1 A2=1\nreaction 0*A1 <-> A2 : kf=1 kb=1\n",
      "coefficient must be >= 1"),
+    ("species A1 A2\ndiffusion A1=1 A2=1\nreaction A1 <-> 0 + A2 : kf=1 kb=1\n",
+     "malformed term '0'"),
+    ("species A1 A2\ndiffusion A1=1 A2=1\nreaction <-> A2 : kf=1 kb=1\n",
+     r"empty reaction side \(use 0\)"),
+    ("species A1 A2\ndiffusion A1=1 A2=1\nreaction A1 <-> A2 : kf=1 kb=1 kf=2\n",
+     "duplicate rate kf"),
+    ("species A1 A2\ndiffusion A1=1 A2=1 A1=2\n", "duplicate diffusion for A1"),
     ("species A1 A2\ndiffusion A1=1 A2=1\n", "need at least one reaction"),
     ("species A1 A2\nreaction A1 <-> A2 : kf=1 kb=1\n", "missing diffusion"),
     ("bogus line\n", "unknown directive"),
@@ -76,6 +85,16 @@ def test_unknown_species_has_location():
 def test_parse_errors(text, needle):
     with pytest.raises(ParseError, match=needle):
         parse_network(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integers of any length")
+def test_coefficient_past_the_int_digit_limit_has_location():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    text = f"species A1 A2\ndiffusion A1=1 A2=1\nreaction {digits} A1 <-> A2 : kf=1 kb=1\n"
+    with pytest.raises(ParseError, match="coefficient has too many digits") as err:
+        parse_network(text)
+    assert (err.value.line, err.value.col) == (3, 1 + len("reaction"))
 
 
 def test_comments_and_blank_lines_ignored():

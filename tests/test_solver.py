@@ -481,6 +481,12 @@ class TestSnapshotCsv:
         with pytest.raises(ValueError, match=r"non-finite initial value .* cell \(2,\)"):
             build_initial(spec, Grid(Interval(1.0), (4,)), ("A1",))
 
+    def test_negative_cell_names_its_file_row_and_species(self, tmp_path):
+        spec = self.write(tmp_path, "x,A2,A1\n0.125,1,1\n0.375,1,1\n0.625,-1,1\n0.875,1,1\n")
+        with pytest.raises(ValueError, match=r"snapshot \S*cells\.csv data row 3: negative "
+                           r"initial value for species A2 at cell \(2,\)\Z"):
+            build_initial(spec, Grid(Interval(1.0), (4,)), ("A1", "A2"))
+
     @pytest.mark.parametrize("grid, message", [
         (Grid(Rectangle(1.0, 1.0), (16, 16)), "data row 1: y = 0.0625 lies outside"),
         (Grid(Interval(1.0), (256,)), "data row 1: x = 0.015625 lies outside"),
@@ -524,6 +530,22 @@ class TestInitialData:
         with pytest.raises(ValueError, match="negative initial value"):
             build_initial(uniform_spec([1, 1], modes={0: (((1,), 2.0),)}),
                           Grid(Interval(1.0), (8,)), ("A1", "A2"))
+
+    def test_one_profile_per_species(self):
+        with pytest.raises(ValueError, match="one profile per species required"):
+            build_initial(uniform_spec([1, 1]), Grid(Interval(1.0), (8,)), ("A1",))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InitialSpec(), "give exactly one of profiles or csv_path"),
+        (lambda: InitialSpec(profiles=(SpeciesProfile(1.0),), csv_path="cells.csv"),
+         "give exactly one of profiles or csv_path"),
+        (lambda: State(t=0.0, fields=np.ones((2, 5)), grid=Grid(Interval(1.0), (4,))),
+         r"fields of shape \(2, 5\) do not live on grid \(4,\)"),
+        (lambda: Grid(Interval(1.0), (3,)), r"need at least 4 cells per axis, got \(3,\)"),
+    ])
+    def test_types_refuse_malformed_input(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_2d_mode(self):
         grid = Grid(Rectangle(1.0, 1.0), (8, 8))
@@ -632,6 +654,11 @@ class TestStep:
             with pytest.raises(ValueError, match="unknown scheme"):
                 Stepper(net, grid, 1e-3, scheme)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    def test_step_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            Stepper(four_species_network(), Grid(Interval(1.0), (8,)), dt, "strang")
+
 
 class TestSimulate:
     def test_equilibrium_stays_flat(self):
@@ -733,6 +760,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
             simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=1e-3, t_end=0.01,
                      output_every=2, snapshot_every=-2)
+
+    @pytest.mark.parametrize("t_end, output_every, message", [
+        (0.0, 1, "t_end must be positive"),
+        (-0.01, 1, "t_end must be positive"),
+        (0.01, 0, "output_every must be >= 1"),
+    ])
+    def test_run_lengths_refused(self, t_end, output_every, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(four_species_network(), Grid(Interval(1.0), (8,)),
+                     uniform_spec([1, 1, 1, 1]), dt=1e-3, t_end=t_end,
+                     output_every=output_every)
 
     def test_t_end_must_be_whole_steps(self):
         net = four_species_network()
