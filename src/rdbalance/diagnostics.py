@@ -121,9 +121,9 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
     """
     a = np.asarray(a_fields, dtype=float)
     a_star = np.asarray(a_inf, dtype=float)
-    if np.any(a <= 0):
+    if not a.min() > 0:  # as in DiagnosticsRecord.row; argmin finds a NaN first
         i, *cell = np.unravel_index(int(np.argmin(a)), a.shape)
-        raise ValueError(f"non-positive cell value for species {int(i)} "
+        raise ValueError(f"non-positive cell value for species {net.species[i]} "
                          f"at cell {tuple(int(c) for c in cell)}")
     return (_fisher(a, net.diffusion_array(), grid.spacing, grid.cell_volume),
             _reaction(a, net.kinetics, _reaction_coefficients(net, a_star),

@@ -397,7 +397,7 @@ def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected concentration vector of length {net.n_species}")
     if np.any(a < 0):
         bad = int(np.argmin(a))
-        raise ValueError(f"negative concentration a[{bad}] = {a[bad]}")
+        raise ValueError(f"negative concentration {net.species[bad]} = {a[bad]}")
     forward, backward = net.kinetics.fluxes(a)
     K = forward - backward
     return K, net.kinetics.wt @ K

@@ -191,14 +191,31 @@ class _DiffusionSemigroup:
         return out.reshape(fields.shape) + mean
 
 
+def check_cells(fields: np.ndarray, species, t: float) -> None:
+    """The one rule for admissible cells, of initial data and of every step:
+    each cell of ``fields`` (I, *grid) is finite and >= NEGATIVE_TOL |max|.
+    Else NonPositivityError names ``species[i]`` and the first NaN, else the
+    minimum, else the maximum."""
+    # argmin and argmax stop at the first NaN (+inf is the maximum), so a
+    # NaN fails the test; only a failure pays for locating the bad cell.
+    flat = fields.reshape(-1)
+    worst_low, worst_high = flat.argmin(), flat.argmax()
+    low, high = flat[worst_low], flat[worst_high]
+    low_ok = low >= NEGATIVE_TOL * abs(high) and -math.inf < low
+    if not (low_ok and high < math.inf):
+        worst, value = (worst_high, high) if low_ok else (worst_low, low)
+        i, *cell = np.unravel_index(worst, fields.shape)
+        raise NonPositivityError(species[i], cell, t, float(value))
+
+
 class Stepper:
     """Integrator bound to a network, grid, dt > 0 and scheme (in ``SCHEMES``)."""
 
     def __init__(self, net: ReactionNetwork, grid: Grid, dt: float, scheme: str):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r} (use {' or '.join(SCHEMES)})")
-        if not dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         self.net = net
         self.grid = grid
         self.dt = dt
@@ -210,20 +227,6 @@ class Stepper:
         # between two reactions: D(dt) for both (strang's two halves merged)
         self._between = (self.diffusion.multiplier_over(dt) if scheme == "strang"
                          else self.diffusion.multiplier)
-
-    def _check(self, fields: np.ndarray, t: float) -> None:
-        # argmin and argmax stop at the first NaN (+inf is the maximum), so a
-        # NaN fails the test; only a failure pays for locating the bad cell.
-        flat = fields.reshape(-1)
-        worst_low, worst_high = flat.argmin(), flat.argmax()
-        low, high = flat[worst_low], flat[worst_high]
-        floor = NEGATIVE_TOL * abs(high)
-        if low >= floor and -math.inf < low and high < math.inf:
-            return
-        for worst, value in ((worst_low, low), (worst_high, high)):
-            if not (value >= floor and math.isfinite(value)):
-                i, *cell = np.unravel_index(worst, fields.shape)
-                raise NonPositivityError(self.net.species[i], cell, t, float(value))
 
     def _react(self, fields: np.ndarray) -> np.ndarray:
         """One reaction substep over dt, in place on ``fields``."""
@@ -251,17 +254,17 @@ class Stepper:
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        self._check(state.fields, state.t)  # the step contract needs admissible input
+        check_cells(state.fields, self.net.species, state.t)  # admissible input
         fields = self.diffusion.apply(state.fields)  # never overwrites the input
         for j in range(1, n_steps + 1):
             t = state.t + j * self.dt
             fields = self._react(fields)
-            self._check(fields, t)
+            check_cells(fields, self.net.species, t)
             if j < n_steps:
                 fields = self.diffusion.apply(fields, self._between, overwrite=True)
         if self.scheme == "strang":
             fields = self.diffusion.apply(fields, overwrite=True)
-            self._check(fields, t)
+            check_cells(fields, self.net.species, t)
         return State(t=t, fields=fields, grid=state.grid)
 
 
@@ -271,7 +274,8 @@ def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
     Cosine profiles, one per species, are evaluated at cell centers: base +
     sum over modes (k1, ..., kd) of eps prod_axes cos(k_j pi x_j / L_j).  CSV
     input is loaded verbatim in snapshot format, its columns picked by
-    name.  The result must be finite and nonnegative.
+    name.  The result must pass ``check_cells``, as every step does, so a
+    run's own snapshot restarts; ValueError otherwise.
     """
     if spec.csv_path is not None:
         fields = _read_snapshot_csv(spec.csv_path, grid, species_names)
@@ -280,9 +284,9 @@ def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
             raise ValueError("one profile per species required")
         centers = grid.centers()
         extents = grid.domain.extents
-        fields = np.zeros((len(spec.profiles),) + grid.shape)
-        for i, profile in enumerate(spec.profiles):
-            field = np.full(grid.shape, float(profile.base))
+        fields = np.empty((len(spec.profiles),) + grid.shape)
+        for field, profile in zip(fields, spec.profiles):
+            field[...] = float(profile.base)
             for mode, amplitude in profile.modes:
                 if len(mode) != grid.ndim:
                     raise ValueError(
@@ -291,18 +295,16 @@ def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
                 for axis, k in enumerate(mode):
                     bump = bump * np.cos(int(k) * math.pi
                                          * centers[axis] / extents[axis])
-                field = field + bump
-            fields[i] = field
-    bad = ~(np.isfinite(fields) & (fields >= 0))
-    if bad.any():
-        worst = int(np.argmax(bad))
-        i, *cell = np.unravel_index(worst, fields.shape)
-        kind = "negative" if fields.flat[worst] < 0 else "non-finite"
+                field += bump
+    try:
+        check_cells(fields, species_names, 0.0)
+    except NonPositivityError as bad:
+        kind = "negative" if bad.value < 0 else "non-finite"
         # a snapshot's data rows are its cells in row-major order
-        source = ("" if spec.csv_path is None else
-                  f"snapshot {spec.csv_path} data row {worst % grid.n_cells + 1}: ")
+        source = ("" if spec.csv_path is None else f"snapshot {spec.csv_path} data row "
+                  f"{np.ravel_multi_index(bad.cell, grid.shape) + 1}: ")
         raise ValueError(f"{source}{kind} initial value for species "
-                         f"{species_names[i]} at cell {tuple(int(c) for c in cell)}")
+                         f"{bad.species} at cell {bad.cell}") from None
     return State(t=0.0, fields=fields, grid=grid)
 
 
@@ -394,19 +396,18 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     the dissipation integrals genuinely diverge); all other columns are
     finite throughout.
     """
-    state = build_initial(initial, grid, species_names=net.species)
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if output_every < 1:
         raise ValueError("output_every must be >= 1")
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
+    state = build_initial(initial, grid, species_names=net.species)
 
     stoich, eq = reference_equilibrium(net, state)
     a_inf = eq.vector
     if dt is None:
-        dt = default_dt(net, a_inf, grid)
-        dt = t_end / math.ceil(t_end / dt)
+        dt = t_end / math.ceil(t_end / default_dt(net, a_inf, grid))
 
     stepper = Stepper(net, grid, dt, scheme)
     ratio = t_end / dt
@@ -421,10 +422,9 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     outputs = k = 0
     while k < n_steps:  # one advance per output interval
         chunk = min(output_every, n_steps - k)
-        state = stepper.advance(state, chunk)
         k += chunk
         # keep recorded times exact multiples of dt
-        state = State(t=k * dt, fields=state.fields, grid=grid)
+        state = State(t=k * dt, fields=stepper.advance(state, chunk).fields, grid=grid)
         rows.append(record.row(state))
         outputs += 1
         if snapshot_every and outputs % snapshot_every == 0 and k != n_steps:

@@ -401,6 +401,24 @@ def test_initial_from_csv_round_trip(workdir, capsys):
     assert (workdir / "out2" / "diag.csv").exists()
 
 
+def test_a_runs_own_snapshot_restarts(workdir, capsys):
+    # a front, every species 1 on x < 1/4 and 0 beyond: two strang steps leave
+    # cells at -2.2e-16, roundoff the stepper admits, so its reader must too
+    rows = "".join(f"{(j + 0.5) / 64!r}" + f",{int(j < 16)}" * 4 + "\n" for j in range(64))
+    (workdir / "front.csv").write_text("x,A1,A2,A3,A4\n" + rows)
+    cfg = ("network = four_species.rdn\ndomain = interval:1\ngrid = 64\nscheme = strang\n"
+           "dt = 1e-3\nt_end = 0.002\noutput_dir = {}\ninitial_csv = {}\n")
+    (workdir / "front.cfg").write_text(cfg.format("out", "front.csv"))
+    assert dispatch(["simulate", str(workdir / "front.cfg")]) == 0
+    snap = workdir / "out" / "snapshot_00000002.csv"
+    assert np.loadtxt(snap, delimiter=",", skiprows=2).min() < 0
+    (workdir / "again.cfg").write_text(cfg.format("out2", "out/" + snap.name))
+    assert dispatch(["simulate", str(workdir / "again.cfg")]) == 0
+    first = DiagnosticsSeries.read_csv(workdir / "out" / "diag.csv")
+    second = DiagnosticsSeries.read_csv(workdir / "out2" / "diag.csv")
+    assert np.array_equal(second.masses[0], first.masses[-1])
+
+
 def test_bad_mass_vector(workdir, capsys):
     code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
                      "--masses", "1,x,3"])

@@ -181,8 +181,17 @@ class TestEntropyDissipation:
     def test_rejects_zero_cells(self):
         net = four_species_network()
         a = constant_fields([1, 0, 1, 1])
-        with pytest.raises(ValueError, match="non-positive cell"):
+        with pytest.raises(ValueError, match=r"non-positive cell value for species A2 "
+                           r"at cell \(0,\)"):
             entropy_dissipation(a, net, [1, 1, 1, 1], GRID4)
+
+    def test_rejects_nan_cells(self):
+        # a NaN is not positive: refused, named like a zero, never summed into the result
+        a = constant_fields([1, 1, 0.5, 1])
+        a[3, 0] = 0.25
+        a[2, 1] = math.nan
+        with pytest.raises(ValueError, match=r"species A3 at cell \(1,\)"):
+            entropy_dissipation(a, four_species_network(), [1, 1, 1, 1], GRID4)
 
     def test_balances_entropy_decay_along_trajectory(self):
         net = four_species_network()

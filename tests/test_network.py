@@ -251,7 +251,7 @@ class TestProductionTerm:
         assert P.tolist() == [-5.0, 5.0]
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError, match="negative concentration"):
+        with pytest.raises(ValueError, match="negative concentration A2 = -0.5"):
             production_term(four_species_network(), [1, -0.5, 1, 1])
 
     def test_conservation_identity(self, rng):
@@ -293,6 +293,14 @@ class TestValidation:
         report = validate_network(net)
         assert not report.ok
         assert any("non-quadratic: |alpha| = 3" in v for v in report.violations)
+
+    def test_cubic_product_side(self):
+        net = ReactionNetwork(("A1", "A2"),
+                              (Reaction((1, 0), (0, 1), 1.0, 1.0),
+                               Reaction((1, 0), (0, 3), 1.0, 1.0)),
+                              (1.0, 1.0))
+        report = validate_network(net)
+        assert report.violations == ("reaction 2: non-quadratic: |beta| = 3",)
 
     def test_noop_reaction(self):
         net = ReactionNetwork(("A1", "A2"),

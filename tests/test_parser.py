@@ -2,9 +2,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdbalance import ParseError, Reaction, ReactionNetwork, parse_network, \
-    serialize_network
+    serialize_network, validate_network
 
 from conftest import four_species_network, triangle_network
 
@@ -147,3 +148,61 @@ def test_fuzz_mutated_text(rng):
             parse_network(text)
         except ParseError:
             pass
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+# text in the format's shape: a valid head or none, then lines whole, a
+# directive and tokens, or reaction-like, so that draws reach every check
+HEADS = st.sampled_from(["", "species A1 A2 A3 A4\n",
+                         "species A1 A2 A3 A4\ndiffusion A1=1 A2=1 A3=1 A4=1\n"])
+TOKENS = st.lists(st.sampled_from(
+    [" ", "\t", "\r", "#", "A1", "A2", "B_7", "0", "2", "+", "*", "<->", ":",
+     "kf=", "=", "1", "-2", "nan", "inf"]), max_size=12).map("".join)
+REACTION_LIKE = r"reaction [0-9A*+ ]{0,9}(<->)?[0-9A*+ ]{0,9}:?( ?k[fbx]=[-0-9.e]{0,4}){0,3}"
+LINES = st.one_of(
+    st.sampled_from(FOUR_SPECIES_TEXT.splitlines()),
+    st.tuples(st.sampled_from(["species", "diffusion", "reaction", ""]), TOKENS).map(" ".join),
+    st.from_regex(REACTION_LIKE, fullmatch=True))
+TEXTS = st.one_of(st.text(), st.builds(lambda head, lines: head + "\n".join(lines),
+                                       HEADS, st.lists(LINES, max_size=3)))
+
+
+@PROPERTY
+@given(text=TEXTS)
+def test_parse_network_is_total_with_a_location(text):
+    try:
+        parse_network(text)
+    except ParseError as err:
+        assert 1 <= err.line <= len(text.splitlines()) + 1
+        assert err.col >= 1
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def admissible_networks(draw):
+    """Distinct names, positive finite rates and diffusion, and reactions with
+    sides of order at most 2 and alpha != beta (``validate_network`` ok)."""
+    species = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+                            min_size=2, max_size=6, unique=True))
+
+    def side(indices):
+        return tuple(indices.count(i) for i in range(len(species)))
+
+    slots = st.lists(st.integers(0, len(species) - 1), max_size=2).map(side)
+    reactions = []
+    for _ in range(draw(st.integers(1, 4))):
+        alpha = draw(slots)
+        beta = draw(slots.filter(lambda b: b != alpha))
+        reactions.append(Reaction(alpha, beta, draw(POSITIVE), draw(POSITIVE)))
+    diffusion = draw(st.lists(POSITIVE, min_size=len(species), max_size=len(species)))
+    return ReactionNetwork(tuple(species), tuple(reactions), tuple(diffusion))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(net=admissible_networks())
+def test_round_trip_of_random_admissible_networks(net):
+    assert validate_network(net).ok
+    assert parse_network(serialize_network(net)) == net

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from rdbalance import (
 )
 
 from rdbalance.network import Kinetics
-from rdbalance.solver import NEGATIVE_TOL, _dct_basis
+from rdbalance.solver import NEGATIVE_TOL, _dct_basis, check_cells
 
 from conftest import build_laplacian, four_species_network, random_balanced_network
 
@@ -335,7 +336,7 @@ def test_unit_rate_production_is_the_flux_product_bitwise(name, rng):
 
 
 class TestPositivityCheck:
-    """``Stepper._check`` names the cell that argmin/argmax pick: the first
+    """``check_cells`` names the cell that argmin/argmax pick: the first
     NaN if there is one, else the minimum, then the maximum."""
 
     SHAPE = (3, 4, 5)
@@ -353,15 +354,14 @@ class TestPositivityCheck:
         return None
 
     def check(self, fields):
-        grid = Grid(Rectangle(1.0, 2.0), self.SHAPE[1:])
         net = ReactionNetwork(("A1", "A2", "A3"),
                               (Reaction((1, 0, 0), (0, 1, 1), 1.0, 1.0),), (1.0, 1.0, 1.0))
         want = self.argmin_argmax(fields)
         if want is None:
-            Stepper(net, grid, 1e-3, "strang")._check(fields, 0.25)
+            check_cells(fields, net.species, 0.25)
             return
         with pytest.raises(NonPositivityError) as info:
-            Stepper(net, grid, 1e-3, "strang")._check(fields, 0.25)
+            check_cells(fields, net.species, 0.25)
         error = info.value
         got = (error.species, error.cell, error.value)
         assert got[:2] == want[:2]
@@ -400,6 +400,41 @@ class TestPositivityCheck:
         fields[1, 2, 3] = -4.0
         self.check(fields)
         self.check(np.full(self.SHAPE, -math.inf))
+
+    @pytest.mark.parametrize("cells", [
+        {(1, 0, 0): -1.0, (2, 3, 1): math.nan},
+        {(1, 2, 2): math.inf, (2, 0, 4): -0.5},
+        {(0, 3, 4): -1e-3, (2, 1, 0): -2e-3},
+        {(0, 0, 1): -1e-3, (0, 0, 2): -1e-3},
+    ])
+    def test_build_initial_names_the_cell_the_stepper_names(self, tmp_path, rng, cells):
+        grid = Grid(Rectangle(1.0, 2.0), self.SHAPE[1:])
+        fields = 0.5 + rng.random(self.SHAPE)
+        for index, value in cells.items():
+            fields[index] = value
+        species, cell, value = self.argmin_argmax(fields)
+        path = tmp_path / "cells.csv"
+        write_snapshot_csv(path, State(t=0.0, fields=fields, grid=grid), ["A1", "A2", "A3"])
+        row = np.ravel_multi_index(cell, grid.shape) + 1  # rows are cells, row-major
+        kind = "negative" if value < 0 else "non-finite"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} data row {row}: {kind} initial value for species {species} "
+                f"at cell {cell}") + r"\Z"):
+            build_initial(InitialSpec(csv_path=str(path)), grid, ("A1", "A2", "A3"))
+
+    def test_build_initial_admits_what_the_stepper_admits(self, tmp_path):
+        grid = Grid(Rectangle(1.0, 2.0), self.SHAPE[1:])
+        fields = np.ones(self.SHAPE)
+        fields[1, 3, 2] = NEGATIVE_TOL  # roundoff below 0, at the tolerance's edge
+        path = tmp_path / "cells.csv"
+        write_snapshot_csv(path, State(t=0.0, fields=fields, grid=grid), ["A1", "A2", "A3"])
+        spec = InitialSpec(csv_path=str(path))
+        assert np.array_equal(build_initial(spec, grid, ("A1", "A2", "A3")).fields, fields)
+        fields[1, 3, 2] = np.nextafter(NEGATIVE_TOL, -math.inf)
+        write_snapshot_csv(path, State(t=0.0, fields=fields, grid=grid), ["A1", "A2", "A3"])
+        with pytest.raises(ValueError, match=r"data row 18: negative initial value "
+                           r"for species A2 at cell \(3, 2\)"):
+            build_initial(spec, grid, ("A1", "A2", "A3"))
 
 
 class TestSnapshotCsv:
@@ -531,6 +566,12 @@ class TestInitialData:
             build_initial(uniform_spec([1, 1], modes={0: (((1,), 2.0),)}),
                           Grid(Interval(1.0), (8,)), ("A1", "A2"))
 
+    def test_roundoff_below_zero_admitted_as_the_stepper_admits_it(self):
+        grid = Grid(Interval(1.0), (8,))
+        state = build_initial(uniform_spec([1, 1, 1, -1e-12]), grid, ("A1", "A2", "A3", "A4"))
+        assert np.all(state.fields[3] == -1e-12)
+        Stepper(four_species_network(), grid, 1e-3, "strang").advance(state)
+
     def test_one_profile_per_species(self):
         with pytest.raises(ValueError, match="one profile per species required"):
             build_initial(uniform_spec([1, 1]), Grid(Interval(1.0), (8,)), ("A1",))
@@ -645,7 +686,7 @@ class TestStep:
                           "strang")
         fields = np.full((4, 8), 1e12)
         fields[1, 3] = -1e-6
-        stepper._check(fields, 0.0)
+        check_cells(fields, stepper.net.species, 0.0)
 
     def test_unknown_scheme(self):
         net = four_species_network()
@@ -654,7 +695,7 @@ class TestStep:
             with pytest.raises(ValueError, match="unknown scheme"):
                 Stepper(net, grid, 1e-3, scheme)
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
     def test_step_must_be_positive(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             Stepper(four_species_network(), Grid(Interval(1.0), (8,)), dt, "strang")
@@ -764,6 +805,7 @@ class TestSimulate:
     @pytest.mark.parametrize("t_end, output_every, message", [
         (0.0, 1, "t_end must be positive"),
         (-0.01, 1, "t_end must be positive"),
+        (math.inf, 1, "t_end must be positive"),
         (0.01, 0, "output_every must be >= 1"),
     ])
     def test_run_lengths_refused(self, t_end, output_every, message):
@@ -771,6 +813,11 @@ class TestSimulate:
             simulate(four_species_network(), Grid(Interval(1.0), (8,)),
                      uniform_spec([1, 1, 1, 1]), dt=1e-3, t_end=t_end,
                      output_every=output_every)
+
+    def test_infinite_t_end_refused_before_the_default_step(self):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            simulate(four_species_network(), Grid(Interval(1.0), (8,)),
+                     uniform_spec([1, 1, 1, 1]), dt=None, t_end=math.inf)
 
     def test_t_end_must_be_whole_steps(self):
         net = four_species_network()
