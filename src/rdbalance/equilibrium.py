@@ -2,16 +2,16 @@
 
 A positive vector a* is a detailed-balance equilibrium iff every reaction
 flux vanishes, i.e. W log a* = log(kf/kb) componentwise (W rows are
-beta - alpha).  Solvability of that linear system is the Wegscheider
-condition; when it holds the solution family is
+beta - alpha).  With mu the least-squares solution of that system, every
+candidate has the form
 
     log a*(theta) = mu + Q^T theta,        theta in R^q,
 
-and theta is pinned by the conserved masses Q a*(theta) = m.  That
-equation is the gradient of the strictly convex dual potential
-phi(theta) = sum_i a_i(theta) - m . theta, whose Hessian Q diag(a) Q^T is
-symmetric positive definite, so damped Newton with backtracking converges
-globally from theta = 0.
+so W log a* = W mu for every theta: balance (the Wegscheider condition) is
+decided once, on the result, by the flux rule ``linearised_matrix`` shares.
+The masses Q a*(theta) = m pin theta; that is the gradient of the strictly
+convex dual potential sum_i a_i(theta) - m . theta, whose Hessian Q diag(a)
+Q^T is positive definite, so damped Newton converges from theta = 0.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ class EquilibriumError(Exception):
 
 
 class NoDetailedBalanceError(EquilibriumError):
-    """W log a = log(kf/kb) has no solution (Wegscheider condition fails)."""
+    """No state balances every reaction (the Wegscheider condition fails)."""
 
 
 class NewtonDivergenceError(EquilibriumError):
-    """The mass-matching Newton iteration failed or left float range: most
-    often no positive state realizes the masses (a mixed-sign law's mass is
-    admitted at any value, so Newton is what decides), otherwise a bug."""
+    """Newton failed, or a* is not strictly positive and finite: most often
+    no positive state realizes the masses (a mixed-sign law's mass is
+    admitted at any value, so Newton decides), or a* is past float range."""
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,11 @@ def _relative_db_residual(forward: np.ndarray,
     return float(np.max(K)), float(np.max(K / scale))
 
 
-_WEGSCHEIDER_TOL = 1e-9  # least-squares residual of W mu = log(kf/kb)
+_DB_TOL = 1e-10  # flux residual relative to the one-sided fluxes
 _NEWTON_TOL = 1e-12  # mass error |Q a - m| relative to |m|
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # ulp-scale slack, relative to the terms
-_MAX_NEWTON_ITER = 200
+_MAX_EFOLDS = 16.0  # largest change of any log a_i in one Newton step
+_MAX_NEWTON_ITER = 1600  # above a*, one e-fold per step; floats span ~1455
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks refuse inf, 0 and NaN
@@ -124,11 +125,11 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     ValueError names the law.  A mixed-sign law's mass may be any real, so
     Newton alone decides whether the masses are realizable.
 
-    Two stages: solve W mu = log(kf/kb) by least squares (a ratio kf/kb
-    past float range is refused, and a residual beyond ``_WEGSCHEIDER_TOL``
-    means no detailed-balance equilibrium exists); then Newton on theta for
-    Q exp(mu + Q^T theta) = m, damped by a backtracking line search on the
-    convex dual potential, to a strictly positive, finite state.
+    A ratio kf/kb past float range is refused; then Newton on theta solves
+    Q exp(mu + Q^T theta) = m over all of float range, damped by a line
+    search on the convex dual potential and a step cap of ``_MAX_EFOLDS``.
+    Its failure, or a state not strictly positive and finite, raises
+    NewtonDivergenceError; a state off balance, NoDetailedBalanceError.
     """
     m = m.vector if isinstance(m, ConservedMasses) else np.asarray(m, dtype=float)
     q = stoich.Q.shape[0]
@@ -144,36 +145,29 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
         if not 0 < value < math.inf:
             raise EquilibriumError(f"reaction {k + 1}: rate ratio kf/kb = "
                                    f"{r.kf:g}/{r.kb:g} is outside float range")
-    W = stoich.W.astype(float)
-    c = np.log(ratio)
-    mu, *_ = np.linalg.lstsq(W, c, rcond=None)
-    residual = np.max(np.abs(W @ mu - c))
-    if not residual <= _WEGSCHEIDER_TOL:
-        raise NoDetailedBalanceError(
-            f"no detailed-balance equilibrium: W log a = log(kf/kb) is "
-            f"unsolvable (residual {residual:.3e})")
+    mu, *_ = np.linalg.lstsq(stoich.W.astype(float), np.log(ratio), rcond=None)
 
     Q = stoich.Q.astype(float)
     QT = Q.T
     Q_abs = np.abs(Q)
     theta = np.zeros(q)
-    m_norm = np.linalg.norm(m)
+    m_norm = math.hypot(*m.tolist())
 
-    def matched(a, rel):
-        # Q a is a difference of terms of size |Q| a, so a small m cannot be
-        # matched more closely than their roundoff; inf matches nothing
-        g, terms = Q @ a - m, Q_abs @ a
-        # sqrt(x.x) is np.linalg.norm's arithmetic without its call overhead
-        tol = max(rel * m_norm, _ROUNDOFF * math.sqrt(terms.dot(terms)))
-        return g, math.sqrt(g.dot(g)) <= tol < math.inf
+    def matched(a, log_a):
+        # terms |Q| a are known to the ulps of log a, so a small m matches only
+        # to their roundoff; hypot never over- or underflows; inf matches nothing
+        g = Q @ a - m
+        terms = Q_abs @ (a * np.maximum(1.0, np.abs(log_a)))
+        tol = max(_NEWTON_TOL * m_norm, _ROUNDOFF * math.hypot(*terms.tolist()))
+        return g, math.hypot(*g.tolist()) <= tol < math.inf
 
     def potential(th):
-        a = np.exp(mu + QT @ th)
-        return a, float(a.sum() - m @ th)
+        a = np.exp(log_a := mu + QT @ th)
+        return log_a, a, float(a.sum() - m @ th)
 
-    a, phi = potential(theta)
+    log_a, a, phi = potential(theta)
     for _ in range(_MAX_NEWTON_ITER):
-        g, done = matched(a, _NEWTON_TOL)
+        g, done = matched(a, log_a)
         if done:
             break
         hessian = (Q * a) @ QT
@@ -181,30 +175,35 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
             delta = np.linalg.solve(hessian, -g)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergenceError(f"singular Newton system: {exc}") from None
+        # below a*, Newton's step of ~ m / a e-folds would overflow exp
+        delta /= max(1.0, max(map(abs, (QT @ delta).tolist())) / _MAX_EFOLDS)
         slope = float(g @ delta)
-        # ulp-scale slack keeps the full Newton step acceptable once the
-        # merit decrease drops below the resolution of phi
+        # ulp-scale slack admits the full step once phi cannot resolve its
+        # decrease; a shorter step must decrease phi, or Newton creeps forever
         slack = _ROUNDOFF * max(1.0, abs(phi))
         step = 1.0
         while step > 1e-14:
-            a_new, phi_new = potential(theta + step * delta)
+            log_new, a_new, phi_new = potential(theta + step * delta)
             if np.isfinite(phi_new) and \
                     phi_new <= phi + 1e-4 * step * slope + slack:
                 break
-            step *= 0.5
+            step, slack = 0.5 * step, 0.0
         else:
             raise NewtonDivergenceError("line search failed to make progress")
         theta = theta + step * delta
-        a, phi = a_new, phi_new
+        log_a, a, phi = log_new, a_new, phi_new
     else:
         raise NewtonDivergenceError(
             f"no convergence in {_MAX_NEWTON_ITER} iterations (masses may be "
             f"unrealizable by a positive state)")
 
+    if not np.all((a > 0) & (a < math.inf)):
+        raise NewtonDivergenceError(f"a* in [{a.min():.3g}, {a.max():.3g}] "
+                                    f"is not strictly positive and finite")
     absolute, relative = _relative_db_residual(*net.kinetics.fluxes(a))
-    g, done = matched(a, 1e-10)
-    if not (done and relative <= 1e-10 and np.all((a > 0) & (a < math.inf))):
-        raise NewtonDivergenceError(
-            f"converged state fails invariants (a* in [{a.min():.3g}, {a.max():.3g}], "
-            f"db residual {relative:.2e}, mass error {np.linalg.norm(g):.2e})")
+    if math.isnan(relative):  # an inf flux; a finite pair never gives NaN
+        raise EquilibriumError("reaction fluxes at a* overflow float range")
+    if not relative <= _DB_TOL:
+        raise NoDetailedBalanceError(f"no detailed-balance equilibrium: "
+                                     f"relative flux residual {relative:.3e}")
     return EquilibriumState(tuple(a), ConservedMasses(tuple(m)), absolute)

@@ -26,10 +26,9 @@ import numpy as np
 
 from .geometry import Box, Grid
 from .network import ReactionNetwork, is_four_species
-from .equilibrium import _relative_db_residual
+from .equilibrium import _DB_TOL, _relative_db_residual
 
 
-_EQUILIBRIUM_TOL = 1e-10  # flux residual relative to the one-sided fluxes
 _SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
 
 
@@ -69,7 +68,7 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     """Linearised reaction matrix at a detailed-balance equilibrium.
 
     Raises NotEquilibriumError when some reaction flux at ``a_inf`` exceeds
-    ``_EQUILIBRIUM_TOL`` relative to its one-sided fluxes.
+    ``_DB_TOL`` relative to its one-sided fluxes, the solver's own rule.
     """
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or not np.all((a > 0) & np.isfinite(a)):
@@ -77,7 +76,7 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
             "a_inf must be a strictly positive, finite vector, one per species")
     forward, backward = net.kinetics.fluxes(a)
     _, relative = _relative_db_residual(forward, backward)
-    if relative > _EQUILIBRIUM_TOL:
+    if not relative <= _DB_TOL:
         raise NotEquilibriumError(
             f"state is not an equilibrium (relative flux residual {relative:.3e})")
     wt = net.kinetics.wt  # W^T, I x R
@@ -88,13 +87,14 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
 def weighted_spectrum(lin: LinearisedMatrix) -> np.ndarray:
     """Ascending real eigenvalues of L in its weighted inner product:
     LAPACK's ``eigvalsh`` of the symmetric form of ``lin``, which must be
-    symmetric to ``_SYMMETRY_TOL`` (ValueError otherwise)."""
+    symmetric to ``_SYMMETRY_TOL`` (ValueError otherwise), as it is at any
+    positive a*: input validation; the flux rule detects non-equilibria."""
     S = lin.symmetric()
     asym = np.max(np.abs(S - S.T))
     if asym > _SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
         raise ValueError(
-            f"operator is not symmetric in the weighted inner product "
-            f"(asymmetry {asym:.3e}); the base state is not a valid equilibrium")
+            f"L is not self-adjoint in the 1/a* inner product: its symmetric "
+            f"form is not symmetric (asymmetry {asym:.3e})")
     return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 

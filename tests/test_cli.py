@@ -151,6 +151,40 @@ def test_equilibrium_no_detailed_balance(workdir, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kb", ["1.0000000015", "1.0000000025"])
+def test_equilibrium_just_off_balance_names_the_cause(tmp_path, capsys, kb):
+    # Newton matches the mass exactly; the flux residual (kb - 1) / 3 refuses
+    path = tmp_path / "cycle.rdn"
+    path.write_text(TRIANGLE.replace("kf=2 kb=1", f"kf=1 kb={kb}"))
+    assert dispatch(["equilibrium", str(path), "--masses", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical failure: no detailed-balance equilibrium: relative flux residual")
+
+
+@pytest.mark.parametrize("network, masses", [
+    ("four_species_unit.rdn", "1,2,3"),
+    (TRIANGLE.replace("kf=2 kb=1", "kf=1 kb=1.00000000015"), "3"),
+])
+def test_gap_accepts_the_printed_equilibrium(tmp_path, capsys, network, masses):
+    # equilibrium prints a* exactly (%.17g), and gap --a-inf applies the rule
+    # equilibrium applied to it: the 3-cycle's residual 5e-11 passes both
+    path = Path(__file__).parent / "data" / network
+    if not network.endswith(".rdn"):
+        path = tmp_path / "cycle.rdn"
+        path.write_text(network)
+    assert dispatch(["equilibrium", str(path), "--masses", masses]) == 0
+    printed = dict(line.split(" = ") for line in
+                   capsys.readouterr().out.splitlines())
+    a_inf = ",".join(value for name, value in printed.items() if name.startswith("A"))
+    argv = ["gap", str(path), "--domain", "interval:1"]
+    assert dispatch(argv + ["--masses", masses]) == 0
+    from_masses = capsys.readouterr()
+    assert dispatch(argv + ["--a-inf", a_inf]) == 0
+    assert capsys.readouterr() == from_masses
+
+
 def test_equilibrium_wrong_mass_count(workdir, capsys):
     code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
                      "--masses", "3,4"])
@@ -178,12 +212,13 @@ def test_every_command_refuses_an_inadmissible_network(workdir, capsys, network,
 
 @pytest.mark.parametrize("command", [["equilibrium"], ["gap", "--domain", "interval:1"]])
 def test_equilibrium_past_float_range_is_a_numerical_failure(workdir, capsys, command):
-    # Newton's mass error and tolerance overflow to inf; neither may pass a test
+    # a* = (3e-616, 3e-308, 3): Newton matches the mass, and A1 underflows to 0
     argv = command[:1] + [str(workdir / "span.rdn"), "--masses", "3"] + command[1:]
     assert dispatch(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: no convergence")
+    assert captured.err == ("numerical failure: a* in [0, 3] is not strictly "
+                            "positive and finite\n")
 
 
 def test_blank_masses_serve_a_network_without_conservation_laws(workdir, capsys):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -143,6 +144,19 @@ class TestNewtonSolver:
         with pytest.raises(NoDetailedBalanceError):
             detailed_balance_equilibrium(net, decompose(net), [3.0])
 
+    @pytest.mark.parametrize("kb", [1.0000000015, 1.0000000025])
+    def test_cycle_just_off_balance_is_refused(self, kb):
+        # a* = (1, 1, 1) matches the mass exactly, and its flux residual
+        # (kb - 1) / 3 exceeds the one bound that gap also applies
+        net = ReactionNetwork(("A1", "A2", "A3"),
+                              (Reaction((1, 0, 0), (0, 1, 0), 1.0, 1.0),
+                               Reaction((0, 1, 0), (0, 0, 1), 1.0, 1.0),
+                               Reaction((0, 0, 1), (1, 0, 0), 1.0, kb)),
+                              (1.0, 1.0, 1.0))
+        with pytest.raises(NoDetailedBalanceError, match=r"\Ano detailed-balance "
+                           r"equilibrium: relative flux residual [58]\.\d{3}e-10\Z"):
+            detailed_balance_equilibrium(net, decompose(net), [3.0])
+
     @pytest.mark.parametrize("kf, kb", [(1e300, 1e-300), (1e-300, 1e300)])
     def test_rate_ratio_beyond_float_range_is_refused(self, kf, kb):
         # kf/kb overflows to inf or underflows to 0, so log(kf/kb) does not
@@ -207,6 +221,32 @@ class TestNewtonSolver:
         assert 0.995334 * a[0] * a[2] == pytest.approx(8.68080, rel=1e-12)
         assert a[0] > a[2] > 0
 
+    @pytest.mark.parametrize("kb, mass", [(1e10, 1e-165), (1.0, 1e-160)])
+    def test_tiny_mass_of_a_mixed_sign_law_is_matched(self, kb, mass):
+        # 0 <-> A1 + A2 conserves m = a1 - a2, far below a1 ~ a2 ~ 1e-155
+        # (or 1e-150), whose squares underflow; each a_i = exp(log a_i) is
+        # known only to the ulps of log a_i ~ -356, which bound the match
+        net = ReactionNetwork(("A1", "A2"), (Reaction((0, 0), (1, 1), 1e-300, kb),),
+                              (1.0, 1.0))
+        stoich = decompose(net)
+        a = detailed_balance_equilibrium(net, stoich, [mass]).vector
+        terms = np.abs(stoich.Q) @ (a * np.maximum(1.0, np.abs(np.log(a))))
+        floor = 64 * np.finfo(float).eps * math.hypot(*terms)
+        assert abs(a[0] - a[1] - mass) <= floor
+
+    @pytest.mark.parametrize("kf, kb, mass", [
+        (2.0, 1.0, 1e-300), (2.0, 1.0, 1e-90), (2.0, 1.0, 1e16), (2.0, 1.0, 1e30),
+        (2.0, 1.0, 1e300), (1e154, 1e-154, 3.0)])
+    def test_masses_across_float_range_are_reached(self, kf, kb, mass):
+        # a* = (m / (1 + r), m / (1 + 1/r)), r = kf / kb, lies up to ~690
+        # e-folds from the start exp(mu): the raw Newton step below a*
+        # overflows exp, and above a* Newton gains about one e-fold per step
+        net = exchange_network(kf, kb)
+        a = detailed_balance_equilibrium(net, decompose(net), [mass]).vector
+        ratio = kf / kb
+        want = (mass / (1.0 + ratio), mass / (1.0 + 1.0 / ratio))
+        assert a == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("mass", [-50.0, -1.0, 0.0])
     def test_mixed_sign_law_takes_any_mass(self, mass):
         # 0 <-> A1 + A2 conserves m = a1 - a2, <= 0 wherever a2 >= a1; with
@@ -232,15 +272,16 @@ class TestNewtonSolver:
             detailed_balance_equilibrium(net, decompose(net), m)
 
     def test_masses_past_float_range_do_not_converge(self):
-        # A3 / A1 = 1e616: the mass error and its tolerance overflow to inf at
-        # the start, and neither may count as converged
+        # A3 / A1 = 1e616: Newton matches the mass at a* = (3e-616, 3e-308, 3),
+        # whose A1 underflows to 0, and that state is refused
         rate = Reaction((1, 0, 0), (0, 1, 0), 1e154, 1e-154)
         net = ReactionNetwork(("A1", "A2", "A3"),
                               (rate, Reaction((0, 1, 0), (0, 0, 1), 1e154, 1e-154)),
                               (1.0, 1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NewtonDivergenceError, match="no convergence"):
+            with pytest.raises(NewtonDivergenceError, match=re.escape(
+                    "a* in [0, 3] is not strictly positive and finite")):
                 detailed_balance_equilibrium(net, decompose(net), [3.0])
 
     def test_equilibrium_that_underflows_is_refused(self):
@@ -259,6 +300,25 @@ class TestNewtonSolver:
         net = four_species_network()
         with pytest.raises(NewtonDivergenceError):
             detailed_balance_equilibrium(net, decompose(net), [5, 1, 1])
+
+    def test_infeasible_masses_stop_without_creeping(self):
+        # M34 = -0.47: Newton drives a3, a4 toward 0, where the capped step
+        # no longer lowers phi; backtracking must not accept a step that
+        # lowers it by nothing, which would stall for every iteration
+        net = four_species_network()
+        with pytest.raises(NewtonDivergenceError, match="line search failed"):
+            detailed_balance_equilibrium(net, decompose(net),
+                                         [4.68185488, 4.09768242, 0.11341865])
+
+    def test_equilibrium_whose_fluxes_overflow_is_refused(self):
+        # 2 A1 <-> 2 A2 at mass 1e200: a* = (5e199, 5e199) is a float, its
+        # fluxes a_i^2 are not, so balance cannot be decided
+        net = ReactionNetwork(("A1", "A2"), (Reaction((2, 0), (0, 2), 1.0, 1.0),),
+                              (1.0, 1.0))
+        message = "reaction fluxes at a* overflow float range"
+        with pytest.raises(EquilibriumError, match=re.escape(message)) as info:
+            detailed_balance_equilibrium(net, decompose(net), [1e200])
+        assert type(info.value) is EquilibriumError
 
     def test_free_energy_minimality(self, rng):
         net = four_species_network()
