@@ -257,16 +257,15 @@ def _equilibrium_from_args(net, args):
         state = build_initial(_initial_spec(config, net), config.grid,
                               species_names=net.species)
         return reference_equilibrium(net, state)
-    stoich = decompose(net)
-    m = _parse_floats(args.masses, "mass vector")
-    return stoich, detailed_balance_equilibrium(net, stoich, m)
+    return detailed_balance_equilibrium(net, decompose(net),
+                                        _parse_floats(args.masses, "mass vector"))
 
 
 def _cmd_equilibrium(args) -> int:
     if (net := _load_network(args.network)) is None:
         return EXIT_INVALID
-    stoich, eq = _equilibrium_from_args(net, args)
-    for label, value in zip(stoich.labels, eq.masses.values):
+    eq = _equilibrium_from_args(net, args)
+    for label, value in zip(net.structure.labels, eq.masses.values):
         print(f"{label} = {value:.17g}")
     for name, value in zip(net.species, eq.a_inf):
         print(f"{name} = {value:.17g}")
@@ -281,8 +280,7 @@ def _cmd_gap(args) -> int:
     if args.a_inf is not None:
         a_inf = _parse_floats(args.a_inf, "equilibrium vector")
     else:
-        _, eq = _equilibrium_from_args(net, args)
-        a_inf = eq.vector
+        a_inf = _equilibrium_from_args(net, args).vector
     report = operator_spectral_gap(net, a_inf, domain)
     print(f"lambda_star = {report.lambda_star:.9f}")
     if report.analytic_bound is not None:

@@ -98,17 +98,22 @@ def four_species_equilibrium(m12: float, m14: float, m32: float,
     return EquilibriumState(a, ConservedMasses((m12, m14, m32)), residual)
 
 
-def _relative_db_residual(forward: np.ndarray,
-                          backward: np.ndarray) -> tuple[float, float]:
-    """(absolute, relative) detailed-balance residual max_r |K_r| from the
-    one-sided fluxes of ``Kinetics.fluxes``."""
+@np.errstate(over="ignore", invalid="ignore")  # an inf flux is refused by name
+def _flux_balance(net: ReactionNetwork, a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Forward fluxes kf a^alpha at a strictly positive, finite ``a`` and the
+    (absolute, relative) detailed-balance residual max_r |K_r|, relative to
+    the one-sided fluxes; EquilibriumError when a flux overflows float range."""
+    forward, backward = net.kinetics.fluxes(a)
     K = np.abs(forward - backward)
     scale = np.maximum(np.maximum(forward, backward), 1e-300)
-    return float(np.max(K)), float(np.max(K / scale))
+    absolute, relative = float(np.max(K)), float(np.max(K / scale))
+    if math.isnan(relative):  # an inf flux; a finite pair never gives NaN
+        raise EquilibriumError("reaction fluxes at a* overflow float range")
+    return forward, absolute, relative
 
 
 _DB_TOL = 1e-10  # flux residual relative to the one-sided fluxes
-_NEWTON_TOL = 1e-12  # mass error |Q a - m| relative to |m|
+_NEWTON_TOL = 1e-12  # mass error |(Q a - m)_i| relative to |m_i|
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # ulp-scale slack, relative to the terms
 _MAX_EFOLDS = 16.0  # largest change of any log a_i in one Newton step
 _MAX_NEWTON_ITER = 1600  # above a*, one e-fold per step; floats span ~1455
@@ -128,6 +133,8 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     A ratio kf/kb past float range is refused; then Newton on theta solves
     Q exp(mu + Q^T theta) = m over all of float range, damped by a line
     search on the convex dual potential and a step cap of ``_MAX_EFOLDS``.
+    It stops when each law i matches on its own, |(Q a - m)_i| within
+    ``_NEWTON_TOL`` |m_i| or the roundoff of that law's own terms.
     Its failure, or a state not strictly positive and finite, raises
     NewtonDivergenceError; a state off balance, NoDetailedBalanceError.
     """
@@ -151,15 +158,14 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     QT = Q.T
     Q_abs = np.abs(Q)
     theta = np.zeros(q)
-    m_norm = math.hypot(*m.tolist())
 
     def matched(a, log_a):
-        # terms |Q| a are known to the ulps of log a, so a small m matches only
-        # to their roundoff; hypot never over- or underflows; inf matches nothing
+        # each law to its own mass and terms |Q| a, known to the ulps of log a:
+        # a small m_i matches only to their roundoff; inf and NaN match nothing
         g = Q @ a - m
         terms = Q_abs @ (a * np.maximum(1.0, np.abs(log_a)))
-        tol = max(_NEWTON_TOL * m_norm, _ROUNDOFF * math.hypot(*terms.tolist()))
-        return g, math.hypot(*g.tolist()) <= tol < math.inf
+        tol = np.maximum(_NEWTON_TOL * np.abs(m), _ROUNDOFF * terms)
+        return g, bool(np.all((np.abs(g) <= tol) & (tol < math.inf)))
 
     def potential(th):
         a = np.exp(log_a := mu + QT @ th)
@@ -200,9 +206,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     if not np.all((a > 0) & (a < math.inf)):
         raise NewtonDivergenceError(f"a* in [{a.min():.3g}, {a.max():.3g}] "
                                     f"is not strictly positive and finite")
-    absolute, relative = _relative_db_residual(*net.kinetics.fluxes(a))
-    if math.isnan(relative):  # an inf flux; a finite pair never gives NaN
-        raise EquilibriumError("reaction fluxes at a* overflow float range")
+    _, absolute, relative = _flux_balance(net, a)
     if not relative <= _DB_TOL:
         raise NoDetailedBalanceError(f"no detailed-balance equilibrium: "
                                      f"relative flux residual {relative:.3e}")

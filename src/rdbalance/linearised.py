@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, Grid
 from .network import ReactionNetwork, is_four_species
-from .equilibrium import _DB_TOL, _relative_db_residual
+from .equilibrium import _DB_TOL, _flux_balance
 
 
 _SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
@@ -68,14 +68,14 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     """Linearised reaction matrix at a detailed-balance equilibrium.
 
     Raises NotEquilibriumError when some reaction flux at ``a_inf`` exceeds
-    ``_DB_TOL`` relative to its one-sided fluxes, the solver's own rule.
+    ``_DB_TOL`` relative to its one-sided fluxes, the solver's own rule, and
+    the solver's EquilibriumError when a flux overflows float range.
     """
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or not np.all((a > 0) & np.isfinite(a)):
         raise ValueError(
             "a_inf must be a strictly positive, finite vector, one per species")
-    forward, backward = net.kinetics.fluxes(a)
-    _, relative = _relative_db_residual(forward, backward)
+    forward, _, relative = _flux_balance(net, a)
     if not relative <= _DB_TOL:
         raise NotEquilibriumError(
             f"state is not an equilibrium (relative flux residual {relative:.3e})")
@@ -133,7 +133,7 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     or over the finite set of a grid's (the semi-discrete gap).
 
     Mode 0 acts on Im W^T (the conservation constraint): L's lowest rank W
-    eigenvalues, by the exact integer ``Kinetics.rank``.  Mode k >= 1 acts
+    eigenvalues, by the exact ``net.structure.rank``.  Mode k >= 1 acts
     on the full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0
     (``ReactionNetwork`` refuses other d).  As S - mu' D <= S - mu D -
     (mu' - mu) min_i d_i I for mu' > mu, the mode gap rises strictly with
@@ -144,7 +144,7 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     a = np.asarray(a_inf, dtype=float)
     d = net.diffusion_array()
 
-    rank = net.kinetics.rank
+    rank = net.structure.rank
     if rank == 0:
         raise ValueError("network has no reactive directions")
     per_mode = [(0.0, float(-weighted_spectrum(lin)[rank - 1]))]

@@ -11,10 +11,10 @@ integer matrix with row r equal to beta^r - alpha^r; ``Kinetics`` is the
 one evaluator of both.  Rows of the integer matrix Q form a basis of
 Ker W, so Q P(a) = 0 identically: the quantities Q . integral(a) are
 conserved by the reaction-diffusion dynamics under no-flux boundary
-conditions.  Q is built in exact integer arithmetic: its semi-positive
-rows are extreme rays of the cone {x >= 0 : W x = 0}, found by one
-double-description pass, and fraction-free Gauss-Jordan elimination gives
-the rank and completes the kernel.
+conditions.  W, its rank and Q are exact integer algebra, built once per
+network (``ReactionNetwork.structure``): one fraction-free elimination of
+W gives the rank and the kernel, and Q's semi-positive rows are extreme
+rays of {x >= 0 : W x = 0}, from one double-description pass.
 """
 
 from __future__ import annotations
@@ -127,36 +127,10 @@ class ReactionNetwork:
         """Mass-action evaluator, built once (not a field: == and hash ignore it)."""
         return Kinetics(self)
 
-
-@dataclass(frozen=True)
-class StoichiometryDecomposition:
-    """Integer pair (W, Q): W rows are beta - alpha, Q rows span Ker W."""
-
-    W: np.ndarray
-    Q: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.int64)
-        Q = np.asarray(self.Q, dtype=np.int64)
-        if W.ndim != 2 or Q.ndim != 2 or Q.shape[1] != W.shape[1]:
-            raise ValueError("W and Q must be matrices over the same species axis")
-        # Exact integer checks: Q W^T = 0 and rank(Q) = I - rank(W).
-        prod = Q.astype(object) @ W.astype(object).T
-        if any(x != 0 for x in prod.flat):
-            raise ValueError("Q W^T != 0: Q rows are not conservation laws")
-        rank_w = _rank(W.tolist(), W.shape[1])
-        rank_q = _rank(Q.tolist(), Q.shape[1])
-        if rank_q != Q.shape[0] or rank_q != W.shape[1] - rank_w:
-            raise ValueError("Q rows must be a basis of Ker W")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "Q", Q)
-        if len(self.labels) != Q.shape[0]:
-            raise ValueError("one label per conservation law required")
-
-    @property
-    def n_conserved(self) -> int:
-        return self.Q.shape[0]
+    @functools.cached_property
+    def structure(self) -> "StoichiometryDecomposition":
+        """Exact integer structure (W, rank, Q), built once (not a field)."""
+        return StoichiometryDecomposition(self)
 
 
 def stoichiometric_matrix(net: ReactionNetwork) -> np.ndarray:
@@ -199,10 +173,6 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], l
     return m[:len(pivots)], pivots
 
 
-def _rank(rows: list[list[int]], ncols: int) -> int:
-    return len(_gauss_jordan(rows, ncols)[1])
-
-
 def _primitive(vec: list[int]) -> list[int]:
     """Divide by the gcd and make the first nonzero entry positive."""
     g = math.gcd(*vec)
@@ -211,14 +181,14 @@ def _primitive(vec: list[int]) -> list[int]:
     return [x // g for x in vec]
 
 
-def _elimination_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Primitive integer kernel vectors, one per free column; deterministic.
+def _elimination_kernel(W: np.ndarray) -> list[list[int]]:
+    """Primitive integer kernel vectors of W, one per free column; deterministic.
 
     With pivot determinant D, the vector of free column f has x[f] = D and
     x[p_i] = -row_i[f] on each pivot column p_i: D times the rational
     vector with a unit entry in column f.
     """
-    reduced, pivots = _gauss_jordan(rows, ncols)
+    reduced, pivots = _gauss_jordan(W.tolist(), ncols := W.shape[1])
     d = reduced[0][pivots[0]] if pivots else 1
     out = []
     for f in range(ncols):
@@ -283,40 +253,70 @@ def conservation_basis(W) -> np.ndarray:
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[1] < 1 or not np.issubdtype(W.dtype, np.integer):
         raise ValueError("W must be an integer matrix")
-    rows = W.tolist()
-    ncols = W.shape[1]
-    kernel = _elimination_kernel(rows, ncols)
+    return _basis(W, _elimination_kernel(W))
+
+
+def _basis(W: np.ndarray, kernel: list[list[int]]) -> np.ndarray:
+    """``conservation_basis`` of W, given W's elimination kernel."""
     q = len(kernel)
     if q == 0:
-        return np.zeros((0, ncols), dtype=np.int64)
+        return np.zeros((0, W.shape[1]), dtype=np.int64)
     # the leftmost pivot columns of the candidates, stacked as columns, are
     # the candidates that raise the rank of those before them
-    candidates = _extreme_rays(rows, ncols) + kernel
+    candidates = _extreme_rays(W.tolist(), W.shape[1]) + kernel
     _, picked = _gauss_jordan([list(c) for c in zip(*candidates)], len(candidates))
     if len(picked) != q:
         raise RuntimeError(f"kernel completion found {len(picked)} of {q} rows")
     return np.array([candidates[j] for j in picked], dtype=np.int64)
 
 
-def _pair_label(row: np.ndarray, net: ReactionNetwork) -> str | None:
-    """Name a two-species unit row M<i><j>, reactant species first."""
-    support = np.flatnonzero(row)
-    if len(support) != 2 or any(row[support] != 1):
-        return None
-    i, j = int(support[0]), int(support[1])
-    reactants = {k for r in net.reactions for k in np.flatnonzero(r.alpha)}
-    products = {k for r in net.reactions for k in np.flatnonzero(r.beta)}
-    if j in reactants and i in products and not (i in reactants and j in products):
-        i, j = j, i
-    return f"M{i + 1}{j + 1}"
+class StoichiometryDecomposition:
+    """Exact integer structure of one network, kept by
+    ``ReactionNetwork.structure``: W (R x I, rows beta - alpha), its rank, and
+    Q, whose rows are a basis of Ker W (``conservation_basis``), with labels.
+    One elimination of W gives the rank and the kernel; Q and its labels are
+    built on first read, so the rank never waits on the extreme-ray pass,
+    which refuses a network with too many rays."""
+
+    def __init__(self, net: ReactionNetwork):
+        self.W = stoichiometric_matrix(net)
+        self.W.flags.writeable = False  # shared by every caller, as Q is
+        self._kernel = _elimination_kernel(self.W)
+        self.rank = self.W.shape[1] - len(self._kernel)  # the pivot count
+        self._reactant = net.alpha_matrix().any(axis=0)
+        self._product = net.beta_matrix().any(axis=0)
+
+    @functools.cached_property
+    def Q(self) -> np.ndarray:
+        Q = _basis(self.W, self._kernel)
+        Q.flags.writeable = False
+        return Q
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self._pair_label(row) or f"m{k + 1}" for k, row in enumerate(self.Q))
+
+    def _pair_label(self, row: np.ndarray) -> str | None:
+        """Name a two-species unit row M<i><j>, reactant species first."""
+        support = np.flatnonzero(row)
+        if len(support) != 2 or any(row[support] != 1):
+            return None
+        i, j = int(support[0]), int(support[1])
+        if self._reactant[j] and self._product[i] \
+                and not (self._reactant[i] and self._product[j]):
+            i, j = j, i
+        return f"M{i + 1}{j + 1}"
+
+    @property
+    def n_conserved(self) -> int:
+        return self.Q.shape[0]
 
 
 def decompose(net: ReactionNetwork) -> StoichiometryDecomposition:
-    """Stoichiometric matrix and deterministic conservation basis of a network."""
-    W = stoichiometric_matrix(net)
-    Q = conservation_basis(W)
-    labels = tuple(_pair_label(row, net) or f"m{k + 1}" for k, row in enumerate(Q))
-    return StoichiometryDecomposition(W=W, Q=Q, labels=labels)
+    """``net.structure`` with Q and its labels built: ValueError when the
+    extreme rays are too many to list."""
+    net.structure.labels  # reads Q, so the ray pass runs (or refuses) here
+    return net.structure
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +344,7 @@ class Kinetics:
         self.gather = np.array(rows or [[net.n_species] * len(sides)])
         self._padded = any(len(f) < len(self.gather) for f in factors)
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
-        W = stoichiometric_matrix(net)
-        self.wt = W.T.astype(float)  # W^T
-        self.rank = _rank(W.tolist(), net.n_species)  # exact, by integer elimination
+        self.wt = net.structure.W.T.astype(float)  # W^T
 
     @functools.cached_property
     def signed(self) -> np.ndarray:

@@ -40,7 +40,7 @@ from .diagnostics import DiagnosticsRecord, DiagnosticsSeries, _read_table, \
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Grid
-from .network import ReactionNetwork, StoichiometryDecomposition, decompose
+from .network import ReactionNetwork, decompose
 
 NEGATIVE_TOL = -1e-10  # relative to the largest cell
 
@@ -369,13 +369,12 @@ class SimulationResult:
     dt: float  # the step taken: the given one, or the shortened default_dt
 
 
-def reference_equilibrium(net: ReactionNetwork, state: State
-                          ) -> tuple[StoichiometryDecomposition, EquilibriumState]:
-    """Conservation basis of ``net`` and the detailed-balance equilibrium with
-    the conserved masses of ``state``: the one a run from ``state`` relaxes to."""
+def reference_equilibrium(net: ReactionNetwork, state: State) -> EquilibriumState:
+    """The detailed-balance equilibrium with the conserved masses of
+    ``state``: the one a run from ``state`` relaxes to."""
     stoich = decompose(net)
     masses = conserved_masses(stoich, state.means(), volume=state.grid.domain.measure)
-    return stoich, detailed_balance_equilibrium(net, stoich, masses)
+    return detailed_balance_equilibrium(net, stoich, masses)
 
 
 def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
@@ -404,7 +403,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         raise ValueError("snapshot_every must be >= 0")
     state = build_initial(initial, grid, species_names=net.species)
 
-    stoich, eq = reference_equilibrium(net, state)
+    eq = reference_equilibrium(net, state)
     a_inf = eq.vector
     if dt is None:
         dt = t_end / math.ceil(t_end / default_dt(net, a_inf, grid))
@@ -416,7 +415,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         raise ValueError(f"t_end = {t_end!r} is not a whole number of steps "
                          f"of dt = {dt!r}")
 
-    record = DiagnosticsRecord(net, a_inf, grid, stoich.Q)
+    record = DiagnosticsRecord(net, a_inf, grid, net.structure.Q)
     rows = [record.row(state)]  # diag.csv's rows, in header order
     snapshots = [state]
     outputs = k = 0

@@ -313,18 +313,41 @@ def test_gap_refuses_non_finite_equilibrium(workdir, capsys, a_inf):
     assert "a_inf must be a strictly positive, finite vector" in captured.err
 
 
-def test_equilibrium_refuses_too_many_extreme_rays(tmp_path, capsys):
+def write_layered_network(path):
     # X_l + Y_l <-> X_{l+1} + Y_{l+1} for 16 layers has 2^16 extreme rays
     species = [f"{s}{l}" for l in range(16) for s in "XY"]
     lines = [f"species {' '.join(species)}",
              "diffusion " + " ".join(f"{name}=1" for name in species)]
     lines += [f"reaction X{l} + Y{l} <-> X{l + 1} + Y{l + 1} : kf=1 kb=1" for l in range(15)]
-    (tmp_path / "layered.rdn").write_text("\n".join(lines) + "\n")
-    code = dispatch(["equilibrium", str(tmp_path / "layered.rdn"), "--masses", "1"])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_equilibrium_refuses_too_many_extreme_rays(tmp_path, capsys):
+    code = dispatch(["equilibrium", write_layered_network(tmp_path / "layered.rdn"),
+                     "--masses", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too many extreme rays" in captured.err
+
+
+def test_gap_at_a_given_state_needs_no_extreme_rays(tmp_path, capsys):
+    # mode 0 reads the exact rank of W, which one elimination gives
+    code = dispatch(["gap", write_layered_network(tmp_path / "layered.rdn"),
+                     "--domain", "interval:1", "--a-inf", ",".join(["1"] * 32)])
+    assert code == 0
+    assert "lambda_star = 0.076858878" in capsys.readouterr().out.splitlines()
+
+
+def test_gap_refuses_fluxes_past_float_range(workdir, capsys):
+    # a balanced state whose fluxes 1e400 overflow: named, not a NaN residual
+    code = dispatch(["gap", str(workdir / "four_species.rdn"), "--domain", "interval:1",
+                     "--a-inf", "1e200,1e200,1e200,1e200"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reaction fluxes at a* overflow float range" in captured.err
 
 
 def test_simulate_and_fit(workdir, capsys):

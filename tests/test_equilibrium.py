@@ -234,6 +234,18 @@ class TestNewtonSolver:
         floor = 64 * np.finfo(float).eps * math.hypot(*terms)
         assert abs(a[0] - a[1] - mass) <= floor
 
+    @pytest.mark.parametrize("masses", [[1e-30, 0.0], [1e-30, 1e3], [1e-250, -5.0]])
+    def test_each_law_is_matched_to_its_own_scale(self, masses):
+        # A2 + A3 <-> 0 conserves a1 and a2 - a3; the terms a2 + a3 >= 2 of
+        # the second law must not set the tolerance of the first
+        net = ReactionNetwork(("A1", "A2", "A3"),
+                              (Reaction((0, 1, 1), (0, 0, 0), 1.0, 1.0),),
+                              (1.0, 1.0, 1.0))
+        stoich = decompose(net)
+        assert stoich.Q.tolist() == [[1, 0, 0], [0, 1, -1]]
+        a = detailed_balance_equilibrium(net, stoich, masses).vector
+        assert abs(a[0] - masses[0]) <= 1e-12 * masses[0]
+
     @pytest.mark.parametrize("kf, kb, mass", [
         (2.0, 1.0, 1e-300), (2.0, 1.0, 1e-90), (2.0, 1.0, 1e16), (2.0, 1.0, 1e30),
         (2.0, 1.0, 1e300), (1e154, 1e-154, 3.0)])
@@ -245,7 +257,7 @@ class TestNewtonSolver:
         a = detailed_balance_equilibrium(net, decompose(net), [mass]).vector
         ratio = kf / kb
         want = (mass / (1.0 + ratio), mass / (1.0 + 1.0 / ratio))
-        assert a == pytest.approx(want, rel=1e-12)
+        assert a == pytest.approx(want, rel=1e-12, abs=0)  # 1e-300 is not 0
 
     @pytest.mark.parametrize("mass", [-50.0, -1.0, 0.0])
     def test_mixed_sign_law_takes_any_mass(self, mass):

@@ -122,7 +122,7 @@ class TestLinearisedMatrix:
 def test_gap_needs_a_reactive_direction():
     # a lone no-op reaction has W = 0: every direction is conserved
     net = ReactionNetwork(("A1", "A2"), (Reaction((1, 0), (1, 0), 1.0, 1.0),), (1.0, 1.0))
-    assert net.kinetics.rank == 0
+    assert net.structure.rank == 0
     with pytest.raises(ValueError, match="network has no reactive directions"):
         operator_spectral_gap(net, [1.0, 1.0], Interval(1.0))
 

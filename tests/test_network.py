@@ -154,6 +154,12 @@ class TestConservationBasis:
         stoich = decompose(four_species_network())
         assert stoich.labels == ("M12", "M14", "M32")
 
+    def test_decompose_returns_the_one_structure(self):
+        net = four_species_network()
+        assert decompose(net) is decompose(net) is net.structure
+        assert not (net.structure.W.flags.writeable or net.structure.Q.flags.writeable)
+        assert "structure" not in vars(four_species_network())
+
 
 def rational_kernel(rows, ncols):
     """Basis of {x : rows x = 0} over the rationals, by textbook reduction
@@ -223,13 +229,18 @@ def test_semipositive_rows_are_the_independent_positive_circuits(W):
     # the positive circuits are the extreme rays of {x >= 0 : W x = 0}; Q
     # takes each one, in order, when it raises the rank
     ncols = W.shape[1]
+    Q = conservation_basis(W)
+    # a basis of Ker W, in exact arithmetic: Q W^T = 0 and rank Q = I - rank W
+    assert (Q.astype(object) @ W.astype(object).T == 0).all()
+    rank_w = ncols - len(rational_kernel(W.tolist(), ncols))
+    assert ncols - len(rational_kernel(Q.tolist(), ncols)) == len(Q) == ncols - rank_w
     circuits = semipositive_circuits(W)
     assert _extreme_rays(W.tolist(), ncols) == circuits
     expected = []
     for v in circuits:
         if ncols - len(rational_kernel(expected + [v], ncols)) > len(expected):
             expected.append(v)
-    Q = conservation_basis(W).tolist()
+    Q = Q.tolist()
     assert Q[:len(expected)] == expected
     assert [row for row in Q if all(x >= 0 for x in row)] == expected
 
@@ -370,10 +381,10 @@ class TestTypes:
         with pytest.raises(ValueError, match=message):
             make()
 
-    def test_kinetics_keeps_the_exact_rank_of_w(self, rng):
+    def test_structure_keeps_the_exact_rank_of_w(self, rng):
         for _ in range(40):
             net = random_admissible_network(rng)
-            rank = net.kinetics.rank
+            rank = net.structure.rank
             assert rank == net.n_species - decompose(net).n_conserved
             assert rank == np.linalg.matrix_rank(stoichiometric_matrix(net))
 
