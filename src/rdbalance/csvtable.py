@@ -1,0 +1,104 @@
+"""The CSV table writer of diag.csv and snapshots, in the standard library
+alone: this module imports no numpy and nothing of its own package, so the
+same file also runs as a writer process,
+
+    python -I -S csvtable.py
+
+which writes each table that ``TableWriter.send`` pickles to its stdin, in
+order, and exits at the end of its input.  An OSError ends it early with
+the error's message on stderr (status 1); ``TableWriter.close`` raises that
+message again in the sending process.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import os
+import pickle
+import sys
+
+_ROWS_PER_WRITE = 1024  # bounds the transient strings of a table write
+
+
+def write_table(path, header, columns, axes=(), comment=None) -> None:
+    """CSV table: an optional "# comment" line, then csv.writer's bytes
+    ("%.17g" numbers, CRLF line ends) for the header and one row per record,
+    formatted a block of rows at a time.  ``columns`` hold the values, one
+    float sequence per column with slicing and ``tolist()`` (1-D numpy
+    arrays, memoryviews of doubles).  The row-major product of the ``axes``
+    coordinates (sequences with ``tolist()``, each formatted once) starts the
+    rows: a snapshot's cell centres."""
+    coords = [["%.17g," % x for x in axis.tolist()] for axis in axes]
+    prefixes = [map("".join, itertools.product(*coords))] if coords else []
+    row = "%s" * len(prefixes) + ",".join(["%.17g"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            block = [column[start:start + _ROWS_PER_WRITE].tolist() for column in columns]
+            n = len(block[0])
+            lead = [itertools.islice(p, n) for p in prefixes]
+            fh.write(row * n % tuple(itertools.chain.from_iterable(zip(*lead, *block))))
+
+
+class TableWriter:
+    """A writer process started from this file: ``send`` hands it one table
+    and returns while the process formats it; ``close`` waits until every
+    table sent is written and raises a failure as an OSError that names its
+    file.  As a context manager it always reaps the process; an exception
+    in the block wins over the writer's own."""
+
+    def __init__(self):
+        import subprocess  # deferred: only runs that hand tables off need it
+
+        self._proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", os.path.abspath(__file__)],
+            stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+    def send(self, path, header, columns, axes=(), comment=None) -> None:
+        """``write_table``'s arguments, with float64 ``columns`` and ``axes``."""
+        job = (os.fspath(path), list(header), [memoryview(c).tobytes() for c in columns],
+               [memoryview(a).tobytes() for a in axes], comment)
+        try:
+            pickle.dump(job, self._proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self._proc.stdin.flush()
+        except BrokenPipeError:  # the process ended early: raise its own error
+            self.close()
+            raise
+
+    def close(self) -> None:
+        _, err = self._proc.communicate()  # EOF on its stdin ends it; a repeat is a no-op
+        if self._proc.returncode:
+            lines = err.decode(errors="replace").strip().splitlines()
+            raise OSError(lines[-1] if lines else
+                          f"table writer exited with status {self._proc.returncode}")
+
+    def __enter__(self) -> "TableWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._proc.communicate()
+
+
+def _serve(jobs) -> None:
+    """Write each table pickled on ``jobs`` until the end of its input."""
+    while True:
+        try:
+            path, header, columns, axes, comment = pickle.load(jobs)
+        except EOFError:
+            return
+        write_table(path, header, [memoryview(c).cast("d") for c in columns],
+                    [memoryview(a).cast("d") for a in axes], comment)
+
+
+if __name__ == "__main__":
+    try:
+        _serve(sys.stdin.buffer)
+    except OSError as exc:
+        sys.exit(str(exc))
+    os._exit(0)  # every file is closed: skip the interpreter's teardown

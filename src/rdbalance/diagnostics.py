@@ -1,5 +1,5 @@
 """Lyapunov functionals, weighted norms, dissipation terms, rate fits, and
-the CSV table format of diag.csv and snapshots (one writer, one reader).
+the CSV table reader of diag.csv and snapshots (``csvtable`` writes them).
 
 All integrals are midpoint quadrature over the cell-centered grid; the
 gradient in the Fisher term lives on cell faces, matching the no-flux
@@ -9,16 +9,14 @@ discretization (boundary faces carry zero flux).
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtable import write_table
 from .geometry import Grid
 from .network import ReactionNetwork
-
-_ROWS_PER_WRITE = 1024  # bounds the transient strings of a table write
 
 
 def _over_cells(a_inf, grid: Grid) -> np.ndarray:
@@ -259,7 +257,7 @@ class DiagnosticsSeries:
             raise KeyError(f"unknown diagnostics column {name!r}") from None
 
     def write_csv(self, path, comment: str | None = None) -> None:
-        _write_table(path, self.header(), self.table, comment)
+        write_table(path, self.header(), list(self.table.T), comment=comment)
 
     @classmethod
     def read_csv(cls, path) -> "DiagnosticsSeries":
@@ -269,27 +267,6 @@ class DiagnosticsSeries:
         if len(header) < 1 + len(_FIXED_COLUMNS) or header != cls(data[:0]).header():
             raise ValueError(f"unrecognized diagnostics header in {path}")
         return cls(data)
-
-
-def _write_table(path, header, table: np.ndarray, comment: str | None = None,
-                 prefixes=None) -> None:
-    """CSV table of diag.csv and snapshots: an optional "# comment" line,
-    then csv.writer's bytes ("%.17g" numbers, CRLF line ends) for the header
-    and one row per record, formatted a block of rows at a time.  An iterator
-    of ``prefixes`` (fields already formatted, each with its comma) starts the rows."""
-    row = "%s" * (prefixes is not None) + ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(table), _ROWS_PER_WRITE):
-            block = table[start:start + _ROWS_PER_WRITE]
-            if prefixes is None:
-                values = block.ravel().tolist()
-            else:  # row by row: the prefix, then the row's values
-                values = itertools.chain.from_iterable(zip(
-                    itertools.islice(prefixes, len(block)), *block.T.tolist()))
-            fh.write(row * len(block) % tuple(values))
 
 
 def _read_table(path, kind: str) -> tuple[list[str], np.ndarray]:

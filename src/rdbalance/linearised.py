@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, Grid
 from .network import ReactionNetwork, is_four_species
-from .equilibrium import _DB_TOL, _flux_balance
+from .equilibrium import _DB_TOL, EquilibriumError, _flux_balance
 
 
 _SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
@@ -69,7 +69,8 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
 
     Raises NotEquilibriumError when some reaction flux at ``a_inf`` exceeds
     ``_DB_TOL`` relative to its one-sided fluxes, the solver's own rule, and
-    the solver's EquilibriumError when a flux overflows float range.
+    the solver's EquilibriumError when a flux or an entry of L overflows
+    float range.
     """
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or not np.all((a > 0) & np.isfinite(a)):
@@ -80,7 +81,10 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
         raise NotEquilibriumError(
             f"state is not an equilibrium (relative flux residual {relative:.3e})")
     wt = net.kinetics.wt  # W^T, I x R
-    L = -wt @ (forward[:, np.newaxis] * wt.T / a[np.newaxis, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        L = -wt @ (forward[:, np.newaxis] * wt.T / a[np.newaxis, :])
+    if not np.isfinite(L).all():
+        raise EquilibriumError("linearised reaction matrix at a* overflows float range")
     return LinearisedMatrix(matrix=L, weights=1.0 / a)
 
 

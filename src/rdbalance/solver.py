@@ -29,14 +29,13 @@ would silently destroy the conservation laws the scheme is built around.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, DiagnosticsSeries, _read_table, \
-    _write_table
+from .csvtable import write_table
+from .diagnostics import DiagnosticsRecord, DiagnosticsSeries, _read_table
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Grid
@@ -335,15 +334,21 @@ def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
     return values.T[[n_coord + col for col in order]].reshape((len(order),) + grid.shape)
 
 
+def snapshot_table(state: State, species_names):
+    """``write_table``'s header, columns and axes for a snapshot CSV: header
+    x[,y[,z[,w]]],A1,...,AI, one row per cell (row-major, as
+    ``grid.centers()``), each row starting with its cell's centre."""
+    grid = state.grid
+    return (list("xyzw"[:grid.ndim]) + list(species_names),
+            list(state.fields.reshape(state.n_species, -1)),
+            [grid.axis_centers(k) for k in range(grid.ndim)])
+
+
 def write_snapshot_csv(path, state: State, species_names,
                        comment: str | None = None) -> None:
-    """Snapshot CSV: header x[,y[,z[,w]]],A1,...,AI, one row per cell (row-major,
-    as ``grid.centers()``); each axis's centres are formatted once."""
-    grid = state.grid
-    axes = [["%.17g," % x for x in grid.axis_centers(k).tolist()] for k in range(grid.ndim)]
-    _write_table(path, list("xyzw"[:grid.ndim]) + list(species_names),
-                 state.fields.reshape(state.n_species, -1).T, comment,
-                 map("".join, itertools.product(*axes)))
+    """Snapshot CSV of ``state`` (see ``snapshot_table``), written before
+    the call returns."""
+    write_table(path, *snapshot_table(state, species_names), comment=comment)
 
 
 def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
@@ -379,8 +384,8 @@ def reference_equilibrium(net: ReactionNetwork, state: State) -> EquilibriumStat
 
 def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
              dt: float | None, t_end: float, output_every: int = 1,
-             scheme: str = "strang",
-             snapshot_every: int = 0) -> SimulationResult:
+             scheme: str = "strang", snapshot_every: int = 0,
+             on_snapshot=None) -> SimulationResult:
     """Advance ``initial`` (built by ``build_initial``) to t_end, recording a
     diag.csv row every ``output_every`` steps and at t_end, and a snapshot
     every ``snapshot_every`` outputs (0: the initial and final states only;
@@ -388,6 +393,11 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     With dt None the step is ``default_dt`` at the reference equilibrium,
     shortened to t_end / ceil(t_end / dt) so that whole steps reach t_end;
     the result carries the dt used, and ``series`` the diag.csv table.
+
+    ``on_snapshot(state, step)``, if given, is called with each snapshot
+    ``State`` and its step count as the snapshot is taken: the initial one
+    after the run is set up and before the first step, the final one before
+    ``simulate`` returns.  An exception it raises ends the run.
 
     The reference equilibrium is computed from the conserved masses of the
     initial data.  Deterministic: identical inputs give identical outputs.
@@ -416,20 +426,21 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
                          f"of dt = {dt!r}")
 
     record = DiagnosticsRecord(net, a_inf, grid, net.structure.Q)
-    rows = [record.row(state)]  # diag.csv's rows, in header order
-    snapshots = [state]
+    rows, snapshots = [], []  # diag.csv's rows, in header order; the snapshots
     outputs = k = 0
-    while k < n_steps:  # one advance per output interval
+    while True:  # one advance per output interval
+        rows.append(record.row(state))
+        if k in (0, n_steps) or snapshot_every and outputs % snapshot_every == 0:
+            snapshots.append(state)
+            if on_snapshot is not None:
+                on_snapshot(state, k)
+        if k == n_steps:
+            break
         chunk = min(output_every, n_steps - k)
         k += chunk
+        outputs += 1
         # keep recorded times exact multiples of dt
         state = State(t=k * dt, fields=stepper.advance(state, chunk).fields, grid=grid)
-        rows.append(record.row(state))
-        outputs += 1
-        if snapshot_every and outputs % snapshot_every == 0 and k != n_steps:
-            snapshots.append(state)
-    if state is not snapshots[-1]:
-        snapshots.append(state)
 
     return SimulationResult(series=DiagnosticsSeries(np.array(rows)),
                             snapshots=tuple(snapshots), equilibrium=eq, dt=dt)

@@ -1,5 +1,9 @@
+import gc
+import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +145,7 @@ def test_equilibrium_small_mass_of_a_mixed_sign_law(workdir, capsys, mass):
     values = {line.split(" = ")[0]: float(line.split(" = ")[1])
               for line in capsys.readouterr().out.strip().splitlines()}
     assert values["m1"] == float(mass)
-    assert values["A1"] - values["A3"] == pytest.approx(float(mass), rel=1e-9)
+    assert values["A1"] - values["A3"] == pytest.approx(float(mass), rel=1e-9, abs=0)
 
 
 def test_equilibrium_no_detailed_balance(workdir, capsys):
@@ -348,6 +352,27 @@ def test_gap_refuses_fluxes_past_float_range(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "reaction fluxes at a* overflow float range" in captured.err
+
+
+BIG_RATES = """\
+species A1 A2
+diffusion A1=1 A2=1
+reaction A1 + A2 <-> 0 : kf=1e250 kb=1e290
+"""
+
+
+@pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
+def test_gap_refuses_a_linearisation_past_float_range(tmp_path, warnings_flags):
+    # balanced, with finite fluxes 1e290, but forward / a_2 = 1e350 overflows
+    # L: refused by name, not a NaN lambda_star or a RuntimeWarning
+    (tmp_path / "big.rdn").write_text(BIG_RATES)
+    proc = subprocess.run(
+        [sys.executable, *warnings_flags, "-m", "rdbalance", "gap", str(tmp_path / "big.rdn"),
+         "--domain", "interval:1", "--a-inf", "1e100,1e-60"], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: linearised reaction matrix at a* "
+                           "overflows float range\n")
 
 
 def test_simulate_and_fit(workdir, capsys):
@@ -778,3 +803,132 @@ def test_negative_initial_value_names_its_species(workdir, capsys, line, lineno)
     assert dispatch(["simulate", str(workdir / "bad.cfg")]) == 2
     assert capsys.readouterr().err == \
         "error: negative initial value for species A2 at cell (0,)\n"
+
+
+# --------------------------------------------------------------------------
+# Snapshots of 2^14 values or more go to a writer process (two usable CPUs).
+
+
+def square64_config(t_end="0.004", snapshot_every=1):
+    # 64^2 cells times four species: 16384 values per snapshot
+    cfg = box_config("rect:1,1", "64", "(1,1)", t_end=t_end)
+    return cfg.replace("output_every = 5", "output_every = 1").replace(
+        "snapshot_every = 0", f"snapshot_every = {snapshot_every}")
+
+
+def writers_started(monkeypatch, cpus=(0, 1)):
+    """The processes of the TableWriters the CLI starts, with ``cpus`` usable."""
+    import rdbalance.cli as cli
+
+    started = []
+
+    class Recorded(cli.TableWriter):
+        def __init__(self):
+            super().__init__()
+            started.append(self._proc)
+
+    monkeypatch.setattr(cli, "TableWriter", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    return started
+
+
+def assert_reaped(proc, returncode):
+    assert proc.returncode == returncode
+    assert proc.stdin.closed and proc.stderr.closed
+
+
+def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys):
+    import rdbalance.cli as cli
+    from rdbalance import __version__, write_snapshot_csv
+
+    results = []
+    real_simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate",
+                        lambda *args, **kw: results.append(real_simulate(*args, **kw))
+                        or results[-1])
+    (workdir / "sq.cfg").write_text(square64_config())
+    started = writers_started(monkeypatch)
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
+    assert len(started) == 1
+    assert_reaped(started[0], 0)
+    written = sorted((workdir / "out").glob("snapshot_*.csv"))
+    assert [p.name for p in written] == [f"snapshot_{k:08d}.csv" for k in range(5)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {workdir / 'out' / name}" for name in ["diag.csv"] + [p.name for p in written]]
+    comment = f"rdbalance {__version__} {cli.load_config(workdir / 'sq.cfg').config_hash}"
+    for path, snap in zip(written, results[0].snapshots, strict=True):
+        write_snapshot_csv(workdir / "inline.csv", snap, ["A1", "A2", "A3", "A4"], comment)
+        assert path.read_bytes() == (workdir / "inline.csv").read_bytes()
+
+    # the same run with one usable CPU formats inline, to the same bytes
+    (workdir / "out").rename(workdir / "out_writer")
+    assert not writers_started(monkeypatch, cpus=(0,))
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
+    inline = sorted(p.name for p in (workdir / "out").iterdir())
+    assert inline == sorted(p.name for p in (workdir / "out_writer").iterdir())
+    for name in inline:
+        assert (workdir / "out" / name).read_bytes() == \
+            (workdir / "out_writer" / name).read_bytes()
+
+
+@pytest.mark.parametrize("step", [0, 4])  # the first and the last snapshot
+def test_writer_failure_names_the_file(workdir, monkeypatch, capsys, step):
+    (workdir / "sq.cfg").write_text(square64_config())
+    taken = workdir / "out" / f"snapshot_{step:08d}.csv"
+    taken.mkdir(parents=True)  # a directory stands where the file goes
+    started = writers_started(monkeypatch)
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(taken) in captured.err
+    assert_reaped(started[0], 1)
+
+
+def test_writer_reaped_when_the_run_fails(workdir, monkeypatch, capsys):
+    # with almost no diffusion, one forward-Euler step of length 1 drives A1
+    # below zero where A1 A3 >> A2 A4; the initial snapshot went to the writer
+    network = FOUR_SPECIES.replace("A1=1 A2=1 A3=1 A4=1",
+                                   "A1=1e-6 A2=1e-6 A3=1e-6 A4=1e-6")
+    (workdir / "still.rdn").write_text(network)
+    cfg = square64_config(t_end="2").replace("four_species.rdn", "still.rdn")
+    cfg = cfg.replace("scheme = strang", "scheme = imex").replace("dt = 1e-3", "dt = 1")
+    for name, amplitude in (("A1", 0.9), ("A2", -0.9), ("A3", 0.9), ("A4", -0.9)):
+        cfg = cfg.replace(f"species.{name}.modes = (1,1):{0.01 if amplitude > 0 else -0.01}",
+                          f"species.{name}.modes = (1,1):{amplitude}")
+    (workdir / "sq.cfg").write_text(cfg)
+    started = writers_started(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 3
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert "numerical failure: species A1 went negative" in capsys.readouterr().err
+    assert_reaped(started[0], 0)
+    assert (workdir / "out" / "snapshot_00000000.csv").is_file()
+
+
+def test_writer_process_exits_when_its_parent_is_killed(tmp_path):
+    # the killed parent's end of the pipe closes: the writer reads EOF and exits
+    code = ("import sys, time\n"
+            "from rdbalance.csvtable import TableWriter\n"
+            "writer = TableWriter()\n"
+            "print(writer._proc.pid, flush=True)\n"
+            "time.sleep(60)\n")
+    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(parent.stdout.readline())
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    status = Path(f"/proc/{pid}/status")
+    deadline = time.monotonic() + 30
+    while status.exists() and time.monotonic() < deadline:
+        try:  # gone, or a zombie that only its new parent can reap
+            if "\nState:\tZ" in status.read_text():
+                break
+        except OSError:
+            break
+        time.sleep(0.01)
+    else:
+        assert not status.exists()

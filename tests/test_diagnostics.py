@@ -151,7 +151,7 @@ class TestEntropyDissipation:
                 want += coeff[r] * np.sum((np.exp(la) - np.exp(lb)) * (la - lb))
             want *= grid.cell_volume
             _, got = entropy_dissipation(a, net, a_star, grid)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert squared and empty
 
     @pytest.mark.parametrize("extents, shape", [

@@ -246,7 +246,7 @@ class TestSpectralGap:
         grid = Grid(Interval(10.0), (32,))
         report = operator_spectral_gap(four_species_network(), [1, 1, 1, 1], grid)
         mu1 = (2.0 / grid.spacing[0] * math.sin(math.pi / 64)) ** 2
-        assert report.lambda_star == pytest.approx(mu1, rel=1e-14)
+        assert report.lambda_star == pytest.approx(mu1, rel=1e-14, abs=0)
         assert report.lambda_star < PI2 / 100
 
     def test_grid_bound_uses_grid_poincare_constant(self, rng):
