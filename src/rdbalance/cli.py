@@ -319,15 +319,17 @@ def _run_one_config(config_path) -> int:
     if (net := _load_network(config.network_path)) is None:
         return EXIT_INVALID
     provenance = f"rdbalance {__version__} {config.config_hash}"
-    snap_paths = []  # in the order the snapshots are taken
+    written = [config.output_dir / "diag.csv"]  # then the snapshots, as they are taken
     # leaving the block waits for the writer, which raises an OSError naming
     # the file it failed to write
     with _snapshot_writer(config.grid.n_cells * net.n_species) as writer:
         def take(state, step):
-            snap_paths.append(config.output_dir / f"snapshot_{step:08d}.csv")
-            if writer is not None:
-                config.output_dir.mkdir(parents=True, exist_ok=True)
-                writer.send(snap_paths[-1], *snapshot_table(state, net.species),
+            written.append(config.output_dir / f"snapshot_{step:08d}.csv")
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+            if writer is None:
+                write_snapshot_csv(written[-1], state, net.species, comment=provenance)
+            else:
+                writer.send(written[-1], *snapshot_table(state, net.species),
                             comment=provenance)
 
         result = simulate(net, config.grid, _initial_spec(config, net), config.dt,
@@ -336,15 +338,9 @@ def _run_one_config(config_path) -> int:
                           on_snapshot=take)
         if config.dt is None:
             print(f"dt = {result.dt:.6g} (heuristic)")
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        diag_path = config.output_dir / "diag.csv"
-        result.series.write_csv(diag_path, comment=provenance)
-        if writer is None:
-            for snap_path, snap in zip(snap_paths, result.snapshots):
-                write_snapshot_csv(snap_path, snap, net.species, comment=provenance)
-    print(f"wrote {diag_path}")
-    for snap_path in snap_paths:
-        print(f"wrote {snap_path}")
+        result.series.write_csv(written[0], comment=provenance)  # in take's directory
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -354,11 +350,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     series = DiagnosticsSeries.read_csv(args.diagnostics)
-    name = args.column
-    square = False
-    if name.endswith("sq"):
-        name, square = name[:-2], True
-    y = series.column(name)
+    square = args.column.endswith("sq")
+    y = series.column(args.column[:-2] if square else args.column)
     if square:
         y = y * y
     window = None

@@ -1,6 +1,6 @@
-"""The CSV table writer of diag.csv and snapshots, in the standard library
-alone: this module imports no numpy and nothing of its own package, so the
-same file also runs as a writer process,
+"""The CSV table format of diag.csv and snapshots.  At import this module
+needs no numpy (``read_table`` imports it when called) and nothing of its
+own package, so ``write_table``'s file also runs as a writer process,
 
     python -I -S csvtable.py
 
@@ -41,6 +41,28 @@ def write_table(path, header, columns, axes=(), comment=None) -> None:
             n = len(block[0])
             lead = [itertools.islice(p, n) for p in prefixes]
             fh.write(row * n % tuple(itertools.chain.from_iterable(zip(*lead, *block))))
+
+
+def read_table(path, kind: str):
+    """Header and (rows, columns) float64 values of a table; blank and "#"
+    lines are skipped.  ``kind`` names the file in errors."""
+    import numpy as np  # deferred: the writer process starts without numpy
+
+    with open(path) as fh:
+        lines = [line for line in fh
+                 if line.strip() and not line.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"empty {kind} file {path}")
+    header, data = next(csv.reader(lines[:1])), lines[1:]
+    if not data:  # np.loadtxt warns on empty input
+        return header, np.zeros((0, len(header)))
+    try:
+        values = np.loadtxt(data, delimiter=",", ndmin=2)
+    except ValueError as exc:  # rows of unequal length, or a non-number
+        raise ValueError(f"ragged or malformed {kind} rows in {path}: {exc}") from None
+    if values.shape[1] != len(header):
+        raise ValueError(f"ragged {kind} rows in {path}")
+    return header, values
 
 
 class TableWriter:

@@ -1,5 +1,5 @@
 """Lyapunov functionals, weighted norms, dissipation terms, rate fits, and
-the CSV table reader of diag.csv and snapshots (``csvtable`` writes them).
+the diag.csv table.
 
 All integrals are midpoint quadrature over the cell-centered grid; the
 gradient in the Fisher term lives on cell faces, matching the no-flux
@@ -8,13 +8,12 @@ discretization (boundary faces carry zero flux).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import write_table
+from .csvtable import read_table, write_table
 from .geometry import Grid
 from .network import ReactionNetwork
 
@@ -263,27 +262,8 @@ class DiagnosticsSeries:
     def read_csv(cls, path) -> "DiagnosticsSeries":
         """The series of a diag.csv whose header is exactly ``header()`` for
         its width."""
-        header, data = _read_table(path, "diagnostics")
+        header, data = read_table(path, "diagnostics")
         if len(header) < 1 + len(_FIXED_COLUMNS) or header != cls(data[:0]).header():
             raise ValueError(f"unrecognized diagnostics header in {path}")
         return cls(data)
 
-
-def _read_table(path, kind: str) -> tuple[list[str], np.ndarray]:
-    """Header and (rows, columns) values of a table; blank and "#" lines
-    are skipped.  ``kind`` names the file in errors."""
-    with open(path) as fh:
-        lines = [line for line in fh
-                 if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError(f"empty {kind} file {path}")
-    header, data = next(csv.reader(lines[:1])), lines[1:]
-    if not data:  # np.loadtxt warns on empty input
-        return header, np.zeros((0, len(header)))
-    try:
-        values = np.loadtxt(data, delimiter=",", ndmin=2)
-    except ValueError as exc:  # rows of unequal length, or a non-number
-        raise ValueError(f"ragged or malformed {kind} rows in {path}: {exc}") from None
-    if values.shape[1] != len(header):
-        raise ValueError(f"ragged {kind} rows in {path}")
-    return header, values

@@ -95,7 +95,8 @@ def weighted_spectrum(lin: LinearisedMatrix) -> np.ndarray:
     positive a*: input validation; the flux rule detects non-equilibria."""
     S = lin.symmetric()
     asym = np.max(np.abs(S - S.T))
-    if asym > _SYMMETRY_TOL * max(1.0, np.linalg.norm(S)):
+    # math.hypot scales its terms, so |S| near float range cannot overflow
+    if asym > _SYMMETRY_TOL * max(1.0, math.hypot(*S.ravel().tolist())):
         raise ValueError(
             f"L is not self-adjoint in the 1/a* inner product: its symmetric "
             f"form is not symmetric (asymmetry {asym:.3e})")
@@ -159,6 +160,12 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
         lin_1 = LinearisedMatrix(matrix=-poincare * np.diag(d) + lin.matrix,
                                  weights=lin.weights)
         per_mode.append((poincare, float(-weighted_spectrum(lin_1)[-1])))
+
+    # every block gap of an equilibrium is positive: one that is not is roundoff
+    for k, (_, gap) in enumerate(per_mode):
+        if not gap > 0:
+            raise EquilibriumError(f"mode {k} gap {gap:.3e} is lost to roundoff at the "
+                                   f"scale of L (largest entry {abs(lin.matrix).max():.3e})")
 
     bound = None
     if _analytic_bound_applies(net, domain):

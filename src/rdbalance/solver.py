@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import write_table
-from .diagnostics import DiagnosticsRecord, DiagnosticsSeries, _read_table
+from .csvtable import read_table, write_table
+from .diagnostics import DiagnosticsRecord, DiagnosticsSeries
 from .equilibrium import EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Grid
@@ -308,7 +308,7 @@ def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
 
 
 def _read_snapshot_csv(path, grid: Grid, species_names) -> np.ndarray:
-    header, values = _read_table(path, "snapshot")
+    header, values = read_table(path, "snapshot")
     n_coord = grid.ndim
     axes, columns = header[:n_coord], header[n_coord:]
     if axes != list("xyzw"[:n_coord]):
@@ -369,7 +369,6 @@ def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
 @dataclass(frozen=True)
 class SimulationResult:
     series: DiagnosticsSeries
-    snapshots: tuple[State, ...]
     equilibrium: EquilibriumState
     dt: float  # the step taken: the given one, or the shortened default_dt
 
@@ -394,10 +393,10 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     shortened to t_end / ceil(t_end / dt) so that whole steps reach t_end;
     the result carries the dt used, and ``series`` the diag.csv table.
 
-    ``on_snapshot(state, step)``, if given, is called with each snapshot
-    ``State`` and its step count as the snapshot is taken: the initial one
-    after the run is set up and before the first step, the final one before
-    ``simulate`` returns.  An exception it raises ends the run.
+    ``on_snapshot(state, step)`` is how a caller gets snapshots: if given,
+    it is called with each snapshot ``State`` and its step count as it is
+    taken, the initial one before the first step and the final one before
+    ``simulate`` returns; the run keeps none.  An exception it raises ends it.
 
     The reference equilibrium is computed from the conserved masses of the
     initial data.  Deterministic: identical inputs give identical outputs.
@@ -426,14 +425,13 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
                          f"of dt = {dt!r}")
 
     record = DiagnosticsRecord(net, a_inf, grid, net.structure.Q)
-    rows, snapshots = [], []  # diag.csv's rows, in header order; the snapshots
+    rows = []  # diag.csv's rows, in header order
     outputs = k = 0
     while True:  # one advance per output interval
         rows.append(record.row(state))
-        if k in (0, n_steps) or snapshot_every and outputs % snapshot_every == 0:
-            snapshots.append(state)
-            if on_snapshot is not None:
-                on_snapshot(state, k)
+        if on_snapshot is not None and (
+                k in (0, n_steps) or snapshot_every and outputs % snapshot_every == 0):
+            on_snapshot(state, k)
         if k == n_steps:
             break
         chunk = min(output_every, n_steps - k)
@@ -442,5 +440,4 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         # keep recorded times exact multiples of dt
         state = State(t=k * dt, fields=stepper.advance(state, chunk).fields, grid=grid)
 
-    return SimulationResult(series=DiagnosticsSeries(np.array(rows)),
-                            snapshots=tuple(snapshots), equilibrium=eq, dt=dt)
+    return SimulationResult(series=DiagnosticsSeries(np.array(rows)), equilibrium=eq, dt=dt)

@@ -100,6 +100,16 @@ class NeumannLaplacian:
         return out
 
 
+def record_snapshots(states: list, then=None):
+    """An ``on_snapshot`` hook for ``simulate`` that appends each snapshot
+    ``State`` to ``states``, in the order taken, then calls ``then``."""
+    def hook(state, step):
+        states.append(state)
+        if then is not None:
+            then(state, step)
+    return hook
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

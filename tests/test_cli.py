@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ import pytest
 
 from rdbalance import DiagnosticsSeries
 from rdbalance.cli import dispatch
+
+from conftest import record_snapshots
 
 FOUR_SPECIES = """\
 species A1 A2 A3 A4
@@ -354,25 +357,24 @@ def test_gap_refuses_fluxes_past_float_range(workdir, capsys):
     assert "reaction fluxes at a* overflow float range" in captured.err
 
 
-BIG_RATES = """\
-species A1 A2
-diffusion A1=1 A2=1
-reaction A1 + A2 <-> 0 : kf=1e250 kb=1e290
-"""
-
-
+@pytest.mark.parametrize("a_inf, message", [
+    # balanced, with finite fluxes 1e290, but forward / a_2 = 1e350 overflows L
+    ("1e100,1e-60", r"linearised reaction matrix at a\* overflows float range"),
+    # balanced, with L's entries about 1e270: mode 1's small eigenvalue is
+    # lost to roundoff at that scale, and |S| overflows a plain sum of squares
+    ("1e20,1e20", r"mode 1 gap \S+ is lost to roundoff at the scale of L "
+                  r"\(largest entry 1\.000e\+270\)"),
+], ids=["overflow", "roundoff"])
 @pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
-def test_gap_refuses_a_linearisation_past_float_range(tmp_path, warnings_flags):
-    # balanced, with finite fluxes 1e290, but forward / a_2 = 1e350 overflows
-    # L: refused by name, not a NaN lambda_star or a RuntimeWarning
-    (tmp_path / "big.rdn").write_text(BIG_RATES)
+def test_gap_refuses_a_linearisation_past_float_range(warnings_flags, a_inf, message):
+    # refused by name, not a NaN or lost lambda_star or a RuntimeWarning
     proc = subprocess.run(
-        [sys.executable, *warnings_flags, "-m", "rdbalance", "gap", str(tmp_path / "big.rdn"),
-         "--domain", "interval:1", "--a-inf", "1e100,1e-60"], capture_output=True, text=True)
+        [sys.executable, *warnings_flags, "-m", "rdbalance", "gap",
+         str(Path(__file__).parent / "data" / "big_rates.rdn"),
+         "--domain", "interval:1", "--a-inf", a_inf], capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("numerical failure: linearised reaction matrix at a* "
-                           "overflows float range\n")
+    assert re.fullmatch(f"numerical failure: {message}\n", proc.stderr)
 
 
 def test_simulate_and_fit(workdir, capsys):
@@ -796,13 +798,22 @@ def test_config_refusals_name_their_file(workdir, capsys, edits, message):
 
 @pytest.mark.parametrize("line, lineno", [("species.A2.base = -1.0", 11),
                                           ("species.A2.modes = 1:-2", 12)])
-def test_negative_initial_value_names_its_species(workdir, capsys, line, lineno):
+def test_negative_initial_value_names_its_species(workdir, monkeypatch, capsys,
+                                                  line, lineno):
     lines = CONFIG.splitlines()
     lines[lineno - 1] = line
     (workdir / "bad.cfg").write_text("\n".join(lines) + "\n")
-    assert dispatch(["simulate", str(workdir / "bad.cfg")]) == 2
-    assert capsys.readouterr().err == \
-        "error: negative initial value for species A2 at cell (0,)\n"
+    # refused before any snapshot is taken: no out/, inline or with a writer
+    monkeypatch.setattr("rdbalance.cli._WRITER_MIN_VALUES", 1)
+    for cpus in ((0,), (0, 1)):
+        started = writers_started(monkeypatch, cpus)
+        assert dispatch(["simulate", str(workdir / "bad.cfg")]) == 2
+        assert capsys.readouterr().err == \
+            "error: negative initial value for species A2 at cell (0,)\n"
+        assert not (workdir / "out").exists()
+        assert len(started) == len(cpus) - 1
+        for proc in started:
+            assert_reaped(proc, 0)
 
 
 # --------------------------------------------------------------------------
@@ -841,11 +852,10 @@ def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys):
     import rdbalance.cli as cli
     from rdbalance import __version__, write_snapshot_csv
 
-    results = []
+    snapshots = []
     real_simulate = cli.simulate
-    monkeypatch.setattr(cli, "simulate",
-                        lambda *args, **kw: results.append(real_simulate(*args, **kw))
-                        or results[-1])
+    monkeypatch.setattr(cli, "simulate", lambda *args, on_snapshot, **kw: real_simulate(
+        *args, on_snapshot=record_snapshots(snapshots, on_snapshot), **kw))
     (workdir / "sq.cfg").write_text(square64_config())
     started = writers_started(monkeypatch)
     assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
@@ -856,7 +866,7 @@ def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"wrote {workdir / 'out' / name}" for name in ["diag.csv"] + [p.name for p in written]]
     comment = f"rdbalance {__version__} {cli.load_config(workdir / 'sq.cfg').config_hash}"
-    for path, snap in zip(written, results[0].snapshots, strict=True):
+    for path, snap in zip(written, snapshots, strict=True):
         write_snapshot_csv(workdir / "inline.csv", snap, ["A1", "A2", "A3", "A4"], comment)
         assert path.read_bytes() == (workdir / "inline.csv").read_bytes()
 
@@ -884,9 +894,11 @@ def test_writer_failure_names_the_file(workdir, monkeypatch, capsys, step):
     assert_reaped(started[0], 1)
 
 
-def test_writer_reaped_when_the_run_fails(workdir, monkeypatch, capsys):
+@pytest.mark.parametrize("cpus", [(0,), (0, 1)])
+def test_writer_reaped_when_the_run_fails(workdir, monkeypatch, capsys, cpus):
     # with almost no diffusion, one forward-Euler step of length 1 drives A1
-    # below zero where A1 A3 >> A2 A4; the initial snapshot went to the writer
+    # below zero where A1 A3 >> A2 A4; the initial snapshot is written first,
+    # inline on one CPU and by the writer on two, so both leave the same files
     network = FOUR_SPECIES.replace("A1=1 A2=1 A3=1 A4=1",
                                    "A1=1e-6 A2=1e-6 A3=1e-6 A4=1e-6")
     (workdir / "still.rdn").write_text(network)
@@ -896,15 +908,17 @@ def test_writer_reaped_when_the_run_fails(workdir, monkeypatch, capsys):
         cfg = cfg.replace(f"species.{name}.modes = (1,1):{0.01 if amplitude > 0 else -0.01}",
                           f"species.{name}.modes = (1,1):{amplitude}")
     (workdir / "sq.cfg").write_text(cfg)
-    started = writers_started(monkeypatch)
+    started = writers_started(monkeypatch, cpus)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 3
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert "numerical failure: species A1 went negative" in capsys.readouterr().err
-    assert_reaped(started[0], 0)
-    assert (workdir / "out" / "snapshot_00000000.csv").is_file()
+    assert len(started) == (len(cpus) >= 2)
+    for proc in started:
+        assert_reaped(proc, 0)
+    assert [p.name for p in (workdir / "out").iterdir()] == ["snapshot_00000000.csv"]
 
 
 def test_writer_process_exits_when_its_parent_is_killed(tmp_path):

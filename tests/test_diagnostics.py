@@ -28,7 +28,7 @@ from rdbalance import (
 
 from rdbalance.diagnostics import DiagnosticsRecord
 
-from conftest import four_species_network, random_balanced_network
+from conftest import four_species_network, random_balanced_network, record_snapshots
 from test_solver import mode1_spec
 
 GRID4 = Grid(Interval(1.0), (4,))
@@ -404,12 +404,14 @@ class TestDiagnosticsRecord:
         mode = (1,) * grid.ndim
         spec = InitialSpec(profiles=tuple(
             SpeciesProfile(float(b), ((mode, (-0.1) ** i * b),)) for i, b in enumerate(base)))
-        result = simulate(net, grid, spec, dt=1e-3, t_end=4e-3, snapshot_every=1)
+        snapshots = []
+        result = simulate(net, grid, spec, dt=1e-3, t_end=4e-3, snapshot_every=1,
+                          on_snapshot=record_snapshots(snapshots))
         stoich = decompose(net)
         a_inf = result.equilibrium.vector
         rows = result.series.table
-        assert len(rows) == len(result.snapshots) == 5
-        for row, snapshot in zip(rows, result.snapshots):
+        assert len(rows) == len(snapshots) == 5
+        for row, snapshot in zip(rows, snapshots):
             want = oracle_row(net, stoich, a_inf, snapshot)
             assert np.all(np.isfinite(want))
             assert np.array_equal(row, want)

@@ -34,7 +34,8 @@ from rdbalance import (
 from rdbalance.network import Kinetics
 from rdbalance.solver import NEGATIVE_TOL, _dct_basis, check_cells
 
-from conftest import build_laplacian, four_species_network, random_balanced_network
+from conftest import build_laplacian, four_species_network, random_balanced_network, \
+    record_snapshots
 
 PI2 = math.pi ** 2
 
@@ -754,9 +755,11 @@ class TestSimulate:
         for scheme in ("strang", "imex"):
             errors = []
             for dt in (1e-2, 5e-3, 2.5e-3):  # each divides t_end exactly
-                result = simulate(net, grid, spec, dt=dt, t_end=0.5,
-                                  output_every=int(round(0.5 / dt)), scheme=scheme)
-                final = result.snapshots[-1]
+                snapshots = []
+                simulate(net, grid, spec, dt=dt, t_end=0.5,
+                         output_every=int(round(0.5 / dt)), scheme=scheme,
+                         on_snapshot=record_snapshots(snapshots))
+                final = snapshots[-1]
                 a1 = float(final.fields[0].mean())
                 errors.append(abs(a1 - (1 + math.exp(-4.0 * final.t))))
             orders[scheme] = [math.log2(errors[i] / errors[i + 1])
@@ -767,10 +770,13 @@ class TestSimulate:
     def test_determinism(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (32,))
-        r1 = simulate(net, grid, mode1_spec(), dt=1e-3, t_end=0.05)
-        r2 = simulate(net, grid, mode1_spec(), dt=1e-3, t_end=0.05)
+        s1, s2 = [], []
+        r1 = simulate(net, grid, mode1_spec(), dt=1e-3, t_end=0.05,
+                      on_snapshot=record_snapshots(s1))
+        r2 = simulate(net, grid, mode1_spec(), dt=1e-3, t_end=0.05,
+                      on_snapshot=record_snapshots(s2))
         assert np.array_equal(r1.series.l2, r2.series.l2)
-        assert np.array_equal(r1.snapshots[-1].fields, r2.snapshots[-1].fields)
+        assert np.array_equal(s1[-1].fields, s2[-1].fields)
 
     def test_2d_mode_decay(self):
         net = four_species_network()
@@ -788,9 +794,10 @@ class TestSimulate:
     def test_snapshots_recorded(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (8,))
-        result = simulate(net, grid, uniform_spec([1, 1, 1, 1]),
-                          dt=1e-3, t_end=0.01, output_every=2, snapshot_every=2)
-        times = [s.t for s in result.snapshots]
+        snapshots = []
+        simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=1e-3, t_end=0.01,
+                 output_every=2, snapshot_every=2, on_snapshot=record_snapshots(snapshots))
+        times = [s.t for s in snapshots]
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.01)
         assert len(times) > 2
@@ -840,26 +847,31 @@ class TestSimulate:
         monkeypatch.setattr(Stepper, "advance", counted)
         net = four_species_network()
         grid = Grid(Interval(1.0), (8,))
+        snapshots = []
         result = simulate(net, grid, uniform_spec([1, 1, 1, 1]), dt=1e-3,
-                          t_end=0.025, output_every=10, snapshot_every=2)
+                          t_end=0.025, output_every=10, snapshot_every=2,
+                          on_snapshot=record_snapshots(snapshots))
         assert chunks == [10, 10, 5]
         assert result.series.t == pytest.approx([0.0, 0.01, 0.02, 0.025], abs=1e-15)
-        assert [s.t for s in result.snapshots] == pytest.approx([0.0, 0.02, 0.025])
+        assert [s.t for s in snapshots] == pytest.approx([0.0, 0.02, 0.025])
 
     def test_dt_omitted_is_the_shortened_default(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (16,))
-        auto = simulate(net, grid, mode1_spec(), None, t_end=0.01, output_every=4)
+        auto_snaps, explicit_snaps = [], []
+        auto = simulate(net, grid, mode1_spec(), None, t_end=0.01, output_every=4,
+                        on_snapshot=record_snapshots(auto_snaps))
         dt = default_dt(net, auto.equilibrium.vector, grid)
         dt = 0.01 / math.ceil(0.01 / dt)
         assert auto.dt == dt
-        explicit = simulate(net, grid, mode1_spec(), dt, t_end=0.01, output_every=4)
+        explicit = simulate(net, grid, mode1_spec(), dt, t_end=0.01, output_every=4,
+                            on_snapshot=record_snapshots(explicit_snaps))
         for name in ("t", "masses", "entropy", "l2", "l4", "linf", "fisher",
                      "reaction"):
             assert getattr(auto.series, name).tobytes() \
                 == getattr(explicit.series, name).tobytes()
-        assert [s.fields.tobytes() for s in auto.snapshots] \
-            == [s.fields.tobytes() for s in explicit.snapshots]
+        assert [s.fields.tobytes() for s in auto_snaps] \
+            == [s.fields.tobytes() for s in explicit_snaps]
 
     def test_one_kinetics_per_run(self, monkeypatch):
         built = []
@@ -951,13 +963,15 @@ def test_short_runs_keep_the_invariants(seed, ndim, scheme):
         SpeciesProfile(float(b), ((tuple(int(k) for k in rng.integers(0, 3, size=ndim)),
                                    float(b * rng.uniform(-0.5, 0.5))),))
         for b in base))
-    result = simulate(net, grid, spec, dt=None, t_end=0.02, scheme=scheme)
+    snapshots = []
+    result = simulate(net, grid, spec, dt=None, t_end=0.02, scheme=scheme,
+                      on_snapshot=record_snapshots(snapshots))
     series = result.series
     assert np.all(np.isfinite(series.table))
     # each mass is a sum of terms of size |Q| a, so its roundoff scales with those
-    scale = np.abs(decompose(net).Q) @ result.snapshots[0].means() * grid.domain.measure
+    scale = np.abs(decompose(net).Q) @ snapshots[0].means() * grid.domain.measure
     assert np.all(np.abs(series.masses - series.masses[0]) <= 1e-12 * scale)
     # H sums terms of size a over the cells, and so do its rounding errors
-    h_roundoff = 1e-12 * result.snapshots[0].means().sum() * grid.domain.measure
+    h_roundoff = 1e-12 * snapshots[0].means().sum() * grid.domain.measure
     assert np.all(np.diff(series.entropy) <= h_roundoff)
     assert np.all(series.fisher >= 0) and np.all(series.reaction >= 0)
