@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -409,10 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first dispatch and kept: parse_args reads it without changing it
+_parser = functools.cache(build_parser)
+
+
 def dispatch(argv) -> int:
     """Run one CLI invocation and return its exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:

@@ -50,14 +50,17 @@ def weighted_norm(h, a_inf, p, grid: Grid) -> float:
     return _norm(np.abs(h), weights, p, grid.cell_volume)
 
 
-def _entropy(a_fields: np.ndarray, a_star: np.ndarray, cell_volume: float) -> float:
-    """relative_entropy with ``a_star`` already (I, 1, ..., 1)."""
-    a = np.maximum(a_fields, 0.0)
+def _entropy(a_fields: np.ndarray, a_star: np.ndarray, cell_volume: float,
+             positive: bool = False) -> float:
+    """relative_entropy with ``a_star`` already (I, 1, ..., 1); ``positive``
+    (every cell > 0) skips the clip at 0 and 0 ln 0, which change nothing then."""
+    a = a_fields if positive else np.maximum(a_fields, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = a / a_star
         np.log(integrand, out=integrand)
         integrand *= a
-        np.copyto(integrand, 0.0, where=a == 0)  # 0 ln 0 = 0
+        if not positive:
+            np.copyto(integrand, 0.0, where=a == 0)  # 0 ln 0 = 0
         integrand -= a
         integrand += a_star
     return float(np.add.reduce(integrand, axis=None) * cell_volume)
@@ -154,18 +157,19 @@ class DiagnosticsRecord:
         dissipation columns are NaN unless every cell is positive.  No
         full-grid temporary outlives the column that needs it."""
         a, cell_volume = state.fields, self._cell_volume
-        if a.min() > 0:
+        positive = a.min() > 0  # False at a NaN
+        if positive:
             dissipation = (_fisher(a, self._diffusion, self._spacing, cell_volume),
                            _reaction(a, self._kinetics, self._coeff, self._a_star,
                                      cell_volume))
         else:
             dissipation = (math.nan, math.nan)
-        entropy = _entropy(a, self._a_star, cell_volume)
+        entropy = _entropy(a, self._a_star, cell_volume, positive)
         abs_h = np.subtract(a, self._a_star)
         np.abs(abs_h, out=abs_h)
         norms = [_norm(abs_h, self._weights.get(p), p, cell_volume)
                  for p in (2, 4, math.inf)]
-        return [state.t, *(self._q @ state.means() * self._volume), entropy,
+        return [state.t, *(self._q @ state.means() * self._volume).tolist(), entropy,
                 *norms, *dissipation]
 
 

@@ -342,6 +342,7 @@ class Kinetics:
         factors = [[i for i, c in enumerate(side) for _ in range(c)] for side in sides]
         rows = list(itertools.zip_longest(*factors, fillvalue=net.n_species))
         self.gather = np.array(rows or [[net.n_species] * len(sides)])
+        self._rows = tuple(self.gather)  # split once, not on every call
         self._padded = any(len(f) < len(self.gather) for f in factors)
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
         self.wt = net.structure.W.T.astype(float)  # W^T
@@ -357,7 +358,7 @@ class Kinetics:
         reaction, then a^beta."""
         if self._padded:
             flat = np.concatenate([flat, np.ones((1, flat.shape[1]))])
-        first, *rest = self.gather
+        first, *rest = self._rows
         mono = flat.take(first, axis=0)
         for species in rest:
             mono *= flat.take(species, axis=0)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .csvtable import read_table, write_table
 from .diagnostics import DiagnosticsRecord, DiagnosticsSeries
-from .equilibrium import EquilibriumState, conserved_masses, \
+from .equilibrium import EquilibriumError, EquilibriumState, conserved_masses, \
     detailed_balance_equilibrium
 from .geometry import Grid
 from .network import ReactionNetwork, decompose
@@ -89,8 +89,9 @@ class State:
         return self.fields.shape[0]
 
     def means(self) -> np.ndarray:
+        # np.mean's own sum and divide, without its per-call overhead
         axes = tuple(range(1, self.fields.ndim))
-        return self.fields.mean(axis=axes)
+        return np.add.reduce(self.fields, axis=axes) / (self.fields.size // len(self.fields))
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,9 @@ class _DiffusionSemigroup:
             # on the last axis, rows times the (symmetric) propagator: one gemm
             out = (np.matmul(out.reshape(i, a, n), propagator) if b == 1
                    else np.matmul(propagator[:, np.newaxis], out.reshape(i, a, n, b)))
-        return out.reshape(fields.shape) + mean
+        out = out.reshape(fields.shape)
+        out += mean  # in the last product's own array
+        return out
 
 
 def check_cells(fields: np.ndarray, species, t: float) -> None:
@@ -199,7 +202,7 @@ def check_cells(fields: np.ndarray, species, t: float) -> None:
     # NaN fails the test; only a failure pays for locating the bad cell.
     flat = fields.reshape(-1)
     worst_low, worst_high = flat.argmin(), flat.argmax()
-    low, high = flat[worst_low], flat[worst_high]
+    low, high = flat.item(worst_low), flat.item(worst_high)  # Python floats
     low_ok = low >= NEGATIVE_TOL * abs(high) and -math.inf < low
     if not (low_ok and high < math.inf):
         worst, value = (worst_high, high) if low_ok else (worst_low, low)
@@ -227,23 +230,10 @@ class Stepper:
         self._between = (self.diffusion.multiplier_over(dt) if scheme == "strang"
                          else self.diffusion.multiplier)
 
-    def _react(self, fields: np.ndarray) -> np.ndarray:
-        """One reaction substep over dt, in place on ``fields``."""
-        dt, production = self.dt, self.reaction.production
-        rate = production(fields)
-        if self.scheme == "imex":
-            rate *= dt
-        else:  # Heun: explicit trapezoid, second order, matches the scheme order
-            trial = dt * rate
-            trial += fields
-            rate += production(trial)
-            rate *= 0.5 * dt
-        fields += rate
-        return fields
-
     def advance(self, state: State, n_steps: int = 1) -> State:
         """Take ``n_steps`` steps: D R [D(dt) R]^(n-1), then D(dt/2) for
-        strang, where D is the opening substep and R the reaction.
+        strang, where D is the opening substep and R the reaction: forward
+        Euler for imex, Heun (explicit trapezoid, second order) for strang.
 
         Positivity is checked on the input, after every reaction substep
         and on the output.  That is as strict as checking every step's
@@ -253,17 +243,31 @@ class Stepper:
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        check_cells(state.fields, self.net.species, state.t)  # admissible input
-        fields = self.diffusion.apply(state.fields)  # never overwrites the input
+        species, t0, dt, half_dt = self.net.species, state.t, self.dt, 0.5 * self.dt
+        production, diffuse, between = (self.reaction.production, self.diffusion.apply,
+                                        self._between)
+        heun = self.scheme == "strang"
+        check_cells(state.fields, species, t0)  # admissible input
+        fields = diffuse(state.fields)  # never overwrites the input
         for j in range(1, n_steps + 1):
-            t = state.t + j * self.dt
-            fields = self._react(fields)
-            check_cells(fields, self.net.species, t)
+            rate = production(fields)  # the reaction substep, in place on fields
+            if heun:
+                trial = dt * rate
+                trial += fields
+                rate += production(trial)
+                del trial
+                rate *= half_dt
+            else:
+                rate *= dt
+            fields += rate
+            del rate  # free each step's temporaries before the next step makes its own
+            t = t0 + j * dt
+            check_cells(fields, species, t)
             if j < n_steps:
-                fields = self.diffusion.apply(fields, self._between, overwrite=True)
-        if self.scheme == "strang":
-            fields = self.diffusion.apply(fields, overwrite=True)
-            check_cells(fields, self.net.species, t)
+                fields = diffuse(fields, between, overwrite=True)
+        if heun:
+            fields = diffuse(fields, overwrite=True)
+            check_cells(fields, species, t)
         return State(t=t, fields=fields, grid=state.grid)
 
 
@@ -355,15 +359,20 @@ def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
     """Heuristic step size: min(0.1 / |L|, 0.25 h^2 / max d).
 
     |L| is a Frobenius bound on the symmetrized reaction linearisation at
-    the equilibrium; the second term keeps the splitting error of the
-    (exact, unconditionally stable) diffusion substeps small.  Override freely.
+    the equilibrium (no bound where |L| is 0); the second term keeps the
+    splitting error of the (exact, unconditionally stable) diffusion
+    substeps small.  Override freely.  EquilibriumError if |L| overflows.
     """
     from .linearised import linearised_matrix
 
-    reaction_scale = max(float(np.linalg.norm(
-        linearised_matrix(net, a_inf).symmetric())), 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        reaction_scale = float(np.linalg.norm(linearised_matrix(net, a_inf).symmetric()))
+    if not math.isfinite(reaction_scale):
+        raise EquilibriumError("default_dt: the reaction scale |L| at a* overflows "
+                               "float range (give dt)")
     h_min = min(grid.spacing)
-    return min(0.1 / reaction_scale, 0.25 * h_min ** 2 / max(net.diffusion))
+    return min(0.1 / reaction_scale if reaction_scale else math.inf,
+               0.25 * h_min ** 2 / max(net.diffusion))
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,20 @@ def test_gap_refuses_a_linearisation_past_float_range(warnings_flags, a_inf, mes
     assert re.fullmatch(f"numerical failure: {message}\n", proc.stderr)
 
 
+@pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
+def test_heuristic_dt_refuses_a_reaction_scale_past_float_range(warnings_flags):
+    # at a* = (1e20, 1e20) |L| overflows a plain sum of squares: refused by
+    # name, not a RuntimeWarning, a zero dt and a ZeroDivisionError
+    proc = subprocess.run(
+        [sys.executable, *warnings_flags, "-m", "rdbalance", "simulate",
+         str(Path(__file__).parent / "data" / "big_rates.cfg")],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: default_dt: the reaction scale |L| "
+                           "at a* overflows float range (give dt)\n")
+
+
 def test_simulate_and_fit(workdir, capsys):
     code = dispatch(["simulate", str(workdir / "run.cfg")])
     assert code == 0
@@ -531,6 +545,27 @@ def test_equilibrium_from_initial(workdir, capsys):
 
 def test_usage_error_exits_2(workdir):
     assert dispatch(["gap", str(workdir / "four_species.rdn")]) == 2
+
+
+def test_dispatches_share_no_state(workdir, capsys):
+    # the parser is built once per process: a --window given to one call
+    # must not reach the next, and a usage error still reports as usage
+    assert dispatch(["simulate", str(workdir / "run.cfg")]) == 0
+    diag = str(workdir / "out" / "diag.csv")
+    assert dispatch(["fit", diag, "--column", "L2sq", "--window", "0.01,0.1"]) == 0
+    windowed = capsys.readouterr().out
+    assert dispatch(["fit", diag, "--column", "L2sq"]) == 0
+    full_window = capsys.readouterr().out
+    assert full_window != windowed  # the window drops the first of 11 rows
+    first_ever = subprocess.run([sys.executable, "-m", "rdbalance", "fit", diag,
+                                 "--column", "L2sq"], capture_output=True, text=True)
+    assert first_ever.returncode == 0
+    assert full_window == first_ever.stdout
+    assert dispatch(["fit", diag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rdbalance fit ")
+    assert "the following arguments are required: --column" in captured.err
 
 
 def test_gap_has_no_from_initial(workdir):

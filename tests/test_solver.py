@@ -177,20 +177,34 @@ class TestMultiStepAdvance:
         assert np.max(np.abs(chunk.fields - single.fields)) <= 1e-13
         assert chunk.t == pytest.approx(single.t, abs=1e-15)
 
-    def test_single_step_is_the_unmerged_splitting(self, rng):
-        # D(dt/2), Heun, D(dt/2) with power-law production: bitwise, since
-        # a 0/1 stoichiometry makes powers and gathers the same products
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    @pytest.mark.parametrize("domain, shape", [(Interval(1.0), (64,)),
+                                               (Rectangle(1.0, 2.0), (6, 9))])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+    def test_chunk_is_the_merged_splitting(self, rng, scheme, domain, shape, n_steps):
+        # D R [D(dt) R]^(n-1), then D(dt/2) for strang, with D the opening
+        # substep, Heun or Euler and power-law production: the same operations
+        # in the same order, so bitwise, since a 0/1 stoichiometry makes
+        # powers and gathers the same products
         net = four_species_network(d=(1.0, 0.5, 2.0, 0.1))
-        grid = Grid(Rectangle(1.0, 2.0), (6, 9))
+        grid = Grid(domain, shape)
         dt = 1e-2
-        stepper = Stepper(net, grid, dt, "strang")
-        fields = 0.5 + rng.random((4, 6, 9))
-        got = stepper.advance(State(t=0.0, fields=fields, grid=grid)).fields
-        half = stepper.diffusion.apply
-        want = half(fields)
-        k1 = power_production(net, want)
-        k2 = power_production(net, want + dt * k1)
-        want = half(want + 0.5 * dt * (k1 + k2))
+        stepper = Stepper(net, grid, dt, scheme)
+        fields = 0.5 + rng.random((4,) + shape)
+        got = stepper.advance(State(t=0.0, fields=fields, grid=grid), n_steps).fields
+        diffuse, full = stepper.diffusion.apply, stepper.diffusion.multiplier_over(dt)
+        want = diffuse(fields)
+        for j in range(n_steps):
+            if j:
+                want = diffuse(want, full)
+            k1 = power_production(net, want)
+            if scheme == "imex":
+                want = want + dt * k1
+            else:
+                k2 = power_production(net, want + dt * k1)
+                want = want + 0.5 * dt * (k1 + k2)
+        if scheme == "strang":
+            want = diffuse(want)
         assert np.array_equal(got, want)
 
     def test_production_matches_powers(self, rng):
@@ -891,6 +905,13 @@ class TestSimulate:
         grid = Grid(Interval(1.0), (32,))
         dt = default_dt(net, [1, 1, 1, 1], grid)
         assert 0 < dt < 0.1
+
+    def test_default_dt_of_a_zero_reaction_scale_is_the_diffusion_bound(self):
+        # kf a* = 1e-330 underflows, so L = 0 at this balanced state
+        net = ReactionNetwork(("A1", "A2"), (Reaction((1, 0), (0, 1), 1e-300, 1e-300),),
+                              (1.0, 2.0))
+        grid = Grid(Interval(1.0), (8,))
+        assert default_dt(net, [1e-30, 1e-30], grid) == 0.25 * (1 / 8) ** 2 / 2.0
 
 
 @functools.lru_cache(maxsize=None)
