@@ -286,12 +286,12 @@ def _cmd_gap(args) -> int:
     else:
         a_inf = _equilibrium_from_args(net, args).vector
     report = operator_spectral_gap(net, a_inf, domain)
-    print(f"lambda_star = {report.lambda_star:.9f}")
+    print(f"lambda_star = {report.lambda_star:.9e}")
     if report.analytic_bound is not None:
-        print(f"analytic_bound = {report.analytic_bound:.9f}")
+        print(f"analytic_bound = {report.analytic_bound:.9e}")
     print(f"modes_examined = {report.modes_examined}")
     for k, (mu, gap) in enumerate(report.per_mode):
-        print(f"mode {k}: mu = {mu:.9f}, gap = {gap:.9f}")
+        print(f"mode {k}: mu = {mu:.9e}, gap = {gap:.9e}")
     return EXIT_OK
 
 

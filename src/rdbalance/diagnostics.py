@@ -23,14 +23,16 @@ def _over_cells(a_inf, grid: Grid) -> np.ndarray:
     return np.asarray(a_inf, dtype=float).reshape((-1,) + (1,) * grid.ndim)
 
 
-def _norm(abs_h: np.ndarray, weights, p, cell_volume: float) -> float:
-    """The weighted L^p norm of ``abs_h`` = |h|, given (I, 1, ..., 1)
-    ``weights`` a*^(p-1) for finite p (unused for p = inf)."""
+def _norms(abs_h: np.ndarray, weights, p, cell_volume: float) -> list[float]:
+    """The weighted L^p norm of each state of a (K, I, *grid) stack ``abs_h``
+    = |h|, given ``weights`` a*^(p-1) for finite p (unused for p = inf)."""
+    flat = abs_h.reshape(len(abs_h), -1)
     if p == math.inf:
-        return float(abs_h.max()) if abs_h.size else 0.0
+        return flat.max(axis=1, initial=0.0).tolist()
     terms = abs_h ** p
     terms /= weights
-    return float((np.add.reduce(terms, axis=None) * cell_volume) ** (1.0 / p))
+    sums = np.add.reduce(terms.reshape(flat.shape), axis=1) * cell_volume
+    return [total ** (1.0 / p) for total in sums.tolist()]  # numpy's vector ** is an ulp off
 
 
 def weighted_norm(h, a_inf, p, grid: Grid) -> float:
@@ -47,14 +49,15 @@ def weighted_norm(h, a_inf, p, grid: Grid) -> float:
     if not p >= 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
     weights = None if p == math.inf else _over_cells(a ** (p - 1.0), grid)
-    return _norm(np.abs(h), weights, p, grid.cell_volume)
+    return _norms(np.abs(h)[np.newaxis], weights, p, grid.cell_volume)[0]
 
 
-def _entropy(a_fields: np.ndarray, a_star: np.ndarray, cell_volume: float,
-             positive: bool = False) -> float:
-    """relative_entropy with ``a_star`` already (I, 1, ..., 1); ``positive``
-    (every cell > 0) skips the clip at 0 and 0 ln 0, which change nothing then."""
-    a = a_fields if positive else np.maximum(a_fields, 0.0)
+def _entropy(a: np.ndarray, a_star: np.ndarray, cell_volume: float,
+             positive: bool = False) -> np.ndarray:
+    """relative_entropy of each state of the (K, I, *grid) stack ``a``, with
+    ``a_star`` (I, 1, ..., 1); ``positive`` (every cell > 0) skips the clip
+    at 0 and 0 ln 0, which change nothing then."""
+    a = a if positive else np.maximum(a, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = a / a_star
         np.log(integrand, out=integrand)
@@ -63,7 +66,7 @@ def _entropy(a_fields: np.ndarray, a_star: np.ndarray, cell_volume: float,
             np.copyto(integrand, 0.0, where=a == 0)  # 0 ln 0 = 0
         integrand -= a
         integrand += a_star
-    return float(np.add.reduce(integrand, axis=None) * cell_volume)
+    return np.add.reduce(integrand.reshape(len(a), -1), axis=1) * cell_volume
 
 
 def relative_entropy(a_fields, a_inf, grid: Grid) -> float:
@@ -72,15 +75,15 @@ def relative_entropy(a_fields, a_inf, grid: Grid) -> float:
     Nonnegative, and zero exactly at a = a*.  Uses the continuous
     extension 0 ln 0 = 0; tiny negative roundoff values are treated as 0.
     """
-    return _entropy(np.asarray(a_fields, dtype=float), _over_cells(a_inf, grid),
-                    grid.cell_volume)
+    return _entropy(np.asarray(a_fields, dtype=float)[np.newaxis], _over_cells(a_inf, grid),
+                    grid.cell_volume).item()
 
 
-def _fisher(a: np.ndarray, diffusion: np.ndarray, spacing, cell_volume: float) -> float:
-    """sum_i d_i integral |grad a_i|^2 / a_i for all species at once: face
-    differences over face means of a_i (boundary faces carry no flux)."""
-    per_species = np.zeros(len(a))
-    for axis, h in enumerate(spacing, start=1):
+def _fisher(a: np.ndarray, diffusion: np.ndarray, spacing, cell_volume: float) -> np.ndarray:
+    """sum_i d_i integral |grad a_i|^2 / a_i of each state of the stack ``a``:
+    face differences over face means of a_i (boundary faces carry no flux)."""
+    per_species = np.zeros(a.shape[:2])
+    for axis, h in enumerate(spacing, start=2):
         lead = (slice(None),) * axis
         upper, lower = a[lead + (slice(1, None),)], a[lead + (slice(None, -1),)]
         du = np.subtract(upper, lower)
@@ -89,21 +92,23 @@ def _fisher(a: np.ndarray, diffusion: np.ndarray, spacing, cell_volume: float) -
         mid *= 0.5
         du *= du
         du /= mid
-        per_species += np.add.reduce(du.reshape(len(a), -1), axis=1) * cell_volume
+        per_species += np.add.reduce(du.reshape(a.shape[:2] + (-1,)), axis=2) * cell_volume
         del du, mid  # before the next axis makes its own
     # summed over species in order, as one running float total
-    return float(np.add.accumulate(diffusion * per_species)[-1])
+    return np.add.accumulate(diffusion * per_species, axis=1)[:, -1]
 
 
 def _reaction(a: np.ndarray, kinetics, coeff: np.ndarray, a_star: np.ndarray,
-              cell_volume: float) -> float:
+              cell_volume: float) -> np.ndarray:
     """integral of sum_r coeff_r (u^alpha - u^beta)(ln u^alpha - ln u^beta),
-    u = a / a*, with ``coeff`` the (R, 1) column kf a*^alpha and ``a_star``
-    (I, 1, ..., 1)."""
-    mono = kinetics.monomials((a / a_star).reshape(a.shape[0], -1))
+    u = a / a*, of each state of the (K, I, *grid) stack ``a``, with
+    ``coeff`` the (R, 1) column kf a*^alpha and ``a_star`` (I, 1, ..., 1)."""
+    u = np.moveaxis(a / a_star, 0, 1)  # species first: copied below only when K > 1
+    mono = kinetics.monomials(u.reshape(len(u), -1))
     u_alpha, u_beta = mono[:len(coeff)], mono[len(coeff):]
     terms = coeff * (u_alpha - u_beta) * np.log(u_alpha / u_beta)
-    return float(np.add.reduce(terms, axis=None) * cell_volume)
+    per_state = np.moveaxis(terms.reshape(len(coeff), len(a), -1), 0, 1).reshape(len(a), -1)
+    return np.add.reduce(per_state, axis=1) * cell_volume
 
 
 def _reaction_coefficients(net: ReactionNetwork, a_inf: np.ndarray) -> np.ndarray:
@@ -121,13 +126,14 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
     """
     a = np.asarray(a_fields, dtype=float)
     a_star = np.asarray(a_inf, dtype=float)
-    if not a.min() > 0:  # as in DiagnosticsRecord.row; argmin finds a NaN first
+    if not a.min() > 0:  # as in DiagnosticsRecord.rows; argmin finds a NaN first
         i, *cell = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(f"non-positive cell value for species {net.species[i]} "
                          f"at cell {tuple(int(c) for c in cell)}")
-    return (_fisher(a, net.diffusion_array(), grid.spacing, grid.cell_volume),
+    a = a[np.newaxis]  # a stack of one state
+    return (_fisher(a, net.diffusion_array(), grid.spacing, grid.cell_volume).item(),
             _reaction(a, net.kinetics, _reaction_coefficients(net, a_star),
-                      _over_cells(a_star, grid), grid.cell_volume))
+                      _over_cells(a_star, grid), grid.cell_volume).item())
 
 
 class DiagnosticsRecord:
@@ -151,26 +157,32 @@ class DiagnosticsRecord:
         self._spacing = grid.spacing
         self._cell_volume = grid.cell_volume
 
-    def row(self, state) -> list[float]:
-        """The diag.csv row of a ``solver.State``: t, the conserved masses
-        Q mean(a) |Omega|, H, L2, L4, Linf, fisher and reaction.  The two
-        dissipation columns are NaN unless every cell is positive.  No
-        full-grid temporary outlives the column that needs it."""
-        a, cell_volume = state.fields, self._cell_volume
-        positive = a.min() > 0  # False at a NaN
-        if positive:
-            dissipation = (_fisher(a, self._diffusion, self._spacing, cell_volume),
-                           _reaction(a, self._kinetics, self._coeff, self._a_star,
-                                     cell_volume))
-        else:
-            dissipation = (math.nan, math.nan)
-        entropy = _entropy(a, self._a_star, cell_volume, positive)
-        abs_h = np.subtract(a, self._a_star)
+    def rows(self, times, stack: np.ndarray) -> np.ndarray:
+        """The diag.csv rows of a (K, I, *grid) stack of states at ``times``,
+        as a (K, q + 7) array: t, the masses Q mean(a) |Omega|, H, L2, L4,
+        Linf, fisher and reaction, each reduced over its own state's cells
+        alone.  A state's dissipation is NaN unless all its cells are > 0.
+        No full-grid temporary outlives the column that needs it."""
+        k, cell_volume = len(stack), self._cell_volume
+        positive = stack.reshape(k, -1).min(axis=1) > 0  # False at a NaN
+        dissipation = np.full((2, k), math.nan)
+        if positive.any():
+            a = stack if positive.all() else stack[positive]
+            dissipation[:, positive] = (
+                _fisher(a, self._diffusion, self._spacing, cell_volume),
+                _reaction(a, self._kinetics, self._coeff, self._a_star, cell_volume))
+        entropy = _entropy(stack, self._a_star, cell_volume, positive.all())
+        abs_h = np.subtract(stack, self._a_star)
         np.abs(abs_h, out=abs_h)
-        norms = [_norm(abs_h, self._weights.get(p), p, cell_volume)
+        norms = [_norms(abs_h, self._weights.get(p), p, cell_volume)
                  for p in (2, 4, math.inf)]
-        return [state.t, *(self._q @ state.means() * self._volume).tolist(), entropy,
-                *norms, *dissipation]
+        # State.means of each state, then one Q product each
+        means = np.add.reduce(stack, axis=tuple(range(2, stack.ndim))) / stack[0, 0].size
+        masses = np.matmul(self._q, means[..., np.newaxis])[..., 0] * self._volume
+        return np.column_stack([times, masses, entropy, *norms, *dissipation])
+
+    def row(self, state) -> list[float]:  # of one solver.State: rows with K = 1
+        return self.rows([state.t], state.fields[np.newaxis])[0].tolist()
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,15 @@ NEGATIVE_TOL = -1e-10  # relative to the largest cell
 # scipy import (0.16 s, 27 MB), which 192^2 repays after about 250 steps.
 _DENSE_AXIS_MAX = 192
 
+# simulate records diag.csv rows in one pass per batch of output states of at
+# most this many values.  Per row on a 2-vCPU host, 256-value states take 130 us
+# alone, 10 us in 2^14-value batches, 14 us at 2^16; 4096-value states 270, 160, 270.
+_RECORD_BATCH_VALUES = 2 ** 14
+
+# With no dt, simulate refuses a run of more steps than this: at about 30 us
+# a 64-cell step, 10^9 steps take over eight hours (rates out of scale).
+_MAX_DEFAULT_STEPS = 10 ** 9
+
 SCHEMES = ("strang", "imex")  # Stepper and the CLI take exactly these names
 
 
@@ -355,6 +364,18 @@ def write_snapshot_csv(path, state: State, species_names,
     write_table(path, *snapshot_table(state, species_names), comment=comment)
 
 
+def _reaction_scale(net: ReactionNetwork, a_inf) -> float:
+    """|L| of ``default_dt``; EquilibriumError if it overflows."""
+    from .linearised import linearised_matrix
+
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        reaction_scale = float(np.linalg.norm(linearised_matrix(net, a_inf).symmetric()))
+    if not math.isfinite(reaction_scale):
+        raise EquilibriumError("default_dt: the reaction scale |L| at a* overflows "
+                               "float range (give dt)")
+    return reaction_scale
+
+
 def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
     """Heuristic step size: min(0.1 / |L|, 0.25 h^2 / max d).
 
@@ -363,13 +384,7 @@ def default_dt(net: ReactionNetwork, a_inf, grid: Grid) -> float:
     splitting error of the (exact, unconditionally stable) diffusion
     substeps small.  Override freely.  EquilibriumError if |L| overflows.
     """
-    from .linearised import linearised_matrix
-
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        reaction_scale = float(np.linalg.norm(linearised_matrix(net, a_inf).symmetric()))
-    if not math.isfinite(reaction_scale):
-        raise EquilibriumError("default_dt: the reaction scale |L| at a* overflows "
-                               "float range (give dt)")
+    reaction_scale = _reaction_scale(net, a_inf)
     h_min = min(grid.spacing)
     return min(0.1 / reaction_scale if reaction_scale else math.inf,
                0.25 * h_min ** 2 / max(net.diffusion))
@@ -405,7 +420,8 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     ``on_snapshot(state, step)`` is how a caller gets snapshots: if given,
     it is called with each snapshot ``State`` and its step count as it is
     taken, the initial one before the first step and the final one before
-    ``simulate`` returns; the run keeps none.  An exception it raises ends it.
+    ``simulate`` returns.  An exception it raises ends it.  The run holds an
+    output state only until its row is recorded (``_RECORD_BATCH_VALUES``).
 
     The reference equilibrium is computed from the conserved masses of the
     initial data.  Deterministic: identical inputs give identical outputs.
@@ -424,7 +440,12 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     eq = reference_equilibrium(net, state)
     a_inf = eq.vector
     if dt is None:
-        dt = t_end / math.ceil(t_end / default_dt(net, a_inf, grid))
+        steps = t_end / default_dt(net, a_inf, grid)
+        if steps > _MAX_DEFAULT_STEPS:  # inf included
+            raise EquilibriumError(f"default_dt: t_end takes {steps:.3g} steps at |L| = "
+                                   f"{_reaction_scale(net, a_inf):.3g}, more than "
+                                   f"{_MAX_DEFAULT_STEPS:.0e} (give dt)")
+        dt = t_end / math.ceil(steps)
 
     stepper = Stepper(net, grid, dt, scheme)
     ratio = t_end / dt
@@ -434,10 +455,16 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
                          f"of dt = {dt!r}")
 
     record = DiagnosticsRecord(net, a_inf, grid, net.structure.Q)
-    rows = []  # diag.csv's rows, in header order
+    per_pass = max(1, _RECORD_BATCH_VALUES // state.fields.size)
+    tables, held = [], []  # diag.csv's rows in header order; states not yet in them
     outputs = k = 0
     while True:  # one advance per output interval
-        rows.append(record.row(state))
+        held.append(state)
+        if len(held) == per_pass or k == n_steps:
+            stack = (np.stack([s.fields for s in held]) if len(held) > 1
+                     else state.fields[np.newaxis])  # a view: no copy of a lone state
+            tables.append(record.rows([s.t for s in held], stack))
+            held.clear()
         if on_snapshot is not None and (
                 k in (0, n_steps) or snapshot_every and outputs % snapshot_every == 0):
             on_snapshot(state, k)
@@ -449,4 +476,5 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         # keep recorded times exact multiples of dt
         state = State(t=k * dt, fields=stepper.advance(state, chunk).fields, grid=grid)
 
-    return SimulationResult(series=DiagnosticsSeries(np.array(rows)), equilibrium=eq, dt=dt)
+    return SimulationResult(series=DiagnosticsSeries(np.concatenate(tables)),
+                            equilibrium=eq, dt=dt)

@@ -238,7 +238,7 @@ def test_blank_masses_serve_a_network_without_conservation_laws(workdir, capsys)
     code = dispatch(["gap", str(workdir / "sources.rdn"),
                      "--domain", "interval:1", "--masses", ""])
     assert code == 0
-    assert capsys.readouterr().out.startswith("lambda_star = 1.000000000\n")
+    assert capsys.readouterr().out.startswith("lambda_star = 1.000000000e+00\n")
 
 
 def test_blank_masses_refused_where_masses_are_conserved(workdir, capsys):
@@ -297,7 +297,7 @@ def test_gap_of_a_negative_mixed_sign_mass(workdir, capsys):
     code = dispatch(["gap", str(workdir / "pair_source.rdn"),
                      "--domain", "interval:1", "--masses=-1"])
     assert code == 0
-    assert capsys.readouterr().out.startswith("lambda_star = 3.000000000\n")
+    assert capsys.readouterr().out.startswith("lambda_star = 3.000000000e+00\n")
 
 
 def test_simulate_with_a_negative_mixed_sign_mass(workdir):
@@ -344,7 +344,7 @@ def test_gap_at_a_given_state_needs_no_extreme_rays(tmp_path, capsys):
     code = dispatch(["gap", write_layered_network(tmp_path / "layered.rdn"),
                      "--domain", "interval:1", "--a-inf", ",".join(["1"] * 32)])
     assert code == 0
-    assert "lambda_star = 0.076858878" in capsys.readouterr().out.splitlines()
+    assert "lambda_star = 7.685887839e-02" in capsys.readouterr().out.splitlines()
 
 
 def test_gap_refuses_fluxes_past_float_range(workdir, capsys):
@@ -389,6 +389,32 @@ def test_heuristic_dt_refuses_a_reaction_scale_past_float_range(warnings_flags):
     assert proc.stdout == ""
     assert proc.stderr == ("numerical failure: default_dt: the reaction scale |L| "
                            "at a* overflows float range (give dt)\n")
+
+
+@pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
+def test_heuristic_dt_refuses_an_unbounded_step_count(warnings_flags):
+    # |L| = 2e100 is finite, but default_dt = 5e-102 asks t_end = 0.01 for
+    # about 2e99 steps: refused at once by name, not run until killed
+    proc = subprocess.run(
+        [sys.executable, *warnings_flags, "-m", "rdbalance", "simulate",
+         str(Path(__file__).parent / "data" / "huge_rates.cfg")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: default_dt: t_end takes 2e+99 steps at "
+                           "|L| = 2e+100, more than 1e+09 (give dt)\n")
+
+
+def test_gap_prints_a_tiny_gap_in_full(tmp_path, capsys):
+    # %.9f printed this gap as 0.000000000
+    (tmp_path / "slow.rdn").write_text(
+        "species A1 A2\ndiffusion A1=1 A2=1\nreaction A1 <-> A2 : kf=1e-12 kb=1e-12\n")
+    code = dispatch(["gap", str(tmp_path / "slow.rdn"), "--domain", "interval:1",
+                     "--a-inf", "1,1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda_star = 2.000000000e-12", "modes_examined = 1",
+        "mode 0: mu = 0.000000000e+00, gap = 2.000000000e-12"]
 
 
 def test_simulate_and_fit(workdir, capsys):
@@ -716,7 +742,7 @@ def test_gap_with_one_slow_species_stops_at_mode_one(workdir, capsys, domain):
                      "--domain", domain, "--a-inf", "1,1,1,1"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "lambda_star = 0.971202848"
+    assert lines[0] == "lambda_star = 9.712028479e-01"
     assert [line.split(":")[0] for line in lines if line.startswith("mode ")] \
         == ["mode 0", "mode 1"]
 

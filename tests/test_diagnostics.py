@@ -24,8 +24,10 @@ from rdbalance import (
     relative_entropy,
     simulate,
     weighted_norm,
+    write_snapshot_csv,
 )
 
+from rdbalance import solver
 from rdbalance.diagnostics import DiagnosticsRecord
 
 from conftest import four_species_network, random_balanced_network, record_snapshots
@@ -427,6 +429,110 @@ class TestDiagnosticsRecord:
         row = DiagnosticsRecord(net, a_inf, grid, stoich.Q).row(state)
         assert np.all(np.isfinite(row[:-2])) and np.all(np.isnan(row[-2:]))
         assert np.array_equal(row, oracle_row(net, stoich, a_inf, state), equal_nan=True)
+
+    @staticmethod
+    def spy_on_rows(monkeypatch):
+        """The stacks ``DiagnosticsRecord.rows`` is called with, in order."""
+        stacks = []
+        rows = DiagnosticsRecord.rows
+
+        def spy(self, times, stack):
+            stacks.append(stack)
+            return rows(self, times, stack)
+
+        monkeypatch.setattr(DiagnosticsRecord, "rows", spy)
+        return stacks
+
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    @pytest.mark.parametrize("domain, shape, passes", [
+        (Interval(1.0), (64,), [64, 7]),           # 256 values a state: 64 a pass
+        (Rectangle(1.0, 0.7), (16, 16), [16] * 4 + [7])])  # 1024 values: 16 a pass
+    def test_batched_rows_are_the_oracles_bitwise(self, monkeypatch, scheme, domain,
+                                                  shape, passes):
+        # 71 output states, more than one batch holds: a flush boundary is crossed
+        stacks = self.spy_on_rows(monkeypatch)
+        net = four_species_network(d=(1.0, 2.0, 0.5, 1.5), kf=1.3, kb=0.6)
+        grid = Grid(domain, shape)
+        snapshots = []
+        result = simulate(net, grid, mode1_spec(ndim=grid.ndim), dt=1e-3, t_end=0.07,
+                          scheme=scheme, snapshot_every=1,
+                          on_snapshot=record_snapshots(snapshots))
+        assert [len(stack) for stack in stacks] == passes
+        assert sum(passes) * 4 * grid.n_cells > solver._RECORD_BATCH_VALUES
+        stoich = decompose(net)
+        a_inf = result.equilibrium.vector
+        assert len(result.series.table) == len(snapshots) == 71
+        for row, snapshot in zip(result.series.table, snapshots):
+            want = oracle_row(net, stoich, a_inf, snapshot)
+            assert np.all(np.isfinite(want))
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_NETWORKS))
+    @pytest.mark.parametrize("domain, shape", [(Interval(1.0), (64,)),
+                                               (Rectangle(1.0, 0.7), (8, 6))])
+    def test_rows_of_a_rough_stack_are_the_oracles_bitwise(self, name, domain, shape):
+        # cells up to 50% off a*: each L^p root is a float power per state,
+        # where numpy's vector power can be an ulp off
+        net, a_inf = RECORD_NETWORKS[name]()
+        grid = Grid(domain, shape)
+        rng = np.random.default_rng(29)
+        stack = a_inf.reshape((1, -1) + (1,) * grid.ndim) * rng.uniform(
+            0.5, 1.5, (40, len(a_inf)) + shape)
+        times = np.arange(40) * 0.25
+        stoich = decompose(net)
+        rows = DiagnosticsRecord(net, a_inf, grid, stoich.Q).rows(times, stack)
+        weights = [a_inf.reshape((-1,) + (1,) * grid.ndim) ** (p - 1.0) for p in (2, 4)]
+        for row, t, fields in zip(rows, times, stack):
+            assert np.array_equal(row, oracle_row(net, stoich, a_inf, State(t, fields, grid)))
+            # the norm's root is one float power of the state's own sum
+            h = np.abs(fields - a_inf.reshape((-1,) + (1,) * grid.ndim))
+            assert row[-5:-3].tolist() == [
+                float(np.add.reduce(h ** p / w, axis=None) * grid.cell_volume) ** (1.0 / p)
+                for p, w in zip((2, 4), weights)]
+
+    def test_a_zero_cell_gives_nan_dissipation_only_in_its_own_row(self, monkeypatch,
+                                                                   tmp_path):
+        # a run from a snapshot with a zero cell: the initial state, buffered
+        # with the next ones, is the only row without dissipation
+        stacks = self.spy_on_rows(monkeypatch)
+        net = four_species_network(d=(1.0, 2.0, 0.5, 1.5))
+        grid = Grid(Interval(1.0), (16,))
+        fields = 1.0 + 0.1 * np.cos(math.pi * grid.centers()[0]) * np.ones((4, 1))
+        fields[2, 5] = 0.0
+        write_snapshot_csv(tmp_path / "zero.csv", State(0.0, fields, grid), net.species)
+        snapshots = []
+        result = simulate(net, grid, InitialSpec(csv_path=str(tmp_path / "zero.csv")),
+                          dt=1e-3, t_end=0.01, snapshot_every=1,
+                          on_snapshot=record_snapshots(snapshots))
+        assert [len(stack) for stack in stacks] == [11]
+        table = result.series.table
+        assert np.all(np.isnan(table[0, -2:])) and np.all(np.isfinite(table[0, :-2]))
+        assert np.all(np.isfinite(table[1:]))
+        stoich, a_inf = decompose(net), result.equilibrium.vector
+        for row, snapshot in zip(table, snapshots):
+            assert np.array_equal(row, oracle_row(net, stoich, a_inf, snapshot), equal_nan=True)
+        # the same in the middle of a stack, next to positive states
+        stack = np.stack([s.fields for s in snapshots[1:4]])
+        stack[1, 0, 3] = 0.0
+        rows = DiagnosticsRecord(net, a_inf, grid, stoich.Q).rows([1.0, 2.0, 3.0], stack)
+        assert np.isnan(rows[:, -2:]).tolist() == [[False] * 2, [True] * 2, [False] * 2]
+        for row, t, state in zip(rows, [1.0, 2.0, 3.0], stack):
+            assert np.array_equal(row, oracle_row(net, stoich, a_inf, State(t, state, grid)),
+                                  equal_nan=True)
+
+    def test_a_state_at_the_bound_takes_a_pass_of_its_own(self, monkeypatch):
+        # 4 species on 64 x 64 cells: 2^14 values, the whole batch bound
+        stacks = self.spy_on_rows(monkeypatch)
+        net = four_species_network()
+        grid = Grid(Rectangle(1.0, 1.0), (64, 64))
+        assert 4 * grid.n_cells == solver._RECORD_BATCH_VALUES
+        snapshots = []
+        result = simulate(net, grid, mode1_spec(ndim=2), dt=1e-3, t_end=3e-3,
+                          snapshot_every=1, on_snapshot=record_snapshots(snapshots))
+        assert [len(stack) for stack in stacks] == [1] * 4 == [1] * len(result.series.t)
+        # each pass reads its state's own fields, with no copy
+        assert all(np.shares_memory(stack, snapshot.fields)
+                   for stack, snapshot in zip(stacks, snapshots))
 
     def test_row_peak_memory_is_no_more_than_a_standalone_call(self):
         # one row must not hold more full-grid temporaries at once than the

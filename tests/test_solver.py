@@ -31,6 +31,8 @@ from rdbalance import (
     write_snapshot_csv,
 )
 
+from rdbalance import solver
+from rdbalance.equilibrium import EquilibriumError
 from rdbalance.network import Kinetics
 from rdbalance.solver import NEGATIVE_TOL, _dct_basis, check_cells
 
@@ -899,6 +901,18 @@ class TestSimulate:
         simulate(four_species_network(), Grid(Interval(1.0), (16,)), mode1_spec(),
                  dt=1e-3, t_end=0.01, output_every=2)
         assert len(built) == 1
+
+    def test_heuristic_step_count_is_bounded_and_a_given_dt_is_not(self, monkeypatch):
+        # 16 cells: default_dt = 0.25 / 16^2 / 1 bounds t_end = 0.04 to 41 steps
+        net = four_species_network()
+        grid = Grid(Interval(1.0), (16,))
+        monkeypatch.setattr(solver, "_MAX_DEFAULT_STEPS", 41)
+        assert simulate(net, grid, mode1_spec(), None, t_end=0.04).dt == 0.04 / 41
+        monkeypatch.setattr(solver, "_MAX_DEFAULT_STEPS", 40)
+        with pytest.raises(EquilibriumError, match=r"^default_dt: t_end takes 41 steps at "
+                           r"\|L\| = 4, more than 4e\+01 \(give dt\)$"):
+            simulate(net, grid, mode1_spec(), None, t_end=0.04)
+        assert len(simulate(net, grid, mode1_spec(), 1e-3, t_end=0.05).series.t) == 51
 
     def test_default_dt_positive(self):
         net = four_species_network()
