@@ -422,7 +422,8 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (EquilibriumError, NonPositivityError, NotEquilibriumError) as exc:
+    except (EquilibriumError, NonPositivityError, NotEquilibriumError,
+            FloatingPointError) as exc:
         # NotEquilibriumError subclasses ValueError, so this clause goes first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -137,35 +137,38 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
 
 
 class DiagnosticsRecord:
-    """diag.csv's rows for one run: built once from the network, the
-    reference equilibrium ``a_inf``, the grid and the conservation basis
-    ``q``, it holds what every row reuses (a* shaped for broadcasting, the
-    norm weights a*^(p-1), the reaction coefficients kf a*^alpha).  Each
-    column is the value of its standalone function (``relative_entropy``,
+    """diag.csv's rows for one run: built once from the network (and its
+    conservation basis Q), the reference equilibrium ``a_inf`` and the grid,
+    it holds what every row reuses (a* shaped for broadcasting, the norm
+    weights a*^(p-1), the reaction coefficients kf a*^alpha).  Each column
+    is the value of its standalone function (``relative_entropy``,
     ``weighted_norm``, ``entropy_dissipation``), bit for bit: they share
     one formula each."""
 
-    def __init__(self, net: ReactionNetwork, a_inf, grid: Grid, q):
+    @np.errstate(all="ignore")  # a weight past float range is refused in rows
+    def __init__(self, net: ReactionNetwork, a_inf, grid: Grid):
         a_inf = np.asarray(a_inf, dtype=float)
         self._a_star = _over_cells(a_inf, grid)
         self._weights = {p: _over_cells(a_inf ** (p - 1.0), grid) for p in (2, 4)}
         self._coeff = _reaction_coefficients(net, a_inf)
         self._kinetics = net.kinetics
         self._diffusion = net.diffusion_array()
-        self._q = np.asarray(q).astype(float)
+        self._q = net.structure.Q.astype(float)
         self._volume = grid.domain.measure
         self._spacing = grid.spacing
         self._cell_volume = grid.cell_volume
 
+    @np.errstate(all="ignore")  # a value past float range is refused by name
     def rows(self, times, stack: np.ndarray) -> np.ndarray:
         """The diag.csv rows of a (K, I, *grid) stack of states at ``times``,
         as a (K, q + 7) array: t, the masses Q mean(a) |Omega|, H, L2, L4,
         Linf, fisher and reaction, each reduced over its own state's cells
-        alone.  A state's dissipation is NaN unless all its cells are > 0.
+        alone.  A state's dissipation is NaN unless all its cells are > 0;
+        any other value past float range raises FloatingPointError.
         No full-grid temporary outlives the column that needs it."""
         k, cell_volume = len(stack), self._cell_volume
         positive = stack.reshape(k, -1).min(axis=1) > 0  # False at a NaN
-        dissipation = np.full((2, k), math.nan)
+        dissipation = np.zeros((2, k))
         if positive.any():
             a = stack if positive.all() else stack[positive]
             dissipation[:, positive] = (
@@ -179,10 +182,14 @@ class DiagnosticsRecord:
         # State.means of each state, then one Q product each
         means = np.add.reduce(stack, axis=tuple(range(2, stack.ndim))) / stack[0, 0].size
         masses = np.matmul(self._q, means[..., np.newaxis])[..., 0] * self._volume
-        return np.column_stack([times, masses, entropy, *norms, *dissipation])
-
-    def row(self, state) -> list[float]:  # of one solver.State: rows with K = 1
-        return self.rows([state.t], state.fields[np.newaxis])[0].tolist()
+        table = np.column_stack([times, masses, entropy, *norms, *dissipation])
+        if not np.isfinite(table).all():
+            row, column = np.argwhere(~np.isfinite(table))[0]
+            raise FloatingPointError(
+                f"diag.csv column {DiagnosticsSeries(table[:0]).header()[column]} is "
+                f"{table[row, column]} at t = {table[row, 0]:g}: past float range")
+        table[~positive, -2:] = math.nan
+        return table
 
 
 @dataclass(frozen=True)

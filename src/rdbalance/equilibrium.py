@@ -8,7 +8,7 @@ candidate has the form
     log a*(theta) = mu + Q^T theta,        theta in R^q,
 
 so W log a* = W mu for every theta: balance (the Wegscheider condition) is
-decided once, on the result, by the flux rule ``linearised_matrix`` shares.
+decided once, on the result, by ``balance_residual``, as L decides it.
 The masses Q a*(theta) = m pin theta; that is the gradient of the strictly
 convex dual potential sum_i a_i(theta) - m . theta, whose Hessian Q diag(a)
 Q^T is positive definite, so damped Newton converges from theta = 0.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ReactionNetwork, StoichiometryDecomposition
+from .network import Reaction, ReactionNetwork, StoichiometryDecomposition
 
 
 class EquilibriumError(Exception):
@@ -54,7 +54,7 @@ class ConservedMasses:
 
 @dataclass(frozen=True)
 class EquilibriumState:
-    """Strictly positive equilibrium and the mass vector it realizes."""
+    """Strictly positive equilibrium, its mass vector and ``balance_residual``."""
 
     a_inf: tuple[float, ...]
     masses: ConservedMasses
@@ -77,6 +77,14 @@ def conserved_masses(stoich: StoichiometryDecomposition, a0_mean,
     return ConservedMasses(tuple(stoich.Q.astype(float) @ a0_mean * float(volume)))
 
 
+def balance_residual(net: ReactionNetwork, a: np.ndarray) -> float:
+    """Detailed-balance residual max_r |K_r| / max(kf_r a^alpha, kb_r a^beta)
+    at a strictly positive, finite ``a``, exactly, from logarithms: max_r
+    1 - exp(-|log(kf_r/kb_r) - (W log a)_r|), so no flux can overflow it."""
+    kinetics = net.kinetics
+    return float(-np.expm1(-np.max(np.abs(kinetics.log_ratio - np.log(a) @ kinetics.wt))))
+
+
 def four_species_equilibrium(m12: float, m14: float, m32: float,
                              m34: float) -> EquilibriumState:
     """Closed-form equilibrium of the four-species swap with unit rates.
@@ -94,25 +102,13 @@ def four_species_equilibrium(m12: float, m14: float, m32: float,
             f"inconsistent masses: M12 + M34 = {m12 + m34:g} differs from "
             f"M14 + M32 = {m14 + m32:g}")
     a = (m12 * m14 / total, m12 * m32 / total, m32 * m34 / total, m14 * m34 / total)
-    residual = abs(a[0] * a[2] - a[1] * a[3])
-    return EquilibriumState(a, ConservedMasses((m12, m14, m32)), residual)
+    return EquilibriumState(a, ConservedMasses((m12, m14, m32)),
+                            balance_residual(_SWAP, np.array(a)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an inf flux is refused by name
-def _flux_balance(net: ReactionNetwork, a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Forward fluxes kf a^alpha at a strictly positive, finite ``a`` and the
-    (absolute, relative) detailed-balance residual max_r |K_r|, relative to
-    the one-sided fluxes; EquilibriumError when a flux overflows float range."""
-    forward, backward = net.kinetics.fluxes(a)
-    K = np.abs(forward - backward)
-    scale = np.maximum(np.maximum(forward, backward), 1e-300)
-    absolute, relative = float(np.max(K)), float(np.max(K / scale))
-    if math.isnan(relative):  # an inf flux; a finite pair never gives NaN
-        raise EquilibriumError("reaction fluxes at a* overflow float range")
-    return forward, absolute, relative
-
-
-_DB_TOL = 1e-10  # flux residual relative to the one-sided fluxes
+DB_TOL = 1e-10  # balance_residual of an equilibrium
+_SWAP = ReactionNetwork(("A1", "A2", "A3", "A4"),  # four_species_equilibrium's network
+                        (Reaction((1, 0, 1, 0), (0, 1, 0, 1), 1.0, 1.0),), (1.0,) * 4)
 _NEWTON_TOL = 1e-12  # mass error |(Q a - m)_i| relative to |m_i|
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # ulp-scale slack, relative to the terms
 _MAX_EFOLDS = 16.0  # largest change of any log a_i in one Newton step
@@ -136,7 +132,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     It stops when each law i matches on its own, |(Q a - m)_i| within
     ``_NEWTON_TOL`` |m_i| or the roundoff of that law's own terms.
     Its failure, or a state not strictly positive and finite, raises
-    NewtonDivergenceError; a state off balance, NoDetailedBalanceError.
+    NewtonDivergenceError; ``balance_residual`` over ``DB_TOL``, NoDetailedBalanceError.
     """
     m = m.vector if isinstance(m, ConservedMasses) else np.asarray(m, dtype=float)
     q = stoich.Q.shape[0]
@@ -206,8 +202,10 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     if not np.all((a > 0) & (a < math.inf)):
         raise NewtonDivergenceError(f"a* in [{a.min():.3g}, {a.max():.3g}] "
                                     f"is not strictly positive and finite")
-    _, absolute, relative = _flux_balance(net, a)
-    if not relative <= _DB_TOL:
+    residual = balance_residual(net, a)
+    if not residual <= DB_TOL:
         raise NoDetailedBalanceError(f"no detailed-balance equilibrium: "
-                                     f"relative flux residual {relative:.3e}")
-    return EquilibriumState(tuple(a), ConservedMasses(tuple(m)), absolute)
+                                     f"relative flux residual {residual:.3e}")
+    if not np.isfinite(net.kinetics.fluxes(a)[0]).all():
+        raise EquilibriumError("reaction fluxes at a* overflow float range")
+    return EquilibriumState(tuple(a), ConservedMasses(tuple(m)), residual)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, Grid
 from .network import ReactionNetwork, is_four_species
-from .equilibrium import _DB_TOL, EquilibriumError, _flux_balance
+from .equilibrium import DB_TOL, EquilibriumError, balance_residual
 
 
 _SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
@@ -67,21 +67,23 @@ class SpectralGapReport:
 def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     """Linearised reaction matrix at a detailed-balance equilibrium.
 
-    Raises NotEquilibriumError when some reaction flux at ``a_inf`` exceeds
-    ``_DB_TOL`` relative to its one-sided fluxes, the solver's own rule, and
-    the solver's EquilibriumError when a flux or an entry of L overflows
-    float range.
+    Raises NotEquilibriumError when ``balance_residual`` at ``a_inf`` exceeds
+    ``DB_TOL``, the solver's own rule, and the solver's EquilibriumError when
+    a flux or an entry of L overflows float range.
     """
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or not np.all((a > 0) & np.isfinite(a)):
         raise ValueError(
             "a_inf must be a strictly positive, finite vector, one per species")
-    forward, _, relative = _flux_balance(net, a)
-    if not relative <= _DB_TOL:
+    residual = balance_residual(net, a)
+    if not residual <= DB_TOL:
         raise NotEquilibriumError(
-            f"state is not an equilibrium (relative flux residual {relative:.3e})")
+            f"state is not an equilibrium (relative flux residual {residual:.3e})")
     wt = net.kinetics.wt  # W^T, I x R
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        forward = net.kinetics.fluxes(a)[0]
+        if not np.isfinite(forward).all():
+            raise EquilibriumError("reaction fluxes at a* overflow float range")
         L = -wt @ (forward[:, np.newaxis] * wt.T / a[np.newaxis, :])
     if not np.isfinite(L).all():
         raise EquilibriumError("linearised reaction matrix at a* overflows float range")
@@ -92,7 +94,7 @@ def weighted_spectrum(lin: LinearisedMatrix) -> np.ndarray:
     """Ascending real eigenvalues of L in its weighted inner product:
     LAPACK's ``eigvalsh`` of the symmetric form of ``lin``, which must be
     symmetric to ``_SYMMETRY_TOL`` (ValueError otherwise), as it is at any
-    positive a*: input validation; the flux rule detects non-equilibria."""
+    positive a*: input validation; ``balance_residual`` detects non-equilibria."""
     S = lin.symmetric()
     asym = np.max(np.abs(S - S.T))
     # math.hypot scales its terms, so |S| near float range cannot overflow

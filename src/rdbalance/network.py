@@ -346,12 +346,8 @@ class Kinetics:
         self._padded = any(len(f) < len(self.gather) for f in factors)
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
         self.wt = net.structure.W.T.astype(float)  # W^T
-
-    @functools.cached_property
-    def signed(self) -> np.ndarray:
-        """S = [W^T diag(kf) | -W^T diag(kb)], I x 2R, built on first use
-        (only the stepper's ``production`` needs it)."""
-        return np.hstack([self.wt, -self.wt]) * self.rates.T
+        self.signed = np.hstack([self.wt, -self.wt]) * self.rates.T  # I x 2R, see production
+        self.log_ratio = np.log(net.kf_array()) - np.log(net.kb_array())  # log(kf/kb)
 
     def monomials(self, flat: np.ndarray) -> np.ndarray:
         """(2R, N) monomials of the (I, N) array ``flat``: a^alpha for each
@@ -373,20 +369,17 @@ class Kinetics:
         return mono[:shape[0]].reshape(shape), mono[shape[0]:].reshape(shape)
 
     def production(self, fields: np.ndarray) -> np.ndarray:
-        """Species production W^T K = S m over (I, *cells) fields, m the
-        monomials and S = ``signed`` (the stepper's hot path: one reshape, the
-        gathers, one BLAS product).  BLAS may fuse a multiply and an add, so
-        this differs from W^T K at roundoff in general.  With rates and
-        coefficients that are powers of two and no species in two reactions
-        (the four-species swap with unit rates), every product is exact and
-        both round one subtraction only, so the two agree bitwise."""
+        """Species production P = W^T K = S m over (I, *cells) fields, m the
+        monomials and S = ``signed`` = [W^T diag(kf) | -W^T diag(kb)] (the
+        stepper's hot path: one reshape, the gathers, one BLAS product)."""
         mono = self.monomials(fields.reshape(fields.shape[0], -1))
         # np.dot: less per-call overhead than np.matmul on small grids
         return np.dot(self.signed, mono).reshape(fields.shape)
 
 
 def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
-    """Reaction fluxes K(a) and species production P(a) = W^T K(a).
+    """Reaction fluxes K(a) and species production P(a) = W^T K(a), the
+    stepper's ``Kinetics.production``.
 
     ``a`` is a nonnegative concentration vector of length I; raises
     ValueError on any negative component (a solver blow-up signal).
@@ -397,9 +390,7 @@ def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
     if np.any(a < 0):
         bad = int(np.argmin(a))
         raise ValueError(f"negative concentration {net.species[bad]} = {a[bad]}")
-    forward, backward = net.kinetics.fluxes(a)
-    K = forward - backward
-    return K, net.kinetics.wt @ K
+    return np.subtract(*net.kinetics.fluxes(a)), net.kinetics.production(a)
 
 
 def is_four_species(net: ReactionNetwork) -> bool:

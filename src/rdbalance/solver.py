@@ -426,8 +426,8 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     The reference equilibrium is computed from the conserved masses of the
     initial data.  Deterministic: identical inputs give identical outputs.
     Dissipation columns are NaN at states with non-positive cells (where
-    the dissipation integrals genuinely diverge); all other columns are
-    finite throughout.
+    the dissipation integrals genuinely diverge); any other value that is
+    not finite raises FloatingPointError (``DiagnosticsRecord.rows``).
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -454,7 +454,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
         raise ValueError(f"t_end = {t_end!r} is not a whole number of steps "
                          f"of dt = {dt!r}")
 
-    record = DiagnosticsRecord(net, a_inf, grid, net.structure.Q)
+    record = DiagnosticsRecord(net, a_inf, grid)
     per_pass = max(1, _RECORD_BATCH_VALUES // state.fields.size)
     tables, held = [], []  # diag.csv's rows in header order; states not yet in them
     outputs = k = 0

@@ -405,6 +405,45 @@ def test_heuristic_dt_refuses_an_unbounded_step_count(warnings_flags):
                            "|L| = 2e+100, more than 1e+09 (give dt)\n")
 
 
+@pytest.mark.parametrize("a2, code, out, err", [
+    ("1.000001e-155", 3, [], "numerical failure: state is not an equilibrium "
+                             "(relative flux residual 1.000e-06)\n"),
+    ("2e-155", 3, [], "numerical failure: state is not an equilibrium "
+                      "(relative flux residual 5.000e-01)\n"),
+    ("1e-155", 0, ["lambda_star = 1.000010000e-150", "modes_examined = 1",
+                   "mode 0: mu = 0.000000000e+00, gap = 1.000010000e-150"], ""),
+])
+def test_gap_decides_balance_where_the_fluxes_are_tiny(capsys, a2, code, out, err):
+    # 0 <-> A1 + A2 at kf = 1e-305: each one-sided flux about 1e-305
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["gap", str(Path(__file__).parent / "data" / "tiny_rates.rdn"),
+                         "--domain", "interval:1", "--a-inf", f"1e-150,{a2}"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines(), captured.err) == (out, err)
+
+
+@pytest.mark.parametrize("config, value", [("scale80", "inf"), ("scale_tiny", "nan")])
+@pytest.mark.parametrize("warnings_filter", ["default", "error"])
+def test_simulate_refuses_a_diagnostic_past_float_range(tmp_path, capsys, config, value,
+                                                        warnings_filter):
+    # |h|^4 overflows at the state scale 1e80, and underflows with a*^3 at
+    # 1e-150: refused by name, with no diag.csv, not written as inf or nan
+    import shutil
+
+    data = Path(__file__).parent / "data"
+    for name in ("exchange.rdn", f"{config}.cfg"):
+        shutil.copy(data / name, tmp_path / name)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warnings_filter)
+        assert dispatch(["simulate", str(tmp_path / f"{config}.cfg")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"numerical failure: diag.csv column L4 is {value} at t = 0: "
+                            f"past float range\n")
+    assert not (tmp_path / "out" / config / "diag.csv").exists()
+
+
 def test_gap_prints_a_tiny_gap_in_full(tmp_path, capsys):
     # %.9f printed this gap as 0.000000000
     (tmp_path / "slow.rdn").write_text(

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -30,7 +31,8 @@ from rdbalance import (
 from rdbalance import solver
 from rdbalance.diagnostics import DiagnosticsRecord
 
-from conftest import four_species_network, random_balanced_network, record_snapshots
+from conftest import exchange_network, four_species_network, random_balanced_network, \
+    record_snapshots
 from test_solver import mode1_spec
 
 GRID4 = Grid(Interval(1.0), (4,))
@@ -426,7 +428,7 @@ class TestDiagnosticsRecord:
         fields = constant_fields(a_inf, grid) * 1.1
         fields[2, 3, 4] = 0.0
         state = State(t=0.5, fields=fields, grid=grid)
-        row = DiagnosticsRecord(net, a_inf, grid, stoich.Q).row(state)
+        row = DiagnosticsRecord(net, a_inf, grid).rows([state.t], fields[np.newaxis])[0]
         assert np.all(np.isfinite(row[:-2])) and np.all(np.isnan(row[-2:]))
         assert np.array_equal(row, oracle_row(net, stoich, a_inf, state), equal_nan=True)
 
@@ -480,7 +482,7 @@ class TestDiagnosticsRecord:
             0.5, 1.5, (40, len(a_inf)) + shape)
         times = np.arange(40) * 0.25
         stoich = decompose(net)
-        rows = DiagnosticsRecord(net, a_inf, grid, stoich.Q).rows(times, stack)
+        rows = DiagnosticsRecord(net, a_inf, grid).rows(times, stack)
         weights = [a_inf.reshape((-1,) + (1,) * grid.ndim) ** (p - 1.0) for p in (2, 4)]
         for row, t, fields in zip(rows, times, stack):
             assert np.array_equal(row, oracle_row(net, stoich, a_inf, State(t, fields, grid)))
@@ -514,11 +516,37 @@ class TestDiagnosticsRecord:
         # the same in the middle of a stack, next to positive states
         stack = np.stack([s.fields for s in snapshots[1:4]])
         stack[1, 0, 3] = 0.0
-        rows = DiagnosticsRecord(net, a_inf, grid, stoich.Q).rows([1.0, 2.0, 3.0], stack)
+        rows = DiagnosticsRecord(net, a_inf, grid).rows([1.0, 2.0, 3.0], stack)
         assert np.isnan(rows[:, -2:]).tolist() == [[False] * 2, [True] * 2, [False] * 2]
         for row, t, state in zip(rows, [1.0, 2.0, 3.0], stack):
             assert np.array_equal(row, oracle_row(net, stoich, a_inf, State(t, state, grid)),
                                   equal_nan=True)
+
+    @pytest.mark.parametrize("scale, value, t", [(1e80, "inf", "0.5"),
+                                                 (1e-150, "nan", "0.25")])
+    def test_a_column_past_float_range_is_refused_by_name(self, scale, value, t):
+        # |h|^4 overflows at 1e80; at 1e-150 it and the weight a*^3 underflow
+        # to 0, so even the row of a* itself (t = 0.25) reads 0/0
+        net = exchange_network()
+        grid = Grid(Interval(1.0), (16,))
+        a_inf = scale * np.array([1.0, 2.0])
+        fields = a_inf[:, np.newaxis] * (1 + 0.01 * np.cos(math.pi * grid.centers()[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = DiagnosticsRecord(net, a_inf, grid)
+            message = f"diag.csv column L4 is {value} at t = {t}: past float range"
+            with pytest.raises(FloatingPointError, match=rf"\A{re.escape(message)}\Z"):
+                record.rows([0.25, 0.5], np.stack([np.tile(a_inf[:, np.newaxis], 16), fields]))
+
+    def test_a_dissipation_past_float_range_is_refused_by_name(self):
+        # kf a*^alpha = 1e308: each cell of a state 50% off a* adds 1.1e308
+        # to the reaction term, a positive state's, so it is no NaN to keep
+        net = exchange_network(kf=1e308, kb=1e308)
+        grid = Grid(Interval(1.0), (16,))
+        fields = np.stack([np.full(16, 1.5), np.full(16, 0.5)])
+        with pytest.raises(FloatingPointError, match=r"\Adiag.csv column reaction is inf "
+                                                     r"at t = 1: past float range\Z"):
+            DiagnosticsRecord(net, [1.0, 1.0], grid).rows([1.0], fields[np.newaxis])
 
     def test_a_state_at_the_bound_takes_a_pass_of_its_own(self, monkeypatch):
         # 4 species on 64 x 64 cells: 2^14 values, the whole batch bound
@@ -544,8 +572,7 @@ class TestDiagnosticsRecord:
         x, y = grid.centers()
         fields = a_inf.reshape(-1, 1, 1) * (1 + 0.1 * np.cos(math.pi * x) * np.cos(math.pi * y))
         h = fields - a_inf.reshape(-1, 1, 1)
-        record = DiagnosticsRecord(net, a_inf, grid, decompose(net).Q)
-        state = State(t=0.0, fields=fields, grid=grid)
+        record = DiagnosticsRecord(net, a_inf, grid)
 
         def peak(call):
             call()  # warm caches first
@@ -560,4 +587,4 @@ class TestDiagnosticsRecord:
                       peak(lambda: entropy_dissipation(fields, net, a_inf, grid))]
         standalone += [peak(lambda: weighted_norm(h, a_inf, p, grid))
                        for p in (2, 4, math.inf)]
-        assert peak(lambda: record.row(state)) <= max(standalone) + 1024
+        assert peak(lambda: record.rows([0.0], fields[np.newaxis])) <= max(standalone) + 1024

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rdbalance import (
     EquilibriumError,
@@ -23,14 +23,15 @@ from rdbalance import (
     relative_entropy,
     stoichiometric_matrix,
 )
+from rdbalance.equilibrium import DB_TOL, balance_residual
 
 from conftest import exchange_network, four_species_network, \
-    random_balanced_network, triangle_network
+    random_admissible_network, random_balanced_network, triangle_network
 
 
-def pair_source_network() -> ReactionNetwork:
+def pair_source_network(kf=2.0, kb=1.0) -> ReactionNetwork:
     return ReactionNetwork(species=("A1", "A2"),
-                           reactions=(Reaction((0, 0), (1, 1), 2.0, 1.0),),
+                           reactions=(Reaction((0, 0), (1, 1), kf, kb),),
                            diffusion=(1.0, 1.0))
 
 
@@ -398,3 +399,50 @@ def test_relabelling_species_permutes_the_equilibrium(seed, shuffle):
     (a_star, gap), (a_perm, gap_perm) = results
     assert np.allclose(a_perm, a_star[perm], rtol=1e-10, atol=0)
     assert gap_perm == pytest.approx(gap, rel=1e-10, abs=0)
+
+
+class TestBalanceResidual:
+    def test_db_residual_is_the_balance_residual(self):
+        net = four_species_network()
+        eq = detailed_balance_equilibrium(net, decompose(net), [3, 4, 1])
+        assert eq.db_residual == balance_residual(net, eq.vector) <= DB_TOL
+        closed = four_species_equilibrium(3, 4, 1, 2)
+        assert closed.db_residual == balance_residual(net, closed.vector) <= DB_TOL
+
+    @pytest.mark.parametrize("a2, residual", [(1e-155, 0.0), (1.000001e-155, 1e-6 / 1.000001),
+                                              (2e-155, 0.5)])
+    def test_fluxes_near_the_bottom_of_float_range(self, a2, residual):
+        # 0 <-> A1 + A2 at kf = 1e-305: both one-sided fluxes about 1e-305,
+        # and |K| / max(kf, kb a1 a2) = 1 - 1e-155 / a2, to the ulps of
+        # log(kf) ~ -702 (about 1e-13)
+        net = pair_source_network(kf=1e-305, kb=1.0)
+        assert balance_residual(net, np.array([1e-150, a2])) == \
+            pytest.approx(residual, rel=1e-9, abs=1e-12)
+
+
+TINY_FLUX_SEED = 44  # at 1e-150 the raised species' reaction has fluxes about 1e-300
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-150, 150))
+@example(seed=TINY_FLUX_SEED, exponent=-150.0)
+def test_balance_residual_is_exact_at_any_state_scale(seed, exponent):
+    # a network balanced at s u, s = 10^exponent, its kb backed out as
+    # random_balanced_network does; then one reacting species is raised by
+    # 1e-6, which puts reaction r off balance by a factor (1 + 1e-6)^|W_ri|
+    rng = np.random.default_rng(seed)
+    net = random_admissible_network(rng)
+    a = 10.0 ** exponent * rng.uniform(0.3, 3.0, size=net.n_species)
+    with np.errstate(all="ignore"):
+        kb = [r.kf * np.prod(a ** np.array(r.alpha)) / np.prod(a ** np.array(r.beta))
+              for r in net.reactions]
+    assume(all(np.finfo(float).tiny <= k < math.inf for k in kb))
+    net = ReactionNetwork(net.species, tuple(Reaction(r.alpha, r.beta, r.kf, float(k))
+                                             for r, k in zip(net.reactions, kb)),
+                          net.diffusion)
+    assert balance_residual(net, a) <= DB_TOL
+    W = stoichiometric_matrix(net)
+    i = int(rng.choice(np.flatnonzero(W.any(axis=0))))
+    a[i] *= 1 + 1e-6
+    want = 1 - (1 + 1e-6) ** -float(np.max(np.abs(W[:, i])))
+    assert balance_residual(net, a) == pytest.approx(want, rel=1e-6, abs=0)

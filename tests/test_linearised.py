@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from rdbalance import (
     four_species_equilibrium,
     linearised_matrix,
     operator_spectral_gap,
+    parse_network,
     stoichiometric_matrix,
     weighted_spectrum,
 )
@@ -25,6 +28,7 @@ from conftest import build_laplacian, exchange_network, four_species_network, \
     random_balanced_network
 
 PI2 = math.pi ** 2
+TINY_RATES = Path(__file__).parent / "data" / "tiny_rates.rdn"  # 0 <-> A1 + A2, kf = 1e-305
 
 
 def weighted_dot(u, v, weights):
@@ -63,6 +67,20 @@ class TestLinearisedMatrix:
     def test_rejects_non_equilibrium(self):
         with pytest.raises(NotEquilibriumError):
             linearised_matrix(four_species_network(), [2, 1, 1, 1])
+
+    @pytest.mark.parametrize("a2, residual", [(1.000001e-155, "1.000e-06"),
+                                              (2e-155, "5.000e-01")])
+    def test_rejects_a_state_off_balance_whose_fluxes_are_tiny(self, a2, residual):
+        # both one-sided fluxes about 1e-305: the residual is still |K| over them
+        net = parse_network(TINY_RATES.read_text())
+        message = f"state is not an equilibrium (relative flux residual {residual})"
+        with pytest.raises(NotEquilibriumError, match=rf"\A{re.escape(message)}\Z"):
+            linearised_matrix(net, [1e-150, a2])
+
+    def test_accepts_a_balanced_state_whose_fluxes_are_tiny(self):
+        net = parse_network(TINY_RATES.read_text())
+        report = operator_spectral_gap(net, [1e-150, 1e-155], Interval(1.0))
+        assert f"{report.lambda_star:.9e}" == "1.000010000e-150"
 
     @pytest.mark.parametrize("a", [[np.inf, 1, 1, 1], [np.nan, 1, 1, 1], [0, 1, 1, 1]])
     def test_rejects_non_positive_or_non_finite_state(self, a):
