@@ -111,7 +111,9 @@ def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
     With pair masses M12 = a1 + a2, M14 = a1 + a4, M32 = a3 + a2,
     M34 = a3 + a4 and C_M = M12*M32*M14*M34 / M^2, the gap is at least
     gamma * min_i d_i where gamma = min(C_Omega, C_M (sum 1/a_i)^2 /
-    (sum d_i/a_i)).  Valid for unit reaction rates.
+    (sum d_i/a_i)).  Valid for unit reaction rates.  The second term is
+    taken as (M12/M)(M32/M)(M14 sum 1/a)(M34 sum 1/a) / sum d/a, factors of
+    order one, so it neither underflows nor overflows at any scale of a.
     """
     a = np.asarray(a_inf, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -121,9 +123,9 @@ def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
         raise ValueError("equilibrium values must be positive and finite, "
                          "diffusion positive")
     m12, m14, m32, m34 = a[0] + a[1], a[0] + a[3], a[2] + a[1], a[2] + a[3]
-    total = a.sum()
-    c_m = m12 * m32 * m14 * m34 / total ** 2
-    gamma = min(float(c_omega), c_m * np.sum(1.0 / a) ** 2 / np.sum(d / a))
+    total, inverse_sum = a.sum(), np.sum(1.0 / a)
+    gamma = min(float(c_omega), (m12 / total) * (m32 / total) * (m14 * inverse_sum)
+                * (m34 * inverse_sum) / np.sum(d / a))
     return gamma * float(np.min(d))
 
 

@@ -20,8 +20,12 @@ exact on both), so they keep cells nonnegative for any step size.
 output interval per call).  Within such a run the closing half-diffusion
 of one ``strang`` step and the opening one of the next compose exactly,
 so they are applied as one diffusion over dt: n steps cost n + 1
-diffusion substeps, not 2n.  ``simulate`` sets a run up once: the reference
-equilibrium of the initial masses and, when no dt is given, ``default_dt``.
+diffusion substeps, not 2n.  Diffusion propagates each species' deviation
+from the cell means taken at the start of the call, and the reaction steps
+in monomial space, x += dt S m(x) or its Heun form, with S m the
+``Kinetics.production`` formula.  ``simulate`` sets a run up once: the
+reference equilibrium of the initial masses and, when no dt is given,
+``default_dt``.
 
 Negative concentrations are an error, not something to clip: clipping
 would silently destroy the conservation laws the scheme is built around.
@@ -55,8 +59,15 @@ _DENSE_AXIS_MAX = 192
 # alone, 10 us in 2^14-value batches, 14 us at 2^16; 4096-value states 270, 160, 270.
 _RECORD_BATCH_VALUES = 2 ** 14
 
-# With no dt, simulate refuses a run of more steps than this: at about 30 us
-# a 64-cell step, 10^9 steps take over eight hours (rates out of scale).
+# Stepper.advance takes the species means again every this many steps of a
+# call: the reaction moves them, and the dense propagators keep the mean of
+# z = x - m0 only to rounding of its size.  2000 steps from (2, 0.1, 2, 0.1)
+# with a mode-1 bump drift the masses 1.2e-13 (64 cells) and 1.1e-13 (32x24)
+# with one m0, 4.9e-15 and 4.2e-16 at 16, as a mean per substep does.
+_RECENTRE_STEPS = 16
+
+# With no dt, simulate refuses a run of more steps than this: at about 15 us
+# a 64-cell step, 10^9 steps take over four hours (rates out of scale).
 _MAX_DEFAULT_STEPS = 10 ** 9
 
 SCHEMES = ("strang", "imex")  # Stepper and the CLI take exactly these names
@@ -144,10 +155,11 @@ class _DiffusionSemigroup:
     -sum_axes mu_k, mu_k = grid.axis_eigenvalue(axis, k).  Grids with at
     most _DENSE_AXIS_MAX cells on every axis apply ``multiplier``, one
     (I, n, n) stack of propagators C^T diag(exp(-tau d_i mu)) C per axis
-    (C from ``_dct_basis``), to each species' deviation from its mean;
-    grids with a longer axis a batched scipy DCT, multiply and inverse DCT.
-    Mode 0 is exact on both (mass is kept), and every multiplier lies in
-    (0, 1] (cells stay nonnegative at any tau).
+    (C from ``_dct_basis``); grids with a longer axis a batched scipy DCT,
+    multiply and inverse DCT.
+    Mode 0 is kept, exactly by the DCT and to rounding by the propagators
+    (see ``apply``), and every multiplier lies in (0, 1] (cells stay
+    nonnegative at any tau).
     """
 
     def __init__(self, grid: Grid, diffusion, tau: float):
@@ -181,25 +193,22 @@ class _DiffusionSemigroup:
               overwrite: bool = False) -> np.ndarray:
         """exp(tau d_i Lap) fields, with tau that of ``multiplier`` (by
         default the constructor's).  ``overwrite`` lets the substep reuse
-        ``fields`` as scratch: pass it only for arrays the caller owns."""
+        ``fields`` as scratch: pass it only for arrays the caller owns.
+        The dense propagators' column sums are 1 only to rounding, so a
+        field's mean is kept to rounding of its own size: ``Stepper`` hands
+        it deviations from the species means."""
         multiplier = self.multiplier if multiplier is None else multiplier
         if not self._dense:
             modes = self._fft.dctn(fields, axes=self.axes, norm="ortho",
                                    overwrite_x=overwrite)
             modes *= multiplier
             return self._fft.idctn(modes, axes=self.axes, norm="ortho", overwrite_x=True)
-        # the propagators' column sums are 1 only to rounding: keep the mean
-        # out (np.mean's own sum and divide, without its per-call overhead)
-        mean = np.add.reduce(fields, axis=self.axes, keepdims=True)
-        mean /= fields.size // len(fields)
-        out = np.subtract(fields, mean, out=fields if overwrite else None)
+        out = fields
         for propagator, (i, a, n, b) in zip(multiplier, self._views):
             # on the last axis, rows times the (symmetric) propagator: one gemm
             out = (np.matmul(out.reshape(i, a, n), propagator) if b == 1
                    else np.matmul(propagator[:, np.newaxis], out.reshape(i, a, n, b)))
-        out = out.reshape(fields.shape)
-        out += mean  # in the last product's own array
-        return out
+        return out.reshape(fields.shape)
 
 
 def check_cells(fields: np.ndarray, species, t: float) -> None:
@@ -238,11 +247,21 @@ class Stepper:
         # between two reactions: D(dt) for both (strang's two halves merged)
         self._between = (self.diffusion.multiplier_over(dt) if scheme == "strang"
                          else self.diffusion.multiplier)
+        # dt S and dt/2 S of production's S = Kinetics.signed: scaling its
+        # entries, +-1 or +-2 times a rate, by dt is exact, so Q (dt S) = 0
+        self._step_rates = dt * self.reaction.signed
+        self._half_rates = 0.5 * self._step_rates
 
     def advance(self, state: State, n_steps: int = 1) -> State:
         """Take ``n_steps`` steps: D R [D(dt) R]^(n-1), then D(dt/2) for
         strang, where D is the opening substep and R the reaction: forward
-        Euler for imex, Heun (explicit trapezoid, second order) for strang.
+        Euler x += dt S m(x) for imex, Heun (explicit trapezoid, second
+        order) trial = x + dt S m(x), x += dt/2 S (m(x) + m(trial)) for
+        strang, with m the monomials and S m = ``Kinetics.production``.
+
+        Diffusion acts on z = x - m0, m0 the species' cell means at the
+        start (taken again every _RECENTRE_STEPS steps): the propagators
+        alone, with no mean work per substep; the reaction sees z + m0.
 
         Positivity is checked on the input, after every reaction substep
         and on the output.  That is as strict as checking every step's
@@ -252,30 +271,38 @@ class Stepper:
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        species, t0, dt, half_dt = self.net.species, state.t, self.dt, 0.5 * self.dt
-        production, diffuse, between = (self.reaction.production, self.diffusion.apply,
-                                        self._between)
+        species, t0, dt = self.net.species, state.t, self.dt
+        monomials, diffuse, between = (self.reaction.monomials, self.diffusion.apply,
+                                       self._between)
+        step_rates, half_rates = self._step_rates, self._half_rates
         heun = self.scheme == "strang"
-        check_cells(state.fields, species, t0)  # admissible input
-        fields = diffuse(state.fields)  # never overwrites the input
+        fields = state.fields
+        check_cells(fields, species, t0)  # admissible input
+        n_species, axes = len(fields), tuple(range(1, fields.ndim))
         for j in range(1, n_steps + 1):
-            rate = production(fields)  # the reaction substep, in place on fields
+            if (j - 1) % _RECENTRE_STEPS == 0:
+                mean = np.add.reduce(fields, axis=axes, keepdims=True)
+                mean /= fields.size // n_species
+            # z = x - m0, never in the input's own array; D(z), then x = z + m0
+            deviation = np.subtract(fields, mean, out=fields if j > 1 else None)
+            fields = diffuse(deviation, between if j > 1 else None, overwrite=True)
+            fields += mean
+            flat = fields.reshape(n_species, -1)
+            mono = monomials(flat)  # the reaction substep, in place on fields
             if heun:
-                trial = dt * rate
-                trial += fields
-                rate += production(trial)
+                trial = np.dot(step_rates, mono)
+                trial += flat
+                mono += monomials(trial)
                 del trial
-                rate *= half_dt
+                flat += np.dot(half_rates, mono)
             else:
-                rate *= dt
-            fields += rate
-            del rate  # free each step's temporaries before the next step makes its own
+                flat += np.dot(step_rates, mono)
+            del mono  # free each step's temporaries before the next step makes its own
             t = t0 + j * dt
             check_cells(fields, species, t)
-            if j < n_steps:
-                fields = diffuse(fields, between, overwrite=True)
         if heun:
-            fields = diffuse(fields, overwrite=True)
+            fields = diffuse(np.subtract(fields, mean, out=fields), overwrite=True)
+            fields += mean
             check_cells(fields, species, t)
         return State(t=t, fields=fields, grid=state.grid)
 

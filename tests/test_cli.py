@@ -257,6 +257,16 @@ def test_gap_reports_bound(workdir, capsys):
     assert "mode 0" in out
 
 
+def test_gap_bound_at_a_tiny_equilibrium(workdir, capsys):
+    # C_M (sum 1/a)^2 taken as one product underflowed to a bound of 0 here
+    code = dispatch(["gap", str(workdir / "four_species.rdn"), "--domain", "interval:1",
+                     "--a-inf", "1e-100,1e-100,1e-100,1e-100"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("lambda_star = 4.000000000e-100\n")
+    assert "analytic_bound = 4.000000000e-100\n" in out
+
+
 def test_gap_with_explicit_equilibrium(workdir, capsys):
     code = dispatch(["gap", str(workdir / "four_species.rdn"),
                      "--domain", "interval:10", "--a-inf", "1,1,1,1"])
@@ -692,6 +702,25 @@ def test_bundled_perturbed_config(tmp_path, capsys):
     rate = float(out.splitlines()[0].split(" = ")[1])
     target = 2 * (np.pi ** 2 + 4)
     assert abs(rate - target) <= 0.05 * target
+
+
+@pytest.mark.parametrize("name", ["perturbed_imex", "interval256"])
+def test_bundled_imex_and_dct_configs(tmp_path, capsys, name):
+    # perturbed.cfg stepped by imex, and on 256 cells (the DCT path)
+    import shutil
+
+    if name == "interval256":
+        pytest.importorskip("scipy")
+    data = Path(__file__).parent / "data"
+    for file in ("four_species_unit.rdn", f"{name}.cfg"):
+        shutil.copy(data / file, tmp_path / file)
+    assert dispatch(["simulate", str(tmp_path / f"{name}.cfg")]) == 0
+    capsys.readouterr()
+    assert dispatch(["fit", str(tmp_path / "out" / name / "diag.csv"),
+                     "--column", "L2sq"]) == 0
+    rate = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+    target = 2 * (np.pi ** 2 + 4)
+    assert abs(rate - target) <= 0.01 * target
 
 
 def test_bundled_square_config_and_its_restart(tmp_path, capsys):

@@ -338,6 +338,12 @@ class TestAnalyticBound:
         bound = analytic_gap_bound_four_species([1, 1, 1, 1], [4, 4, 4, 4], PI2)
         assert abs(bound - 4.0) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-150, 151, 25)])
+    def test_uniform_equilibrium_at_every_scale(self, scale):
+        # a* = s (1, 1, 1, 1), d = 1: C_M (sum 1/a)^2 / sum(d/a) = 4 s
+        bound = analytic_gap_bound_four_species([scale] * 4, [1, 1, 1, 1], PI2)
+        assert bound == pytest.approx(min(PI2, 4 * scale), rel=1e-12, abs=0)
+
     def test_vanishes_with_degenerate_diffusion(self):
         # the bound scales with min d_i, so it degenerates with the diffusion
         previous = math.inf

@@ -152,14 +152,59 @@ def dimer_network() -> ReactionNetwork:
     )
 
 
-def power_production(net, fields):
-    """Mass-action production by stoichiometric powers, the reference."""
-    flat = fields.reshape(fields.shape[0], -1)
+def power_monomials(net, flat):
+    """(2R, N) monomials by stoichiometric powers, a^alpha then a^beta."""
     alpha, beta = net.alpha_matrix(), net.beta_matrix()
     mono_a = np.prod(flat[np.newaxis] ** alpha[:, :, np.newaxis], axis=1)
     mono_b = np.prod(flat[np.newaxis] ** beta[:, :, np.newaxis], axis=1)
+    return np.concatenate([mono_a, mono_b])
+
+
+def power_production(net, fields):
+    """Mass-action production by stoichiometric powers, the reference."""
+    mono_a, mono_b = np.split(power_monomials(net, fields.reshape(fields.shape[0], -1)), 2)
     flux = net.kf_array()[:, np.newaxis] * mono_a - net.kb_array()[:, np.newaxis] * mono_b
+    alpha, beta = net.alpha_matrix(), net.beta_matrix()
     return ((beta - alpha).T.astype(float) @ flux).reshape(fields.shape)
+
+
+def reference_advance(stepper, fields, n_steps):
+    """The step sequence before deviation space, the reference: the cell
+    means taken out and put back around every diffusion substep, and
+    forward Euler or Heun on the species rates P(x) = ``production``."""
+    axes, dt = tuple(range(1, fields.ndim)), stepper.dt
+    production = stepper.reaction.production
+
+    def diffuse(x, multiplier=None):
+        mean = np.mean(x, axis=axes, keepdims=True)
+        return stepper.diffusion.apply(x - mean, multiplier) + mean
+
+    full = stepper.diffusion.multiplier_over(dt)
+    x = diffuse(fields)
+    for j in range(n_steps):
+        if j:
+            x = diffuse(x, full)
+        rate = production(x)
+        if stepper.scheme == "imex":
+            x = x + dt * rate
+        else:
+            x = x + 0.5 * dt * (rate + production(x + dt * rate))
+    return diffuse(x) if stepper.scheme == "strang" else x
+
+
+REFERENCE_GRIDS = {"1d": (Interval(1.0), (16,)), "2d": (Rectangle(1.0, 0.8), (6, 5)),
+                   "3d": (Box((1.0, 0.8, 1.2)), (4, 5, 4)), "dct": (Interval(1.0), (256,)),
+                   "dct 2d": (Rectangle(8.0, 0.5), (200, 4))}
+
+
+def swap_far_from_equilibrium(grid):
+    """The four-species swap, d = (1, 0.5, 2, 0.1), at (2, 0.1, 2, 0.1)
+    times 1 + b / 2, b the product over axes of cos(pi x_k / L_k)."""
+    bump = np.ones(grid.shape)
+    for centres, length in zip(grid.centers(), grid.domain.extents):
+        bump = bump * np.cos(math.pi * centres / length)
+    fields = np.multiply.outer([2.0, 0.1, 2.0, 0.1], 1 + 0.5 * bump)
+    return four_species_network(d=(1.0, 0.5, 2.0, 0.1)), State(0.0, fields, grid)
 
 
 class TestMultiStepAdvance:
@@ -185,9 +230,11 @@ class TestMultiStepAdvance:
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
     def test_chunk_is_the_merged_splitting(self, rng, scheme, domain, shape, n_steps):
         # D R [D(dt) R]^(n-1), then D(dt/2) for strang, with D the opening
-        # substep, Heun or Euler and power-law production: the same operations
-        # in the same order, so bitwise, since a 0/1 stoichiometry makes
-        # powers and gathers the same products
+        # substep acting on the deviation from the input's cell means m0 and
+        # R forward Euler or Heun in monomial space on deviation + m0, with
+        # power-law monomials: the same operations in the same order, so
+        # bitwise, since a 0/1 stoichiometry makes powers and gathers the
+        # same products
         net = four_species_network(d=(1.0, 0.5, 2.0, 0.1))
         grid = Grid(domain, shape)
         dt = 1e-2
@@ -195,19 +242,57 @@ class TestMultiStepAdvance:
         fields = 0.5 + rng.random((4,) + shape)
         got = stepper.advance(State(t=0.0, fields=fields, grid=grid), n_steps).fields
         diffuse, full = stepper.diffusion.apply, stepper.diffusion.multiplier_over(dt)
-        want = diffuse(fields)
+        wt = (net.beta_matrix() - net.alpha_matrix()).T.astype(float)
+        step_rates = dt * np.hstack([wt * net.kf_array(), -wt * net.kb_array()])
+        mean = np.mean(fields, axis=tuple(range(1, fields.ndim)), keepdims=True)
+        want = diffuse(fields - mean) + mean
         for j in range(n_steps):
             if j:
-                want = diffuse(want, full)
-            k1 = power_production(net, want)
+                want = diffuse(want - mean, full) + mean
+            flat = want.reshape(4, -1)
+            mono = power_monomials(net, flat)
             if scheme == "imex":
-                want = want + dt * k1
+                flat = flat + np.dot(step_rates, mono)
             else:
-                k2 = power_production(net, want + dt * k1)
-                want = want + 0.5 * dt * (k1 + k2)
+                trial = np.dot(step_rates, mono) + flat
+                flat = flat + np.dot(0.5 * step_rates, mono + power_monomials(net, trial))
+            want = flat.reshape(fields.shape)
         if scheme == "strang":
-            want = diffuse(want)
+            want = diffuse(want - mean) + mean
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    @pytest.mark.parametrize("where", sorted(REFERENCE_GRIDS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_reference_step(self, seed, where, scheme):
+        # random balanced networks, all four with an empty side (the padded
+        # gather row), 100 steps at the default step from a rough positive state
+        if where.startswith("dct"):
+            pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        net, a_star = random_balanced_network(rng)
+        assert any(sum(r.alpha) == 0 or sum(r.beta) == 0 for r in net.reactions)
+        grid = Grid(*REFERENCE_GRIDS[where])
+        fields = a_star.reshape((-1,) + (1,) * grid.ndim) \
+            * rng.uniform(0.5, 2.0, size=(net.n_species,) + grid.shape)
+        stepper = Stepper(net, grid, default_dt(net, a_star, grid), scheme)
+        got = stepper.advance(State(0.0, fields, grid), 100).fields
+        want = reference_advance(stepper, fields, 100)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("scheme", ["strang", "imex"])
+    @pytest.mark.parametrize("domain, shape", [(Interval(1.0), (64,)),
+                                               (Rectangle(1.0, 1.0), (32, 24)),
+                                               (Interval(1.0), (256,))])
+    def test_mass_over_one_long_chunk(self, scheme, domain, shape):
+        # the means move far from their start over 2000 steps in one call
+        if max(shape) > 192:
+            pytest.importorskip("scipy")
+        net, state = swap_far_from_equilibrium(Grid(domain, shape))
+        q = decompose(net).Q.astype(float)
+        masses0 = q @ state.means()
+        masses = q @ Stepper(net, state.grid, 1e-3, scheme).advance(state, 2000).means()
+        assert np.all(np.abs(masses - masses0) <= 1e-14 * np.abs(masses0))
 
     def test_production_matches_powers(self, rng):
         for _ in range(20):
@@ -231,19 +316,20 @@ class TestMultiStepAdvance:
     def test_nan_mid_chunk_aborts(self, scheme, calls_per_step):
         grid = Grid(Interval(1.0), (16,))
         stepper = Stepper(dimer_network(), grid, 1e-3, scheme)
-        production = stepper.reaction.production
+        monomials = stepper.reaction.monomials
         calls = []
 
-        def poisoned(fields):
+        def poisoned(flat):
             calls.append(None)
-            rate = production(fields)
+            mono = monomials(flat)
             if len(calls) == 4 * calls_per_step:  # the reaction of step 4
-                rate[1, 7] = math.nan
-            return rate
+                mono[2, 7] = math.nan  # a2, backward side of 2 A1 <-> A2
+            return mono
 
-        stepper.reaction.production = poisoned
+        stepper.reaction.monomials = poisoned
         state = State(t=0.0, fields=np.ones((3, 16)), grid=grid)
-        with pytest.raises(NonPositivityError, match=r"A2 is not finite at cell \(7,\)") \
+        # S m carries the NaN to every species of cell 7; A1 comes first
+        with pytest.raises(NonPositivityError, match=r"A1 is not finite at cell \(7,\)") \
                 as info:
             stepper.advance(state, 10)
         assert info.value.t == pytest.approx(4e-3)
