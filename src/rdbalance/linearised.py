@@ -79,12 +79,14 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     if not residual <= DB_TOL:
         raise NotEquilibriumError(
             f"state is not an equilibrium (relative flux residual {residual:.3e})")
-    wt = net.kinetics.wt  # W^T, I x R
+    kinetics = net.kinetics
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        forward = net.kinetics.fluxes(a)[0]
-        if not np.isfinite(forward).all():
+        if not np.isfinite(kinetics.fluxes(a)[0]).all():
             raise EquilibriumError("reaction fluxes at a* overflow float range")
-        L = -wt @ (forward[:, np.newaxis] * wt.T / a[np.newaxis, :])
+        # kf a*^alpha / a*_j in logs: kf a*^alpha alone can underflow to 0
+        log_a = np.log(a)
+        scaled = np.exp((kinetics.log_kf + kinetics.alpha @ log_a)[:, np.newaxis] - log_a)
+        L = -kinetics.wt @ (scaled * kinetics.wt.T)
     if not np.isfinite(L).all():
         raise EquilibriumError("linearised reaction matrix at a* overflows float range")
     return LinearisedMatrix(matrix=L, weights=1.0 / a)

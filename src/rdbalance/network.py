@@ -347,7 +347,9 @@ class Kinetics:
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
         self.wt = net.structure.W.T.astype(float)  # W^T
         self.signed = np.hstack([self.wt, -self.wt]) * self.rates.T  # I x 2R, see production
-        self.log_ratio = np.log(net.kf_array()) - np.log(net.kb_array())  # log(kf/kb)
+        self.log_kf = np.log(net.kf_array())
+        self.log_ratio = self.log_kf - np.log(net.kb_array())  # log(kf/kb)
+        self.alpha = net.alpha_matrix().astype(float)  # R x I
 
     def monomials(self, flat: np.ndarray) -> np.ndarray:
         """(2R, N) monomials of the (I, N) array ``flat``: a^alpha for each
@@ -370,16 +372,15 @@ class Kinetics:
 
     def production(self, fields: np.ndarray) -> np.ndarray:
         """Species production P = W^T K = S m over (I, *cells) fields, m the
-        monomials and S = ``signed`` = [W^T diag(kf) | -W^T diag(kb)] (the
-        stepper's hot path: one reshape, the gathers, one BLAS product)."""
+        monomials and S = ``signed`` = [W^T diag(kf) | -W^T diag(kb)]; the
+        stepper takes S m from ``monomials`` and its own multiples of S."""
         mono = self.monomials(fields.reshape(fields.shape[0], -1))
-        # np.dot: less per-call overhead than np.matmul on small grids
         return np.dot(self.signed, mono).reshape(fields.shape)
 
 
 def production_term(net: ReactionNetwork, a) -> tuple[np.ndarray, np.ndarray]:
-    """Reaction fluxes K(a) and species production P(a) = W^T K(a), the
-    stepper's ``Kinetics.production``.
+    """Reaction fluxes K(a) and species production P(a) = W^T K(a), by
+    ``Kinetics.production``, the S m that the stepper steps.
 
     ``a`` is a nonnegative concentration vector of length I; raises
     ValueError on any negative component (a solver blow-up signal).

@@ -16,16 +16,15 @@ exact on both), so they keep cells nonnegative for any step size.
   Runge-Kutta) pointwise reaction, exact diffusion over dt/2.  Second
   order.
 
-``Stepper.advance`` takes several steps at once (``simulate`` takes one
-output interval per call).  Within such a run the closing half-diffusion
-of one ``strang`` step and the opening one of the next compose exactly,
-so they are applied as one diffusion over dt: n steps cost n + 1
-diffusion substeps, not 2n.  Diffusion propagates each species' deviation
-from the cell means taken at the start of the call, and the reaction steps
-in monomial space, x += dt S m(x) or its Heun form, with S m the
-``Kinetics.production`` formula.  ``simulate`` sets a run up once: the
-reference equilibrium of the initial masses and, when no dt is given,
-``default_dt``.
+``Stepper`` holds its diffusion multipliers, D(dt) and strang's D(dt/2),
+and ``advance`` takes several steps at once (``simulate`` takes one output
+interval per call): the closing D(dt/2) of one ``strang`` step and the
+opening one of the next compose exactly into one D(dt), so n steps cost
+n + 1 diffusion substeps, not 2n.  Diffusion propagates each species'
+deviation from its cell mean, and the reaction steps in monomial space,
+x += dt S m(x) or its Heun form, S m the ``Kinetics.production`` formula.
+``simulate`` sets a run up once: the reference equilibrium of the initial
+masses and, when no dt is given, ``default_dt``.
 
 Negative concentrations are an error, not something to clip: clipping
 would silently destroy the conservation laws the scheme is built around.
@@ -149,20 +148,20 @@ def _dct_basis(n: int) -> np.ndarray:
 
 
 class _DiffusionSemigroup:
-    """Exact diffusion substep exp(tau d_i Lap) for every species at once.
+    """Exact diffusion substeps exp(tau d_i Lap) for every species at once.
 
     Lap is diagonal in the orthonormal DCT-II basis C, with eigenvalue
     -sum_axes mu_k, mu_k = grid.axis_eigenvalue(axis, k).  Grids with at
-    most _DENSE_AXIS_MAX cells on every axis apply ``multiplier``, one
-    (I, n, n) stack of propagators C^T diag(exp(-tau d_i mu)) C per axis
-    (C from ``_dct_basis``); grids with a longer axis a batched scipy DCT,
-    multiply and inverse DCT.
-    Mode 0 is kept, exactly by the DCT and to rounding by the propagators
-    (see ``apply``), and every multiplier lies in (0, 1] (cells stay
-    nonnegative at any tau).
+    most _DENSE_AXIS_MAX cells on every axis apply one (I, n, n) stack of
+    propagators C^T diag(exp(-tau d_i mu)) C per axis (C from
+    ``_dct_basis``), grids with a longer axis a batched scipy DCT, multiply
+    and inverse DCT: ``multiplier_over(tau)`` builds either, and ``Stepper``
+    holds those of its steps.  Mode 0 is kept, exactly by the DCT and to
+    rounding by the propagators; every factor lies in (0, 1], so cells stay
+    nonnegative at any tau.
     """
 
-    def __init__(self, grid: Grid, diffusion, tau: float):
+    def __init__(self, grid: Grid, diffusion):
         self.axes = tuple(range(1, grid.ndim + 1))
         self._d = np.asarray(diffusion, dtype=float).reshape((-1,) + (1,) * grid.ndim)
         self._mu = [grid.axis_eigenvalue(k, np.arange(n))
@@ -180,7 +179,6 @@ class _DiffusionSemigroup:
             self._fft = fft
             self._eigenvalues = sum(-mu.reshape((-1,) + (1,) * (grid.ndim - 1 - k))
                                     for k, mu in enumerate(self._mu))
-        self.multiplier = self.multiplier_over(tau)
 
     def multiplier_over(self, tau: float):
         if self._dense:
@@ -189,18 +187,13 @@ class _DiffusionSemigroup:
                          for c, mu in zip(self._basis, self._mu))
         return np.exp(tau * self._d * self._eigenvalues)
 
-    def apply(self, fields: np.ndarray, multiplier=None,
-              overwrite: bool = False) -> np.ndarray:
-        """exp(tau d_i Lap) fields, with tau that of ``multiplier`` (by
-        default the constructor's).  ``overwrite`` lets the substep reuse
-        ``fields`` as scratch: pass it only for arrays the caller owns.
-        The dense propagators' column sums are 1 only to rounding, so a
-        field's mean is kept to rounding of its own size: ``Stepper`` hands
-        it deviations from the species means."""
-        multiplier = self.multiplier if multiplier is None else multiplier
+    def apply(self, fields: np.ndarray, multiplier) -> np.ndarray:
+        """exp(tau d_i Lap) fields, tau that of ``multiplier``, reusing
+        ``fields`` as scratch on the DCT path.  The propagators' column sums
+        are 1 only to rounding, so a field's mean is kept to rounding of its
+        own size: ``Stepper`` hands it deviations from the species means."""
         if not self._dense:
-            modes = self._fft.dctn(fields, axes=self.axes, norm="ortho",
-                                   overwrite_x=overwrite)
+            modes = self._fft.dctn(fields, axes=self.axes, norm="ortho", overwrite_x=True)
             modes *= multiplier
             return self._fft.idctn(modes, axes=self.axes, norm="ortho", overwrite_x=True)
         out = fields
@@ -241,12 +234,12 @@ class Stepper:
         self.dt = dt
         self.scheme = scheme
         self.reaction = net.kinetics
-        # opening substep of a step: D(dt/2) for strang, D(dt) for imex
-        self.diffusion = _DiffusionSemigroup(
-            grid, net.diffusion, 0.5 * dt if scheme == "strang" else dt)
-        # between two reactions: D(dt) for both (strang's two halves merged)
-        self._between = (self.diffusion.multiplier_over(dt) if scheme == "strang"
-                         else self.diffusion.multiplier)
+        self.diffusion = _DiffusionSemigroup(grid, net.diffusion)
+        # D(dt) between two reactions (strang's two halves merged); a chunk
+        # opens with D(dt/2), which also closes it, for strang, D(dt) for imex
+        self._between = self.diffusion.multiplier_over(dt)
+        self._opening = (self.diffusion.multiplier_over(0.5 * dt) if scheme == "strang"
+                         else self._between)
         # dt S and dt/2 S of production's S = Kinetics.signed: scaling its
         # entries, +-1 or +-2 times a rate, by dt is exact, so Q (dt S) = 0
         self._step_rates = dt * self.reaction.signed
@@ -254,7 +247,7 @@ class Stepper:
 
     def advance(self, state: State, n_steps: int = 1) -> State:
         """Take ``n_steps`` steps: D R [D(dt) R]^(n-1), then D(dt/2) for
-        strang, where D is the opening substep and R the reaction: forward
+        strang, with D the opening substep and R the reaction: forward
         Euler x += dt S m(x) for imex, Heun (explicit trapezoid, second
         order) trial = x + dt S m(x), x += dt/2 S (m(x) + m(trial)) for
         strang, with m the monomials and S m = ``Kinetics.production``.
@@ -272,8 +265,7 @@ class Stepper:
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         species, t0, dt = self.net.species, state.t, self.dt
-        monomials, diffuse, between = (self.reaction.monomials, self.diffusion.apply,
-                                       self._between)
+        monomials, diffuse = self.reaction.monomials, self.diffusion.apply
         step_rates, half_rates = self._step_rates, self._half_rates
         heun = self.scheme == "strang"
         fields = state.fields
@@ -285,7 +277,7 @@ class Stepper:
                 mean /= fields.size // n_species
             # z = x - m0, never in the input's own array; D(z), then x = z + m0
             deviation = np.subtract(fields, mean, out=fields if j > 1 else None)
-            fields = diffuse(deviation, between if j > 1 else None, overwrite=True)
+            fields = diffuse(deviation, self._between if j > 1 else self._opening)
             fields += mean
             flat = fields.reshape(n_species, -1)
             mono = monomials(flat)  # the reaction substep, in place on fields
@@ -301,7 +293,7 @@ class Stepper:
             t = t0 + j * dt
             check_cells(fields, species, t)
         if heun:
-            fields = diffuse(np.subtract(fields, mean, out=fields), overwrite=True)
+            fields = diffuse(np.subtract(fields, mean, out=fields), self._opening)
             fields += mean
             check_cells(fields, species, t)
         return State(t=t, fields=fields, grid=state.grid)

@@ -267,6 +267,16 @@ def test_gap_bound_at_a_tiny_equilibrium(workdir, capsys):
     assert "analytic_bound = 4.000000000e-100\n" in out
 
 
+def test_gap_where_the_fluxes_underflow(workdir, capsys):
+    # kf a*^alpha = 1e-400 is 0 in floats: L's entries are formed in logs
+    code = dispatch(["gap", str(workdir / "four_species.rdn"), "--domain", "interval:1",
+                     "--a-inf", "1e-200,1e-200,1e-200,1e-200"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("lambda_star = 4.000000000e-200\n")
+    assert "analytic_bound = 4.000000000e-200\n" in out
+
+
 def test_gap_with_explicit_equilibrium(workdir, capsys):
     code = dispatch(["gap", str(workdir / "four_species.rdn"),
                      "--domain", "interval:10", "--a-inf", "1,1,1,1"])

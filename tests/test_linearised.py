@@ -209,6 +209,14 @@ class TestSpectralGap:
         assert report.per_mode[0] == (0.0, pytest.approx(4.0, abs=1e-9))
         assert report.analytic_bound == pytest.approx(4.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-300, 1, 50)])
+    def test_uniform_equilibrium_at_every_scale(self, scale):
+        # a* = s (1, 1, 1, 1), d = 1: L = -s v v^T with |v|^2 = 4, and below
+        # s = 1e-162 the flux kf a*^alpha = s^2 underflows to 0
+        report = operator_spectral_gap(four_species_network(), [scale] * 4, Interval(1.0))
+        assert report.lambda_star == pytest.approx(4 * scale, rel=1e-12, abs=0)
+        assert report.analytic_bound == pytest.approx(4 * scale, rel=1e-12, abs=0)
+
     def test_fast_diffusion_does_not_change_gap(self):
         net = four_species_network(d=(10, 10, 10, 10))
         report = operator_spectral_gap(net, [1, 1, 1, 1], Interval(1.0))
