@@ -153,6 +153,7 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
     Q = stoich.Q.astype(float)
     QT = Q.T
     Q_abs = np.abs(Q)
+    mass_tol = _NEWTON_TOL * np.abs(m)
     theta = np.zeros(q)
 
     def matched(a, log_a):
@@ -160,8 +161,8 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
         # a small m_i matches only to their roundoff; inf and NaN match nothing
         g = Q @ a - m
         terms = Q_abs @ (a * np.maximum(1.0, np.abs(log_a)))
-        tol = np.maximum(_NEWTON_TOL * np.abs(m), _ROUNDOFF * terms)
-        return g, bool(np.all((np.abs(g) <= tol) & (tol < math.inf)))
+        tol = np.maximum(mass_tol, _ROUNDOFF * terms)
+        return g, bool(((np.abs(g) <= tol) & (tol < math.inf)).all())
 
     def potential(th):
         a = np.exp(log_a := mu + QT @ th)
@@ -177,23 +178,25 @@ def detailed_balance_equilibrium(net: ReactionNetwork,
             delta = np.linalg.solve(hessian, -g)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergenceError(f"singular Newton system: {exc}") from None
-        # below a*, Newton's step of ~ m / a e-folds would overflow exp
-        delta /= max(1.0, max(map(abs, (QT @ delta).tolist())) / _MAX_EFOLDS)
+        # below a*, Newton's step of ~ m / a e-folds would overflow exp; a NaN
+        # in delta leaves it uncapped, and the line search then refuses it
+        efolds = float(np.abs(QT @ delta).max())
+        if efolds > _MAX_EFOLDS:
+            delta /= efolds / _MAX_EFOLDS
         slope = float(g @ delta)
         # ulp-scale slack admits the full step once phi cannot resolve its
         # decrease; a shorter step must decrease phi, or Newton creeps forever
         slack = _ROUNDOFF * max(1.0, abs(phi))
         step = 1.0
         while step > 1e-14:
-            log_new, a_new, phi_new = potential(theta + step * delta)
-            if np.isfinite(phi_new) and \
+            log_new, a_new, phi_new = potential(theta_new := theta + step * delta)
+            if math.isfinite(phi_new) and \
                     phi_new <= phi + 1e-4 * step * slope + slack:
                 break
             step, slack = 0.5 * step, 0.0
         else:
             raise NewtonDivergenceError("line search failed to make progress")
-        theta = theta + step * delta
-        log_a, a, phi = log_new, a_new, phi_new
+        theta, log_a, a, phi = theta_new, log_new, a_new, phi_new
     else:
         raise NewtonDivergenceError(
             f"no convergence in {_MAX_NEWTON_ITER} iterations (masses may be "

@@ -150,15 +150,26 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     (mu' - mu) min_i d_i I for mu' > mu, the mode gap rises strictly with
     mu_k: only mode 1 can undercut mode 0, and only when mu_1 min_i d_i, a
     lower bound of its gap, lies below the mode-0 gap.
-    """
-    lin = linearised_matrix(net, a_inf)
-    a = np.asarray(a_inf, dtype=float)
-    d = net.diffusion_array()
 
-    rank = net.structure.rank
-    if rank == 0:
-        raise ValueError("network has no reactive directions")
-    per_mode = [(0.0, float(-weighted_spectrum(lin)[rank - 1]))]
+    L and the mode-0 gap do not depend on the domain: the last pair computed
+    is kept on ``net.kinetics``, keyed by the bytes of a*, so a second
+    domain at the same a* pays only for its mode-1 block.
+    """
+    a = np.asarray(a_inf, dtype=float)
+    key = a.tobytes()
+    kinetics = net.kinetics
+    last = kinetics.last_gap
+    if last is not None and a.shape == (net.n_species,) and last[0] == key:
+        _, lin, mode_0 = last
+    else:
+        lin = linearised_matrix(net, a_inf)
+        rank = net.structure.rank
+        if rank == 0:
+            raise ValueError("network has no reactive directions")
+        mode_0 = float(-weighted_spectrum(lin)[rank - 1])
+        kinetics.last_gap = (key, lin, mode_0)
+    d = net.diffusion_array()
+    per_mode = [(0.0, mode_0)]
 
     # every mode k != 0 has some k_j >= 1, and each axis spectrum rises with k
     poincare = float(min(domain.axis_eigenvalue(j, 1) for j in range(domain.ndim)))

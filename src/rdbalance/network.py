@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +166,8 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], l
         pr = m[r]
         p = pr[c]
         for i, row in enumerate(m):
-            if i != r:
-                mic = row[c]
+            mic = row[c]
+            if i != r and (mic or p != prev):  # else the update leaves the row as it is
                 m[i] = [(p * x - mic * y) // prev for x, y in zip(row, pr)]
         prev = p
         pivots.append(c)
@@ -214,27 +215,45 @@ def _extreme_rays(rows: list[list[int]], ncols: int) -> list[list[int]]:
     w.p > 0 > w.q adds the primitive ray (w.p) q - (w.q) p on it.  Pairs
     are not tested for adjacency; instead only the rays of minimal support
     are kept, since in a cone inside the orthant those are exactly the
-    extreme rays, and a ray is fixed by its support.  The ray count can grow
-    exponentially with the species count, so a cut that would form more
-    than ``_RAY_LIMIT`` candidates raises ValueError instead.
+    extreme rays, and a ray is fixed by its support.  Supports are int
+    bitmasks: a pair's ray, a positive combination of two nonnegative rays,
+    has the union of their supports, so it is formed only when that union
+    is minimal.  The ray count can grow exponentially with the species
+    count, so a cut that would form more than ``_RAY_LIMIT`` candidates
+    raises ValueError instead.
     """
-    rays = {frozenset([c]): [int(c == j) for j in range(ncols)] for c in range(ncols)}
+    rays = {1 << c: [0] * c + [1] + [0] * (ncols - c - 1) for c in range(ncols)}
     for k, w in enumerate(rows):
-        dot = {s: sum(a * x for a, x in zip(w, r)) for s, r in rays.items()}
-        cut = {s: r for s, r in rays.items() if dot[s] == 0}
-        pos = [s for s in rays if dot[s] > 0]
-        neg = [s for s in rays if dot[s] < 0]
+        dot, cut, pos, neg = {}, {}, [], []
+        for s, r in rays.items():
+            dot[s] = x = sum(map(operator.mul, w, r))
+            if x > 0:
+                pos.append(s)
+            elif x < 0:
+                neg.append(s)
+            else:
+                cut[s] = r
         n = len(cut) + len(pos) * len(neg)
         if n > _RAY_LIMIT:
             raise ValueError(f"too many extreme rays to list the semi-positive conservation "
                              f"laws: row {k + 1} of W forms {n}, more than {_RAY_LIMIT}")
-        for p in pos:
-            for q in neg:
-                x = _primitive([dot[p] * b - dot[q] * a
-                                for a, b in zip(rays[p], rays[q])])
-                cut[frozenset(c for c, v in enumerate(x) if v)] = x
-        rays = {s: r for s, r in cut.items() if not any(t < s for t in cut)}
-    return [rays[s] for s in sorted(rays, key=lambda s: (len(s), sorted(s)))]
+        if not (pos and neg):  # no pair: the rays on the hyperplane stay minimal
+            rays = cut
+            continue
+        pairs = {p | q: (p, q) for p in pos for q in neg}
+        old, rays = rays, {}
+        # by support size, so s is kept unless a support already kept is in it
+        for s in sorted(cut.keys() | pairs.keys(), key=int.bit_count):
+            if any(map(operator.eq, map(s.__and__, rays), rays)):  # t & s == t
+                continue
+            if s in cut:
+                rays[s] = cut[s]
+            else:
+                p, q = pairs[s]
+                rays[s] = _primitive([dot[p] * b - dot[q] * a
+                                      for a, b in zip(old[p], old[q])])
+    return [rays[s] for s in sorted(
+        rays, key=lambda s: (s.bit_count(), [c for c in range(ncols) if s >> c & 1]))]
 
 
 def conservation_basis(W) -> np.ndarray:
@@ -333,7 +352,8 @@ class Kinetics:
     is padded with row I, a row of ones appended to the fields only when
     some side is padded, so an empty side is the monomial 1.  A monomial is
     the product of its rows in factor order, with no powers taken.  Build
-    it through ``ReactionNetwork.kinetics``, which keeps one per network.
+    it through ``ReactionNetwork.kinetics``, which keeps one per network;
+    ``operator_spectral_gap`` keeps its last L and mode-0 gap on it.
     """
 
     def __init__(self, net: ReactionNetwork):
@@ -346,10 +366,15 @@ class Kinetics:
         self._padded = any(len(f) < len(self.gather) for f in factors)
         self.rates = np.array([[r.kf] for r in reactions] + [[r.kb] for r in reactions])
         self.wt = net.structure.W.T.astype(float)  # W^T
-        self.signed = np.hstack([self.wt, -self.wt]) * self.rates.T  # I x 2R, see production
         self.log_kf = np.log(net.kf_array())
         self.log_ratio = self.log_kf - np.log(net.kb_array())  # log(kf/kb)
         self.alpha = net.alpha_matrix().astype(float)  # R x I
+        self.last_gap = None  # (a*.tobytes(), L at a*, mode-0 gap)
+
+    @functools.cached_property
+    def signed(self) -> np.ndarray:
+        """I x 2R signed rate matrix of ``production``, built on first use."""
+        return np.hstack([self.wt, -self.wt]) * self.rates.T
 
     def monomials(self, flat: np.ndarray) -> np.ndarray:
         """(2R, N) monomials of the (I, N) array ``flat``: a^alpha for each

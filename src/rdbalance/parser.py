@@ -23,6 +23,10 @@ from .network import Reaction, ReactionNetwork
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TERM_RE = re.compile(r"\s*(?:(\d+)\s*(?:\*\s*)?)?([A-Za-z_][A-Za-z0-9_]*)\s*\Z")
+_HEAD_RE = re.compile(r"\s*(\S+)")
+_TOKEN_RE = re.compile(r"\S+")
+_RATE_RE = re.compile(r"(kf|kb)=(\S+)\Z")
+_DIFFUSION_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=(\S+)\Z")
 
 
 class ParseError(Exception):
@@ -76,10 +80,10 @@ def _parse_side(text: str, offset: int, species_index: dict[str, int],
 
 def _parse_rates(text: str, offset: int, line: int) -> tuple[float, float]:
     rates: dict[str, float] = {}
-    for m in re.finditer(r"\S+", text):
+    for m in _TOKEN_RE.finditer(text):
         col = offset + m.start() + 1
         token = m.group()
-        km = re.match(r"(kf|kb)=(\S+)\Z", token)
+        km = _RATE_RE.match(token)
         if km is None:
             raise ParseError(f"expected kf=<value> or kb=<value>, got {token!r}",
                              line, col)
@@ -111,7 +115,7 @@ def parse_network(text: str | bytes) -> ReactionNetwork:
         content = raw.split("#", 1)[0]
         if not content.strip():
             continue
-        head_match = re.match(r"\s*(\S+)", content)
+        head_match = _HEAD_RE.match(content)
         head = head_match.group(1)
         head_col = head_match.start(1) + 1
         rest_offset = head_match.end(1)
@@ -120,7 +124,7 @@ def parse_network(text: str | bytes) -> ReactionNetwork:
         if head == "species":
             if species:
                 raise ParseError("duplicate species line", lineno, head_col)
-            for m in re.finditer(r"\S+", rest):
+            for m in _TOKEN_RE.finditer(rest):
                 name = m.group()
                 col = rest_offset + m.start() + 1
                 if not _NAME_RE.match(name):
@@ -137,9 +141,9 @@ def parse_network(text: str | bytes) -> ReactionNetwork:
             if diffusion_line_seen:
                 raise ParseError("duplicate diffusion line", lineno, head_col)
             diffusion_line_seen = True
-            for m in re.finditer(r"\S+", rest):
+            for m in _TOKEN_RE.finditer(rest):
                 col = rest_offset + m.start() + 1
-                dm = re.match(r"([A-Za-z_][A-Za-z0-9_]*)=(\S+)\Z", m.group())
+                dm = _DIFFUSION_RE.match(m.group())
                 if dm is None:
                     raise ParseError(f"expected Name=<value>, got {m.group()!r}",
                                      lineno, col)

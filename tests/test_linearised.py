@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdbalance import (
     Box,
+    EquilibriumError,
     Grid,
     Interval,
     LinearisedMatrix,
@@ -20,9 +21,11 @@ from rdbalance import (
     linearised_matrix,
     operator_spectral_gap,
     parse_network,
+    serialize_network,
     stoichiometric_matrix,
     weighted_spectrum,
 )
+from rdbalance import linearised
 
 from conftest import build_laplacian, exchange_network, four_species_network, \
     random_balanced_network
@@ -284,6 +287,81 @@ class TestSpectralGap:
         assert poincare < PI2
         assert report.analytic_bound == analytic_gap_bound_four_species(a, d, poincare)
         assert report.analytic_bound <= report.lambda_star * (1 + 1e-9)
+
+
+BIG_RATES = Path(__file__).parent / "data" / "big_rates.rdn"  # A1 + A2 <-> 0, kf = 1e250
+GAP_DOMAINS = (Interval(1.0), Interval(10.0), Rectangle(5.0, 0.5),
+               Grid(Box((1.0, 2.0)), (6, 8)))
+
+
+def count_calls(monkeypatch, module, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(module, name)):
+            counts[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestGapReuse:
+    """operator_spectral_gap keeps the last (a*, L, mode-0 gap) on the
+    network's Kinetics: a domain after the first reuses them."""
+
+    def test_later_domains_match_a_fresh_network_bit_for_bit(self, rng):
+        cases = [(four_species_network(), np.array([1.0, 2.0, 3.0, 1.5]))]
+        cases += [random_balanced_network(rng) for _ in range(6)]
+        for net, a_star in cases:
+            text = serialize_network(net)
+            net = parse_network(text)
+            for domain in GAP_DOMAINS:
+                got = operator_spectral_gap(net, a_star, domain)
+                want = operator_spectral_gap(parse_network(text), a_star, domain)
+                assert repr(got) == repr(want)  # float repr round-trips every bit
+
+    def test_one_ulp_away_is_computed_again(self, monkeypatch):
+        net = four_species_network()
+        a_star = np.array([1.0, 2.0, 3.0, 1.5])
+        operator_spectral_gap(net, a_star, Interval(1.0))
+        counts = count_calls(monkeypatch, linearised, "linearised_matrix")
+        near = a_star.copy()
+        near[1] = np.nextafter(near[1], np.inf)
+        got = operator_spectral_gap(net, near, Interval(1.0))
+        assert counts["linearised_matrix"] == 1
+        assert net.kinetics.last_gap[0] == near.tobytes()
+        assert repr(got) == repr(operator_spectral_gap(four_species_network(), near,
+                                                      Interval(1.0)))
+
+    def test_two_domains_linearise_and_take_the_spectrum_once(self, monkeypatch):
+        counts = count_calls(monkeypatch, linearised, "linearised_matrix",
+                             "weighted_spectrum")
+        net = four_species_network()
+        # pi^2 min d > 4, the mode-0 gap, on both: no mode-1 block is formed
+        for domain in (Interval(1.0), Rectangle(1.0, 0.5)):
+            assert operator_spectral_gap(net, [1.0] * 4, domain).modes_examined == 1
+        assert counts == {"linearised_matrix": 1, "weighted_spectrum": 1}
+
+    @pytest.mark.parametrize("a, error, message", [
+        ([2.0, 1.0, 1.0, 1.0], NotEquilibriumError, "not an equilibrium"),
+        ([1e200] * 4, EquilibriumError, "reaction fluxes at a\\* overflow"),
+    ], ids=["off-balance", "flux-overflow"])
+    def test_a_refused_state_is_never_kept(self, a, error, message):
+        net = four_species_network()
+        operator_spectral_gap(net, [1.0] * 4, Interval(1.0))
+        kept = net.kinetics.last_gap
+        for domain in GAP_DOMAINS:
+            with pytest.raises(error, match=message):
+                operator_spectral_gap(net, a, domain)
+            assert net.kinetics.last_gap is kept
+
+    def test_a_mode_1_roundoff_refusal_recurs_on_every_domain(self):
+        # L's entries are about 1e270: any mode-1 gap is lost to roundoff
+        net = parse_network(BIG_RATES.read_text())
+        for domain in (Interval(1.0), Interval(1.0), Interval(2.0), Rectangle(1.0, 3.0)):
+            with pytest.raises(EquilibriumError, match=r"mode 1 gap \S+ is lost to "
+                                                       r"roundoff"):
+                operator_spectral_gap(net, [1e20, 1e20], domain)
+        assert net.kinetics.last_gap[0] == np.array([1e20, 1e20]).tobytes()
 
 
 def projected_mode0_gap(lin, W):
