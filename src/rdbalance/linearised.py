@@ -2,19 +2,19 @@
 diffusion + reaction on Neumann domains.
 
 Writing a = a* + h and dropping quadratic terms, the reaction part acts as
-the I x I matrix
+L = -diag(a*)^(1/2) B^T B diag(a*)^(-1/2), with the R x I reaction factor
 
-    L[i, j] = - sum_r kf_r a*^alpha^r (alpha_i - beta_i)(alpha_j - beta_j) / a*_j,
+    B[r, i] = sqrt(kf_r a*^alpha^r / a*_i) (alpha_i - beta_i),
 
-which is symmetric in the inner product <u, v> = sum_i u_i v_i / a*_i and
-negative semidefinite; its null space diag(a*) Ker W is the weighted
-complement of Im W^T, where the conservation laws keep mode 0.  On a box
-with no-flux boundaries the full operator h -> diag(d) Lap h + L h
-block-diagonalizes over Neumann cosine modes: mode k contributes the matrix
--mu_k diag(d) + L, so mode 0's gap is L's smallest nonzero |eigenvalue|.
-The spectral gap is the smallest block gap; only mode 0 and mode 1 can set
-it, where mu_1, the Poincare constant of a box or of a grid (the
-semi-discrete gap of a run), is the smallest first axis eigenvalue.
+so L is self-adjoint in the inner product <u, v> = sum_i u_i v_i / a*_i,
+its symmetric form there being S = -B^T B, and negative semidefinite; its
+null space diag(a*) Ker W is the weighted complement of Im W^T, where the
+conservation laws keep mode 0.  On a box with no-flux boundaries the full
+operator h -> diag(d) Lap h + L h block-diagonalizes over Neumann cosine
+modes: mode k contributes the block S - mu_k D, D = diag(d).  The spectral
+gap is the smallest block gap; only mode 0 and mode 1 can set it, where
+mu_1, the Poincare constant of a box or of a grid (the semi-discrete gap of
+a run), is the smallest first axis eigenvalue.
 """
 
 from __future__ import annotations
@@ -29,25 +29,27 @@ from .network import ReactionNetwork, is_four_species
 from .equilibrium import DB_TOL, EquilibriumError, balance_residual
 
 
-_SYMMETRY_TOL = 1e-9  # weighted asymmetry relative to max(1, |S|)
-
-
 class NotEquilibriumError(ValueError):
     """The supplied state does not balance every reaction."""
 
 
 @dataclass(frozen=True)
 class LinearisedMatrix:
-    """Reaction linearisation L and the weights 1/a*_i of its inner product."""
+    """Reaction linearisation L as its factor B, and the weights w = 1/a*_i."""
 
-    matrix: np.ndarray
+    factor: np.ndarray
     weights: np.ndarray
 
     def symmetric(self) -> np.ndarray:
-        """diag(sqrt(w)) L diag(1/sqrt(w)), symmetric when L is self-adjoint
-        in the weighted inner product, with the same eigenvalues as L."""
+        """S = -B^T B = diag(sqrt(w)) L diag(1/sqrt(w)): symmetric by
+        construction, with the same eigenvalues as L."""
+        return -(self.factor.T @ self.factor)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """L = diag(1/sqrt(w)) S diag(sqrt(w))."""
         sqrt_w = np.sqrt(self.weights)
-        return sqrt_w[:, np.newaxis] * self.matrix / sqrt_w[np.newaxis, :]
+        return self.symmetric() / sqrt_w[:, np.newaxis] * sqrt_w
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,11 @@ class SpectralGapReport:
 
 
 def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
-    """Linearised reaction matrix at a detailed-balance equilibrium.
+    """Linearised reaction matrix at a detailed-balance equilibrium, as B.
 
     Raises NotEquilibriumError when ``balance_residual`` at ``a_inf`` exceeds
     ``DB_TOL``, the solver's own rule, and the solver's EquilibriumError when
-    a flux or an entry of L overflows float range.
+    a flux or |B|^2, the trace of -S, overflows float range.
     """
     a = np.asarray(a_inf, dtype=float)
     if a.shape != (net.n_species,) or not np.all((a > 0) & np.isfinite(a)):
@@ -83,28 +85,22 @@ def linearised_matrix(net: ReactionNetwork, a_inf) -> LinearisedMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         if not np.isfinite(kinetics.fluxes(a)[0]).all():
             raise EquilibriumError("reaction fluxes at a* overflow float range")
-        # kf a*^alpha / a*_j in logs: kf a*^alpha alone can underflow to 0
+        # sqrt(kf a*^alpha / a*_i) in logs: kf a*^alpha alone can underflow to 0
         log_a = np.log(a)
-        scaled = np.exp((kinetics.log_kf + kinetics.alpha @ log_a)[:, np.newaxis] - log_a)
-        L = -kinetics.wt @ (scaled * kinetics.wt.T)
-    if not np.isfinite(L).all():
+        factor = np.exp(0.5 * ((kinetics.log_kf + kinetics.alpha @ log_a)[:, np.newaxis]
+                               - log_a)) * kinetics.wt.T
+        trace = np.sum(factor * factor)
+    if not np.isfinite(trace):
         raise EquilibriumError("linearised reaction matrix at a* overflows float range")
-    return LinearisedMatrix(matrix=L, weights=1.0 / a)
+    return LinearisedMatrix(factor=factor, weights=1.0 / a)
 
 
 def weighted_spectrum(lin: LinearisedMatrix) -> np.ndarray:
-    """Ascending real eigenvalues of L in its weighted inner product:
-    LAPACK's ``eigvalsh`` of the symmetric form of ``lin``, which must be
-    symmetric to ``_SYMMETRY_TOL`` (ValueError otherwise), as it is at any
-    positive a*: input validation; ``balance_residual`` detects non-equilibria."""
-    S = lin.symmetric()
-    asym = np.max(np.abs(S - S.T))
-    # math.hypot scales its terms, so |S| near float range cannot overflow
-    if asym > _SYMMETRY_TOL * max(1.0, math.hypot(*S.ravel().tolist())):
-        raise ValueError(
-            f"L is not self-adjoint in the 1/a* inner product: its symmetric "
-            f"form is not symmetric (asymmetry {asym:.3e})")
-    return np.linalg.eigvalsh(0.5 * (S + S.T))
+    """Ascending real eigenvalues of L in its weighted inner product, those
+    of S = -B^T B: minus the squared singular values of B, then an exact
+    zero for each of the I - R that a factor of R < I rows lacks."""
+    sigma = np.linalg.svd(lin.factor, compute_uv=False)
+    return np.concatenate([-sigma ** 2, np.zeros(lin.factor.shape[1] - sigma.size)])
 
 
 def analytic_gap_bound_four_species(a_inf, d, c_omega: float) -> float:
@@ -143,15 +139,17 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     """Spectral gap of h -> diag(d) Lap h + L h over Neumann modes of a box,
     or over the finite set of a grid's (the semi-discrete gap).
 
-    Mode 0 acts on Im W^T (the conservation constraint): L's lowest rank W
-    eigenvalues, by the exact ``net.structure.rank``.  Mode k >= 1 acts
-    on the full space as S - mu_k D in weighted symmetric form, D = diag(d) > 0
-    (``ReactionNetwork`` refuses other d).  As S - mu' D <= S - mu D -
-    (mu' - mu) min_i d_i I for mu' > mu, the mode gap rises strictly with
-    mu_k: only mode 1 can undercut mode 0, and only when mu_1 min_i d_i, a
-    lower bound of its gap, lies below the mode-0 gap.
+    Mode 0 acts on Im W^T (the conservation constraint): its gap is the
+    square of B's singular value number rank W, by the exact
+    ``net.structure.rank``.  Mode k >= 1 acts on the full space as
+    S - mu_k D = -C^T C in weighted symmetric form, D = diag(d) > 0
+    (``ReactionNetwork`` refuses other d) and C = B stacked on
+    diag(sqrt(mu_k d)): its gap is C's smallest squared singular value.  As
+    S - mu' D <= S - mu D - (mu' - mu) min_i d_i I for mu' > mu, the mode
+    gap rises strictly with mu_k: only mode 1 can undercut mode 0, and only
+    when mu_1 min_i d_i, a lower bound of its gap, lies below the mode-0 gap.
 
-    L and the mode-0 gap do not depend on the domain: the last pair computed
+    B and the mode-0 gap do not depend on the domain: the last pair computed
     is kept on ``net.kinetics``, keyed by the bytes of a*, so a second
     domain at the same a* pays only for its mode-1 block.
     """
@@ -174,15 +172,15 @@ def operator_spectral_gap(net: ReactionNetwork, a_inf,
     # every mode k != 0 has some k_j >= 1, and each axis spectrum rises with k
     poincare = float(min(domain.axis_eigenvalue(j, 1) for j in range(domain.ndim)))
     if poincare * float(np.min(d)) < per_mode[0][1]:
-        lin_1 = LinearisedMatrix(matrix=-poincare * np.diag(d) + lin.matrix,
-                                 weights=lin.weights)
-        per_mode.append((poincare, float(-weighted_spectrum(lin_1)[-1])))
+        stacked = np.vstack([lin.factor, np.diag(np.sqrt(poincare * d))])
+        per_mode.append((poincare, float(np.linalg.svd(stacked, compute_uv=False)[-1] ** 2)))
 
-    # every block gap of an equilibrium is positive: one that is not is roundoff
-    for k, (_, gap) in enumerate(per_mode):
+    # every block gap of an equilibrium is positive: one that is not underflowed
+    for k, (mu, gap) in enumerate(per_mode):
         if not gap > 0:
-            raise EquilibriumError(f"mode {k} gap {gap:.3e} is lost to roundoff at the "
-                                   f"scale of L (largest entry {abs(lin.matrix).max():.3e})")
+            raise EquilibriumError(f"mode {k} gap {gap:.3e} underflows float range (mu = "
+                                   f"{mu:.3e}, largest entry of S "
+                                   f"{abs(lin.symmetric()).max():.3e})")
 
     bound = None
     if _analytic_bound_applies(net, domain):

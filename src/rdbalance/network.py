@@ -353,7 +353,7 @@ class Kinetics:
     some side is padded, so an empty side is the monomial 1.  A monomial is
     the product of its rows in factor order, with no powers taken.  Build
     it through ``ReactionNetwork.kinetics``, which keeps one per network;
-    ``operator_spectral_gap`` keeps its last L and mode-0 gap on it.
+    ``operator_spectral_gap`` keeps its last factor B and mode-0 gap on it.
     """
 
     def __init__(self, net: ReactionNetwork):
@@ -369,7 +369,7 @@ class Kinetics:
         self.log_kf = np.log(net.kf_array())
         self.log_ratio = self.log_kf - np.log(net.kb_array())  # log(kf/kb)
         self.alpha = net.alpha_matrix().astype(float)  # R x I
-        self.last_gap = None  # (a*.tobytes(), L at a*, mode-0 gap)
+        self.last_gap = None  # (a*.tobytes(), B at a*, mode-0 gap)
 
     @functools.cached_property
     def signed(self) -> np.ndarray:

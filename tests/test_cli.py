@@ -380,11 +380,7 @@ def test_gap_refuses_fluxes_past_float_range(workdir, capsys):
 @pytest.mark.parametrize("a_inf, message", [
     # balanced, with finite fluxes 1e290, but forward / a_2 = 1e350 overflows L
     ("1e100,1e-60", r"linearised reaction matrix at a\* overflows float range"),
-    # balanced, with L's entries about 1e270: mode 1's small eigenvalue is
-    # lost to roundoff at that scale, and |S| overflows a plain sum of squares
-    ("1e20,1e20", r"mode 1 gap \S+ is lost to roundoff at the scale of L "
-                  r"\(largest entry 1\.000e\+270\)"),
-], ids=["overflow", "roundoff"])
+], ids=["overflow"])
 @pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
 def test_gap_refuses_a_linearisation_past_float_range(warnings_flags, a_inf, message):
     # refused by name, not a NaN or lost lambda_star or a RuntimeWarning
@@ -395,6 +391,64 @@ def test_gap_refuses_a_linearisation_past_float_range(warnings_flags, a_inf, mes
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert re.fullmatch(f"numerical failure: {message}\n", proc.stderr)
+
+
+@pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
+def test_gap_of_a_linearisation_near_float_range(warnings_flags):
+    # balanced, with S's entries about 1e270 and |S| past a plain sum of
+    # squares: with d = 1 the mode-1 gap is mu_1 = pi^2, which the singular
+    # values of the factor keep and the eigenvalues of S lose
+    proc = subprocess.run(
+        [sys.executable, *warnings_flags, "-m", "rdbalance", "gap",
+         str(Path(__file__).parent / "data" / "big_rates.rdn"),
+         "--domain", "interval:1", "--a-inf", "1e20,1e20"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "lambda_star = 9.869604401e+00", "modes_examined = 2",
+        "mode 0: mu = 0.000000000e+00, gap = 2.000000000e+270",
+        "mode 1: mu = 9.869604401e+00, gap = 9.869604401e+00"]
+
+
+@pytest.mark.parametrize("network, args, lambda_star", [
+    # A1 <-> A2 at k1 = 1e10 and A2 <-> A3 at k2 = 1e-10: the gap is
+    # 3 k1 k2 / (k1 + k2 + sqrt(k1^2 - k1 k2 + k2^2)) = 1.5e-10
+    ("stiff_chain.rdn", ["--domain", "interval:1", "--a-inf", "1,1,1"], "1.500000000e-10"),
+    ("stiff_chain.rdn", ["--domain", "interval:1", "--masses", "3"], "1.500000000e-10"),
+    # on a long interval the mode-1 gap mu_1 = pi^2 / l^2 lies far below 4
+    ("four_species_unit.rdn", ["--domain", "interval:1e7", "--a-inf", "1,1,1,1"],
+     "9.869604401e-14"),
+    ("four_species_unit.rdn", ["--domain", "interval:1e8", "--a-inf", "1,1,1,1"],
+     "9.869604401e-16"),
+    ("four_species_unit.rdn", ["--domain", "interval:1e10", "--a-inf", "1,1,1,1"],
+     "9.869604401e-20"),
+], ids=["stiff", "stiff-masses", "interval-1e7", "interval-1e8", "interval-1e10"])
+def test_gap_far_below_the_reaction_scale(capsys, network, args, lambda_star):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["gap", str(Path(__file__).parent / "data" / network), *args]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines()[0], captured.err) == (f"lambda_star = {lambda_star}", "")
+
+
+@pytest.mark.parametrize("network, domain, a_inf, message", [
+    # kf = kb = 1e-300 at a* = 1e-30: B's entries 1e-165 square to below float range
+    ("slow.rdn", "interval:1", "1e-30,1e-30,1e-30,1e-30",
+     "mode 0 gap 0.000e+00 underflows float range (mu = 0.000e+00, "
+     "largest entry of S 0.000e+00)"),
+    # mu_1 = pi^2 / 1e340 is itself below float range
+    ("four_species.rdn", "interval:1e170", "1,1,1,1",
+     "mode 1 gap 0.000e+00 underflows float range (mu = 0.000e+00, "
+     "largest entry of S 1.000e+00)"),
+], ids=["mode-0", "mode-1"])
+def test_gap_refuses_a_block_gap_that_underflows(workdir, capsys, network, domain, a_inf,
+                                                  message):
+    (workdir / "slow.rdn").write_text(FOUR_SPECIES.replace("kf=1 kb=1", "kf=1e-300 kb=1e-300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(["gap", str(workdir / network), "--domain", domain,
+                         "--a-inf", a_inf]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"numerical failure: {message}\n")
 
 
 @pytest.mark.parametrize("warnings_flags", [[], ["-W", "error"]])
