@@ -23,60 +23,62 @@ def _over_cells(a_inf, grid: Grid) -> np.ndarray:
     return np.asarray(a_inf, dtype=float).reshape((-1,) + (1,) * grid.ndim)
 
 
-def _norms(abs_h: np.ndarray, weights, p, cell_volume: float) -> list[float]:
-    """The weighted L^p norm of each state of a (K, I, *grid) stack ``abs_h``
-    = |h|, given ``weights`` a*^(p-1) for finite p (unused for p = inf)."""
-    flat = abs_h.reshape(len(abs_h), -1)
-    if p == math.inf:
-        return flat.max(axis=1, initial=0.0).tolist()
-    terms = abs_h ** p
-    terms /= weights
-    sums = np.add.reduce(terms.reshape(flat.shape), axis=1) * cell_volume
+def _integral(terms: np.ndarray, a_star: np.ndarray, p, cell_volume: float) -> list[float]:
+    """(sum_i a*_i integral terms_i)^(1/p) of each state of a (K, I, *grid)
+    stack, summed over species in order: H for phi(r), p = 1; L^p for |r|^p."""
+    per_species = np.add.reduce(terms.reshape(terms.shape[:2] + (-1,)), axis=2) * cell_volume
+    sums = np.add.accumulate(per_species * a_star.reshape(-1), axis=1)[:, -1]
     return [total ** (1.0 / p) for total in sums.tolist()]  # numpy's vector ** is an ulp off
+
+
+def _linf(h: np.ndarray) -> list[float]:
+    """max |h| of each state of a (K, I, *grid) stack, from its extremes."""
+    flat = h.reshape(len(h), -1)
+    return np.maximum(np.abs(flat.min(axis=1)), np.abs(flat.max(axis=1))).tolist()
 
 
 def weighted_norm(h, a_inf, p, grid: Grid) -> float:
     """Equilibrium-weighted L^p norm of a perturbation field.
 
-    (sum_i integral |h_i|^p / a*_i^(p-1))^(1/p) for finite p; the plain
-    maximum over species and cells for p = inf (the weight family has no
-    canonical infinite-p limit, so none is applied there).
+    (sum_i integral |h_i|^p / a*_i^(p-1))^(1/p) for finite p, formed as
+    (sum_i a*_i integral |h_i / a*_i|^p)^(1/p); the plain maximum over
+    species and cells for p = inf (the weight family has no canonical
+    infinite-p limit, so none is applied there).
     """
     h = np.asarray(h, dtype=float)
-    a = np.asarray(a_inf, dtype=float)
-    if h.shape[0] != a.shape[0] or h.shape[1:] != grid.shape:
+    a_star = _over_cells(a_inf, grid)
+    if h.shape[0] != len(a_star) or h.shape[1:] != grid.shape:
         raise ValueError("field shape does not match species count and grid")
     if not p >= 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    weights = None if p == math.inf else _over_cells(a ** (p - 1.0), grid)
-    return _norms(np.abs(h)[np.newaxis], weights, p, grid.cell_volume)[0]
+    if p == math.inf:
+        return _linf(h[np.newaxis])[0]
+    return _integral(np.square(h / a_star)[np.newaxis] ** (p / 2), a_star, p, grid.cell_volume)[0]
 
 
-def _entropy(a: np.ndarray, a_star: np.ndarray, cell_volume: float,
-             positive: bool = False) -> np.ndarray:
-    """relative_entropy of each state of the (K, I, *grid) stack ``a``, with
-    ``a_star`` (I, 1, ..., 1); ``positive`` (every cell > 0) skips the clip
-    at 0 and 0 ln 0, which change nothing then."""
-    a = a if positive else np.maximum(a, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = a / a_star
-        np.log(integrand, out=integrand)
-        integrand *= a
-        if not positive:
-            np.copyto(integrand, 0.0, where=a == 0)  # 0 ln 0 = 0
-        integrand -= a
-        integrand += a_star
-    return np.add.reduce(integrand.reshape(len(a), -1), axis=1) * cell_volume
+@np.errstate(divide="ignore", invalid="ignore")  # phi is set at r <= -1 below
+def _entropy(r: np.ndarray, a_star: np.ndarray, cell_volume: float) -> list[float]:
+    """relative_entropy of each state of a (K, I, *grid) stack ``r`` = h / a*:
+    sum_i a*_i integral phi(r_i), phi(r) = (1 + r) log1p(r) - r.  A cell at
+    or below 0 (r <= -1) counts as 0, where phi = 1 (0 ln 0 = 0)."""
+    phi = np.log1p(r)
+    phi *= 1.0 + r
+    phi -= r
+    if not r.min() > -1:  # skipped when every r > -1; a NaN stays NaN
+        np.copyto(phi, 1.0, where=r <= -1)
+    return _integral(phi, a_star, 1, cell_volume)
 
 
 def relative_entropy(a_fields, a_inf, grid: Grid) -> float:
     """Relative free energy sum_i integral (a ln(a/a*) - a + a*).
 
-    Nonnegative, and zero exactly at a = a*.  Uses the continuous
+    Nonnegative, and zero exactly at a = a*.  Formed as a* phi(r) with
+    r = (a - a*) / a*, to O(eps / |r|) relative.  Uses the continuous
     extension 0 ln 0 = 0; tiny negative roundoff values are treated as 0.
     """
-    return _entropy(np.asarray(a_fields, dtype=float)[np.newaxis], _over_cells(a_inf, grid),
-                    grid.cell_volume).item()
+    a_star = _over_cells(a_inf, grid)
+    r = (np.asarray(a_fields, dtype=float) - a_star) / a_star
+    return _entropy(r[np.newaxis], a_star, grid.cell_volume)[0]
 
 
 def _fisher(a: np.ndarray, diffusion: np.ndarray, spacing, cell_volume: float) -> np.ndarray:
@@ -139,18 +141,14 @@ def entropy_dissipation(a_fields, net: ReactionNetwork, a_inf,
 class DiagnosticsRecord:
     """diag.csv's rows for one run: built once from the network (and its
     conservation basis Q), the reference equilibrium ``a_inf`` and the grid,
-    it holds what every row reuses (a* shaped for broadcasting, the norm
-    weights a*^(p-1), the reaction coefficients kf a*^alpha).  Each column
-    is the value of its standalone function (``relative_entropy``,
-    ``weighted_norm``, ``entropy_dissipation``), bit for bit: they share
-    one formula each."""
+    it holds what every row reuses (a* shaped for broadcasting, the reaction
+    coefficients kf a*^alpha).  Each column is the value of its standalone
+    function (``relative_entropy``, ``weighted_norm``,
+    ``entropy_dissipation``), bit for bit: they share one formula each."""
 
-    @np.errstate(all="ignore")  # a weight past float range is refused in rows
     def __init__(self, net: ReactionNetwork, a_inf, grid: Grid):
-        a_inf = np.asarray(a_inf, dtype=float)
         self._a_star = _over_cells(a_inf, grid)
-        self._weights = {p: _over_cells(a_inf ** (p - 1.0), grid) for p in (2, 4)}
-        self._coeff = _reaction_coefficients(net, a_inf)
+        self._coeff = _reaction_coefficients(net, np.asarray(a_inf, dtype=float))
         self._kinetics = net.kinetics
         self._diffusion = net.diffusion_array()
         self._q = net.structure.Q.astype(float)
@@ -174,15 +172,17 @@ class DiagnosticsRecord:
             dissipation[:, positive] = (
                 _fisher(a, self._diffusion, self._spacing, cell_volume),
                 _reaction(a, self._kinetics, self._coeff, self._a_star, cell_volume))
-        entropy = _entropy(stack, self._a_star, cell_volume, positive.all())
-        abs_h = np.subtract(stack, self._a_star)
-        np.abs(abs_h, out=abs_h)
-        norms = [_norms(abs_h, self._weights.get(p), p, cell_volume)
-                 for p in (2, 4, math.inf)]
+        r = np.subtract(stack, self._a_star)  # h = a - a*, exact where a is near a*
+        linf = _linf(r)
+        r /= self._a_star
+        entropy = _entropy(r, self._a_star, cell_volume)
+        terms = np.square(r)  # then squared in place: (r^2)^(p/2), as in weighted_norm
+        norms = [_integral(terms, self._a_star, 2, cell_volume),
+                 _integral(np.multiply(terms, terms, out=terms), self._a_star, 4, cell_volume)]
         # State.means of each state, then one Q product each
         means = np.add.reduce(stack, axis=tuple(range(2, stack.ndim))) / stack[0, 0].size
         masses = np.matmul(self._q, means[..., np.newaxis])[..., 0] * self._volume
-        table = np.column_stack([times, masses, entropy, *norms, *dissipation])
+        table = np.column_stack([times, masses, entropy, *norms, linf, *dissipation])
         if not np.isfinite(table).all():
             row, column = np.argwhere(~np.isfinite(table))[0]
             raise FloatingPointError(

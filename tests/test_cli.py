@@ -497,25 +497,63 @@ def test_gap_decides_balance_where_the_fluxes_are_tiny(capsys, a2, code, out, er
     assert (captured.out.splitlines(), captured.err) == (out, err)
 
 
-@pytest.mark.parametrize("config, value", [("scale80", "inf"), ("scale_tiny", "nan")])
-@pytest.mark.parametrize("warnings_filter", ["default", "error"])
-def test_simulate_refuses_a_diagnostic_past_float_range(tmp_path, capsys, config, value,
-                                                        warnings_filter):
-    # |h|^4 overflows at the state scale 1e80, and underflows with a*^3 at
-    # 1e-150: refused by name, with no diag.csv, not written as inf or nan
+def scale_tiny_at(exponent):
+    """tests/data/scale_tiny.cfg with its state scale 1e-150 moved to 10^exponent."""
+    text = (Path(__file__).parent / "data" / "scale_tiny.cfg").read_text()
+    return text.replace("e-152", f"e{exponent - 2}").replace("e-150", f"e{exponent}")
+
+
+@pytest.mark.parametrize("exponent, config", [(80, "scale80"), (-100, None),
+                                              (-150, "scale_tiny")])
+def test_simulate_is_covariant_under_state_scale(tmp_path, capsys, exponent, config):
+    # each diag.csv column is the unit-scale run's times s^power: the norms
+    # are formed from r = h / a*, so |h|^4 neither overflows at 1e80 nor
+    # underflows at 1e-100 (L4 = 0) and 1e-150
     import shutil
 
     data = Path(__file__).parent / "data"
-    for name in ("exchange.rdn", f"{config}.cfg"):
+
+    def run(name, text):
+        (tmp_path / name).mkdir()
+        shutil.copy(data / "exchange.rdn", tmp_path / name / "exchange.rdn")
+        (tmp_path / name / "run.cfg").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["simulate", str(tmp_path / name / "run.cfg")]) == 0
+        [diag] = (tmp_path / name / "out").glob("*/diag.csv")
+        return DiagnosticsSeries.read_csv(diag)
+
+    unit = run("unit", scale_tiny_at(0))
+    scaled = run("scaled", scale_tiny_at(exponent) if config is None
+                 else (data / f"{config}.cfg").read_text())
+    capsys.readouterr()
+    powers = {"t": 0.0, "L2": 0.5, "L4": 0.25}
+    assert unit.header() == scaled.header() == ["t", "M1", "H", "L2", "L4", "Linf",
+                                                "fisher", "reaction"]
+    assert np.all(unit.table[:, 1:] > 0)
+    for name in unit.header():
+        np.testing.assert_allclose(
+            scaled.column(name), unit.column(name) * 10.0 ** (exponent * powers.get(name, 1.0)),
+            rtol=5e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("warnings_filter", ["default", "error"])
+def test_simulate_refuses_a_norm_past_float_range(tmp_path, capsys, warnings_filter):
+    # L4's sum a* r^4 |cell| is 5e308 at t = 0: refused by name, with no
+    # diag.csv, not written as inf
+    import shutil
+
+    data = Path(__file__).parent / "data"
+    for name in ("exchange.rdn", "norm_overflow.cfg", "norm_overflow.csv"):
         shutil.copy(data / name, tmp_path / name)
     with warnings.catch_warnings():
         warnings.simplefilter(warnings_filter)
-        assert dispatch(["simulate", str(tmp_path / f"{config}.cfg")]) == 3
+        assert dispatch(["simulate", str(tmp_path / "norm_overflow.cfg")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"numerical failure: diag.csv column L4 is {value} at t = 0: "
-                            f"past float range\n")
-    assert not (tmp_path / "out" / config / "diag.csv").exists()
+    assert captured.err == ("numerical failure: diag.csv column L4 is inf at t = 0: "
+                            "past float range\n")
+    assert not (tmp_path / "out" / "norm_overflow" / "diag.csv").exists()
 
 
 def test_gap_prints_a_tiny_gap_in_full(tmp_path, capsys):

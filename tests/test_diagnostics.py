@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import re
 import tracemalloc
 import warnings
 
@@ -110,6 +109,17 @@ class TestRelativeEntropy:
             a = rng.uniform(0.1, 3.0, size=(4, 16))
             value = relative_entropy(a, a_inf, grid)
             assert value > 0
+
+    def test_close_to_equilibrium_keeps_its_relative_accuracy(self, rng):
+        # H = sum_i a*_i integral (r^2/2 - r^3/6 + r^4/12 + O(r^5)), r = h / a*:
+        # terms of order a* in a ln(a/a*) - a + a* would cancel to a* r^2
+        grid = Grid(Interval(1.0), (16,))
+        a_inf = np.array([1.0, 2.0, 0.5, 1.5])
+        a_star = a_inf[:, np.newaxis]
+        a = a_star * (1 + rng.uniform(-1e-6, 1e-6, size=(4, 16)))
+        r = (a - a_star) / a_star  # h is exact: a is within a factor 2 of a*
+        series = np.sum(a_star * (r ** 2 / 2 - r ** 3 / 6 + r ** 4 / 12)) * grid.cell_volume
+        assert relative_entropy(a, a_inf, grid) == pytest.approx(series, rel=1e-8, abs=0)
 
 
 class TestEntropyDissipation:
@@ -483,14 +493,17 @@ class TestDiagnosticsRecord:
         times = np.arange(40) * 0.25
         stoich = decompose(net)
         rows = DiagnosticsRecord(net, a_inf, grid).rows(times, stack)
-        weights = [a_inf.reshape((-1,) + (1,) * grid.ndim) ** (p - 1.0) for p in (2, 4)]
+        a_star = a_inf.reshape((-1,) + (1,) * grid.ndim)
         for row, t, fields in zip(rows, times, stack):
             assert np.array_equal(row, oracle_row(net, stoich, a_inf, State(t, fields, grid)))
-            # the norm's root is one float power of the state's own sum
-            h = np.abs(fields - a_inf.reshape((-1,) + (1,) * grid.ndim))
+            # the norm's root is one float power of the state's own sum, in
+            # scaled form: sum_i a*_i integral |r_i|^p over species in order,
+            # |r|^p as (r^2)^(p/2)
+            r2 = np.square((fields - a_star) / a_star)
             assert row[-5:-3].tolist() == [
-                float(np.add.reduce(h ** p / w, axis=None) * grid.cell_volume) ** (1.0 / p)
-                for p, w in zip((2, 4), weights)]
+                sum(float(total) * grid.cell_volume * weight for total, weight in
+                    zip(np.add.reduce((r2 ** (p / 2)).reshape(len(a_inf), -1), axis=1),
+                        a_inf)) ** (1.0 / p) for p in (2, 4)]
 
     def test_a_zero_cell_gives_nan_dissipation_only_in_its_own_row(self, monkeypatch,
                                                                    tmp_path):
@@ -522,21 +535,41 @@ class TestDiagnosticsRecord:
             assert np.array_equal(row, oracle_row(net, stoich, a_inf, State(t, state, grid)),
                                   equal_nan=True)
 
-    @pytest.mark.parametrize("scale, value, t", [(1e80, "inf", "0.5"),
-                                                 (1e-150, "nan", "0.25")])
-    def test_a_column_past_float_range_is_refused_by_name(self, scale, value, t):
-        # |h|^4 overflows at 1e80; at 1e-150 it and the weight a*^3 underflow
-        # to 0, so even the row of a* itself (t = 0.25) reads 0/0
+    @pytest.mark.parametrize("scale", [1e80, 1e-150])
+    def test_rows_are_covariant_under_state_scale(self, scale):
+        # each column scales as s^power: the norms are formed from r = h / a*,
+        # so no |h|^4 leaves float range, not even in the row of a* itself
         net = exchange_network()
         grid = Grid(Interval(1.0), (16,))
-        a_inf = scale * np.array([1.0, 2.0])
-        fields = a_inf[:, np.newaxis] * (1 + 0.01 * np.cos(math.pi * grid.centers()[0]))
+
+        def rows(s):
+            a_inf = s * np.array([1.0, 2.0])
+            fields = a_inf[:, np.newaxis] * (1 + 0.01 * np.cos(math.pi * grid.centers()[0]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return DiagnosticsRecord(net, a_inf, grid).rows(
+                    [0.25, 0.5], np.stack([np.tile(a_inf[:, np.newaxis], 16), fields]))
+
+        powers = [0.0, 1.0, 1.0, 0.5, 0.25, 1.0, 1.0, 1.0]  # t, M1, H, L2, L4, ...
+        unit = rows(1.0)
+        assert np.all(unit[1, 2:-1] > 0)  # a2 / a1 = 2 in every cell: no reaction
+        np.testing.assert_allclose(rows(scale), unit * scale ** np.array(powers),
+                                   rtol=5e-12, atol=0)
+
+    def test_a_norm_past_float_range_is_refused_by_name(self):
+        # a* = 1e306 with one cell at 1.7e307 (r = 16): L4's sum a* r^4 / 16
+        # is 4e309, the first column past float range; H and L2 stay finite
+        net = exchange_network()
+        grid = Grid(Interval(1.0), (16,))
+        a_inf = np.array([1e306, 2e306])
+        fields = np.tile(a_inf[:, np.newaxis], 16)
+        fields[0, 3] = 1.7e307
+        record = DiagnosticsRecord(net, a_inf, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            record = DiagnosticsRecord(net, a_inf, grid)
-            message = f"diag.csv column L4 is {value} at t = {t}: past float range"
-            with pytest.raises(FloatingPointError, match=rf"\A{re.escape(message)}\Z"):
-                record.rows([0.25, 0.5], np.stack([np.tile(a_inf[:, np.newaxis], 16), fields]))
+            with pytest.raises(FloatingPointError, match=r"\Adiag.csv column L4 is inf "
+                                                         r"at t = 0.5: past float range\Z"):
+                record.rows([0.5], fields[np.newaxis])
 
     def test_a_dissipation_past_float_range_is_refused_by_name(self):
         # kf a*^alpha = 1e308: each cell of a state 50% off a* adds 1.1e308
