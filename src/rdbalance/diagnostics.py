@@ -152,25 +152,23 @@ class DiagnosticsRecord:
         self._kinetics = net.kinetics
         self._diffusion = net.diffusion_array()
         self._q = net.structure.Q.astype(float)
-        self._volume = grid.domain.measure
-        self._spacing = grid.spacing
-        self._cell_volume = grid.cell_volume
+        self._grid = grid
 
     @np.errstate(all="ignore")  # a value past float range is refused by name
     def rows(self, times, stack: np.ndarray) -> np.ndarray:
         """The diag.csv rows of a (K, I, *grid) stack of states at ``times``,
-        as a (K, q + 7) array: t, the masses Q mean(a) |Omega|, H, L2, L4,
+        as a (K, q + 7) array: t, the masses Q mean(a), H, L2, L4,
         Linf, fisher and reaction, each reduced over its own state's cells
         alone.  A state's dissipation is NaN unless all its cells are > 0;
         any other value past float range raises FloatingPointError.
         No full-grid temporary outlives the column that needs it."""
-        k, cell_volume = len(stack), self._cell_volume
+        k, grid, cell_volume = len(stack), self._grid, self._grid.cell_volume
         positive = stack.reshape(k, -1).min(axis=1) > 0  # False at a NaN
         dissipation = np.zeros((2, k))
         if positive.any():
             a = stack if positive.all() else stack[positive]
             dissipation[:, positive] = (
-                _fisher(a, self._diffusion, self._spacing, cell_volume),
+                _fisher(a, self._diffusion, grid.spacing, cell_volume),
                 _reaction(a, self._kinetics, self._coeff, self._a_star, cell_volume))
         r = np.subtract(stack, self._a_star)  # h = a - a*, exact where a is near a*
         linf = _linf(r)
@@ -179,9 +177,8 @@ class DiagnosticsRecord:
         terms = np.square(r)  # then squared in place: (r^2)^(p/2), as in weighted_norm
         norms = [_integral(terms, self._a_star, 2, cell_volume),
                  _integral(np.multiply(terms, terms, out=terms), self._a_star, 4, cell_volume)]
-        # State.means of each state, then one Q product each
-        means = np.add.reduce(stack, axis=tuple(range(2, stack.ndim))) / stack[0, 0].size
-        masses = np.matmul(self._q, means[..., np.newaxis])[..., 0] * self._volume
+        # the cell means of each state, then one Q product each
+        masses = np.matmul(self._q, grid.means(stack)[..., np.newaxis])[..., 0]
         table = np.column_stack([times, masses, entropy, *norms, linf, *dissipation])
         if not np.isfinite(table).all():
             row, column = np.argwhere(~np.isfinite(table))[0]

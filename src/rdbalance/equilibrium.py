@@ -40,7 +40,7 @@ class NewtonDivergenceError(EquilibriumError):
 
 @dataclass(frozen=True)
 class ConservedMasses:
-    """Values of Q . integral(a), one per conservation law."""
+    """Values of Q a per unit measure (Q mean(a) on a grid), one per law."""
 
     values: tuple[float, ...]
 
@@ -65,16 +65,14 @@ class EquilibriumState:
         return np.array(self.a_inf, dtype=float)
 
 
-def conserved_masses(stoich: StoichiometryDecomposition, a0_mean,
-                     volume: float = 1.0) -> ConservedMasses:
-    """Masses m = Q . a0_mean * |Omega| of (nonnegative) mean initial data;
-    ``detailed_balance_equilibrium`` decides which masses are admissible."""
+def conserved_masses(stoich: StoichiometryDecomposition, a0_mean) -> ConservedMasses:
+    """Masses m = Q . a0_mean of mean initial data, per unit measure, the
+    units ``detailed_balance_equilibrium`` solves Q a* = m in; it alone
+    decides which masses are admissible, and ``check_cells`` which data."""
     a0_mean = np.asarray(a0_mean, dtype=float)
     if a0_mean.shape != (stoich.Q.shape[1],):
         raise ValueError("mean initial data has the wrong length")
-    if np.any(a0_mean < 0):
-        raise ValueError("mean initial data must be nonnegative")
-    return ConservedMasses(tuple(stoich.Q.astype(float) @ a0_mean * float(volume)))
+    return ConservedMasses(tuple(stoich.Q.astype(float) @ a0_mean))
 
 
 def balance_residual(net: ReactionNetwork, a: np.ndarray) -> float:

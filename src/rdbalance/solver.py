@@ -108,9 +108,7 @@ class State:
         return self.fields.shape[0]
 
     def means(self) -> np.ndarray:
-        # np.mean's own sum and divide, without its per-call overhead
-        axes = tuple(range(1, self.fields.ndim))
-        return np.add.reduce(self.fields, axis=axes) / (self.fields.size // len(self.fields))
+        return self.grid.means(self.fields)
 
 
 @dataclass(frozen=True)
@@ -133,20 +131,6 @@ class InitialSpec:
             raise ValueError("give exactly one of profiles or csv_path")
 
 
-def _dct_basis(n: int) -> np.ndarray:
-    """The orthonormal DCT-II matrix, C[k, j] = s_k cos(pi k (2j + 1) / 2n)
-    with s_0 = sqrt(1/n) and s_k = sqrt(2/n), so that C @ x is the
-    ``norm="ortho"`` DCT-II of x.  The angle's numerator is reduced modulo
-    4n in integers first: the unreduced float angle reaches about pi n and
-    loses about 1e-14 to rounding at n = 192."""
-    k = np.arange(n)[:, np.newaxis]
-    r = k * (2 * np.arange(n) + 1) % (4 * n)
-    c = np.cos(r * (math.pi / (2 * n)))
-    c[0] *= math.sqrt(1.0 / n)
-    c[1:] *= math.sqrt(2.0 / n)
-    return c
-
-
 class _DiffusionSemigroup:
     """Exact diffusion substeps exp(tau d_i Lap) for every species at once.
 
@@ -154,7 +138,7 @@ class _DiffusionSemigroup:
     -sum_axes mu_k, mu_k = grid.axis_eigenvalue(axis, k).  Grids with at
     most _DENSE_AXIS_MAX cells on every axis apply one (I, n, n) stack of
     propagators C^T diag(exp(-tau d_i mu)) C per axis (C from
-    ``_dct_basis``), grids with a longer axis a batched scipy DCT, multiply
+    ``grid.axis_basis``), grids with a longer axis a batched scipy DCT, multiply
     and inverse DCT: ``multiplier_over(tau)`` builds either, and ``Stepper``
     holds those of its steps.  Mode 0 is kept, exactly by the DCT and to
     rounding by the propagators; every factor lies in (0, 1], so cells stay
@@ -168,7 +152,7 @@ class _DiffusionSemigroup:
                     for k, n in enumerate(grid.shape)]
         self._dense = max(grid.shape) <= _DENSE_AXIS_MAX
         if self._dense:
-            self._basis = [_dct_basis(n) for n in grid.shape]
+            self._basis = [grid.axis_basis(k) for k in range(grid.ndim)]
             # fields as (I, cells before axis k, n_k, cells after it)
             self._views = [(len(self._d), math.prod(grid.shape[:k]), n,
                             math.prod(grid.shape[k + 1:]))
@@ -268,13 +252,12 @@ class Stepper:
         monomials, diffuse = self.reaction.monomials, self.diffusion.apply
         step_rates, half_rates = self._step_rates, self._half_rates
         heun = self.scheme == "strang"
-        fields = state.fields
+        fields, grid = state.fields, state.grid
         check_cells(fields, species, t0)  # admissible input
-        n_species, axes = len(fields), tuple(range(1, fields.ndim))
+        n_species, broadcast = len(fields), (...,) + (np.newaxis,) * grid.ndim
         for j in range(1, n_steps + 1):
             if (j - 1) % _RECENTRE_STEPS == 0:
-                mean = np.add.reduce(fields, axis=axes, keepdims=True)
-                mean /= fields.size // n_species
+                mean = grid.means(fields)[broadcast]
             # z = x - m0, never in the input's own array; D(z), then x = z + m0
             deviation = np.subtract(fields, mean, out=fields if j > 1 else None)
             fields = diffuse(deviation, self._between if j > 1 else self._opening)
@@ -296,7 +279,7 @@ class Stepper:
             fields = diffuse(np.subtract(fields, mean, out=fields), self._opening)
             fields += mean
             check_cells(fields, species, t)
-        return State(t=t, fields=fields, grid=state.grid)
+        return State(t=t, fields=fields, grid=grid)
 
 
 def build_initial(spec: InitialSpec, grid: Grid, species_names) -> State:
@@ -420,7 +403,7 @@ def reference_equilibrium(net: ReactionNetwork, state: State) -> EquilibriumStat
     """The detailed-balance equilibrium with the conserved masses of
     ``state``: the one a run from ``state`` relaxes to."""
     stoich = decompose(net)
-    masses = conserved_masses(stoich, state.means(), volume=state.grid.domain.measure)
+    masses = conserved_masses(stoich, state.means())
     return detailed_balance_equilibrium(net, stoich, masses)
 
 

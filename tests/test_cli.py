@@ -15,6 +15,8 @@ from rdbalance.cli import dispatch
 
 from conftest import record_snapshots
 
+DATA = Path(__file__).parent / "data"
+
 FOUR_SPECIES = """\
 species A1 A2 A3 A4
 diffusion A1=1 A2=1 A3=1 A4=1
@@ -710,14 +712,40 @@ def test_fit_window_needs_two_bounds(workdir, capsys):
     assert capsys.readouterr().err == "error: window must be 'a,b'\n"
 
 
+def printed_values(out):
+    return {line.split(" = ")[0]: float(line.split(" = ")[1])
+            for line in out.strip().splitlines()}
+
+
 def test_equilibrium_from_initial(workdir, capsys):
     code = dispatch(["equilibrium", str(workdir / "four_species.rdn"),
                      "--from-initial", str(workdir / "run.cfg")])
     assert code == 0
-    out = capsys.readouterr().out
-    values = {line.split(" = ")[0]: float(line.split(" = ")[1])
-              for line in out.strip().splitlines()}
+    values = printed_values(capsys.readouterr().out)
     assert np.isclose(values["A1"], 1.0, rtol=1e-10)
+    # on interval:2 the masses are per unit measure, so a* is the initial
+    # equilibrium (1, 2) itself, and the printed masses give it back
+    network = str(DATA / "exchange.rdn")
+    assert dispatch(["equilibrium", network,
+                     "--from-initial", str(DATA / "exchange_interval2.cfg")]) == 0
+    values = printed_values(capsys.readouterr().out)
+    for name, want in (("A1", 1.0), ("A2", 2.0)):
+        assert abs(values[name] - want) <= 4 * np.finfo(float).eps * want
+    assert values["M12"] == 3.0
+    assert dispatch(["equilibrium", network, "--masses", repr(values["M12"])]) == 0
+    again = printed_values(capsys.readouterr().out)
+    assert (again["A1"], again["A2"]) == (values["A1"], values["A2"])
+
+
+def test_simulate_at_the_equilibrium_of_a_non_unit_interval(tmp_path, capsys):
+    import shutil
+
+    for name in ("exchange.rdn", "exchange_interval2.cfg"):
+        shutil.copy(DATA / name, tmp_path / name)
+    assert dispatch(["simulate", str(tmp_path / "exchange_interval2.cfg")]) == 0
+    series = DiagnosticsSeries.read_csv(tmp_path / "out" / "exchange_interval2" / "diag.csv")
+    assert np.all(series.masses == 3.0)
+    assert np.all(series.entropy <= 1e-30) and np.all(series.linf <= 1e-15)
 
 
 def test_usage_error_exits_2(workdir):

@@ -401,7 +401,7 @@ def oracle_row(net, stoich, a_inf, state):
     else:
         dissipation = (math.nan, math.nan)
     return [state.t,
-            *conserved_masses(stoich, state.means(), grid.domain.measure).values,
+            *conserved_masses(stoich, state.means()).values,
             relative_entropy(state.fields, a_inf, grid),
             *(weighted_norm(h, a_inf, p, grid) for p in (2, 4, math.inf)),
             *dissipation]

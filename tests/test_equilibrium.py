@@ -14,6 +14,7 @@ from rdbalance import (
     ReactionNetwork,
     NewtonDivergenceError,
     NoDetailedBalanceError,
+    State,
     conserved_masses,
     decompose,
     detailed_balance_equilibrium,
@@ -24,6 +25,7 @@ from rdbalance import (
     stoichiometric_matrix,
 )
 from rdbalance.equilibrium import DB_TOL, balance_residual
+from rdbalance.solver import reference_equilibrium
 
 from conftest import exchange_network, four_species_network, \
     random_admissible_network, random_balanced_network, triangle_network
@@ -56,16 +58,36 @@ class TestConservedMasses:
         masses = conserved_masses(stoich, eq.vector)
         assert np.allclose(masses.vector, (3, 4, 1), rtol=1e-12)
 
-    def test_volume_scaling(self):
-        stoich = decompose(four_species_network())
-        masses = conserved_masses(stoich, [2, 0, 2, 0], volume=0.5)
-        assert masses.values == (1.0, 1.0, 1.0)
+    def test_masses_are_per_unit_measure(self):
+        # the same cells on intervals of length 1 and 2: the same masses, a*
+        net = four_species_network()
+        fields = np.array([[2.0] * 8, [0.5] * 8, [2.0] * 8, np.linspace(0.5, 1.5, 8)])
+        results = [reference_equilibrium(net, State(0.0, fields, Grid(Interval(length), (8,))))
+                   for length in (1.0, 2.0)]
+        assert results[0].masses.values == results[1].masses.values == (2.5, 3.0, 2.5)
+        assert results[0].a_inf == results[1].a_inf
+        assert np.allclose(results[0].vector, four_species_equilibrium(2.5, 3, 2.5, 3).vector,
+                           rtol=1e-12)
 
-    @pytest.mark.parametrize("mean, message", [([1, 1, 1], "has the wrong length"),
-                                               ([1, -0.5, 1, 1], "must be nonnegative")])
-    def test_malformed_mean_rejected(self, mean, message):
-        with pytest.raises(ValueError, match=f"mean initial data {message}"):
-            conserved_masses(decompose(four_species_network()), mean)
+    def test_malformed_mean_rejected(self):
+        with pytest.raises(ValueError, match="mean initial data has the wrong length"):
+            conserved_masses(decompose(four_species_network()), [1, 1, 1])
+
+    @pytest.mark.parametrize("mean, masses", [([1, -0.5, 1, 1], (0.5, 2.0, 0.5)),
+                                              ([1, -1.5, 1, 1], (-0.5, 2.0, -0.5))])
+    def test_negative_mean_left_to_the_mass_rule(self, mean, masses):
+        # conserved_masses checks the length alone; the masses go to the one
+        # mass rule of detailed_balance_equilibrium, which refuses M12 <= 0
+        net = four_species_network()
+        stoich = decompose(net)
+        got = conserved_masses(stoich, mean)
+        assert got.values == masses
+        if masses[0] > 0:
+            assert np.allclose(stoich.Q @ detailed_balance_equilibrium(net, stoich, got).vector,
+                               masses, rtol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="conserved mass M12 = -0.5 must be"):
+                detailed_balance_equilibrium(net, stoich, got)
 
     def test_zero_mass_rejected(self):
         net = four_species_network()

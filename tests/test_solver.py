@@ -34,7 +34,7 @@ from rdbalance import (
 from rdbalance import solver
 from rdbalance.equilibrium import EquilibriumError
 from rdbalance.network import Kinetics
-from rdbalance.solver import NEGATIVE_TOL, _dct_basis, check_cells
+from rdbalance.solver import NEGATIVE_TOL, check_cells
 
 from conftest import build_laplacian, four_species_network, random_balanced_network, \
     record_snapshots
@@ -94,7 +94,7 @@ class TestDiffusionSemigroup:
     @pytest.mark.parametrize("n", [4, 5, 64, 192])
     def test_basis_is_the_orthonormal_dct(self, n):
         fft = pytest.importorskip("scipy.fft")
-        c = _dct_basis(n)
+        c = Grid(Interval(1.0), (n,)).axis_basis(0)
         want = fft.dct(np.eye(n), axis=0, norm="ortho")
         assert np.max(np.abs(c - want)) <= 1e-15
         assert np.max(np.abs(c @ c.T - np.eye(n))) <= 5e-15
@@ -822,6 +822,26 @@ class TestSimulate:
         assert np.max(np.abs(sr.entropy)) <= 1e-13
         assert np.allclose(sr.masses, sr.masses[0])
 
+    def test_roundoff_below_zero_runs(self):
+        # the initial data the cell rule admits: its masses go to the mass rule
+        result = simulate(four_species_network(), Grid(Interval(1.0), (8,)),
+                          uniform_spec([1, 1, 1, -1e-12]), dt=1e-3, t_end=0.01)
+        assert np.allclose(result.equilibrium.vector, (2 / 3, 4 / 3, 2 / 3, 1 / 3),
+                           rtol=1e-11)
+        assert np.isnan(result.series.fisher[0]) and np.all(result.series.fisher[1:] >= 0)
+
+    def test_relaxes_to_its_equilibrium_on_a_non_unit_rectangle(self):
+        # masses are per unit measure: a* is the base (1.5, 1, 1, 1.5), and
+        # the mode-(1, 0) bump decays at 2 (pi^2 + 5) in H
+        grid = Grid(Rectangle(1.0, 0.7), (16, 12))
+        spec = uniform_spec([1.5, 1, 1, 1.5], modes={
+            i: (((1, 0), s * 0.01),) for i, s in enumerate((1, -1, 1, -1))})
+        result = simulate(four_species_network(), grid, spec, dt=1e-3, t_end=2.0,
+                          output_every=100)
+        assert np.allclose(result.equilibrium.vector, (1.5, 1, 1, 1.5), rtol=1e-12)
+        entropy = result.series.entropy
+        assert entropy[-1] <= 1e-20 * entropy[0]
+
     def test_mode1_decay_rate(self):
         net = four_species_network()
         grid = Grid(Interval(1.0), (64,))
@@ -1097,7 +1117,7 @@ def test_short_runs_keep_the_invariants(seed, ndim, scheme):
     series = result.series
     assert np.all(np.isfinite(series.table))
     # each mass is a sum of terms of size |Q| a, so its roundoff scales with those
-    scale = np.abs(decompose(net).Q) @ snapshots[0].means() * grid.domain.measure
+    scale = np.abs(decompose(net).Q) @ snapshots[0].means()
     assert np.all(np.abs(series.masses - series.masses[0]) <= 1e-12 * scale)
     # H sums terms of size a over the cells, and so do its rounding errors
     h_roundoff = 1e-12 * snapshots[0].means().sum() * grid.domain.measure
