@@ -14,6 +14,7 @@ import hashlib
 import math
 import os
 import re
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .csvtable import TableWriter
+from .csvtable import TableWriter, write_table
 from .diagnostics import DiagnosticsSeries, fit_decay_rate
 from .equilibrium import EquilibriumError, detailed_balance_equilibrium
 from .geometry import MAX_NDIM, Box, Grid
@@ -298,11 +299,13 @@ def _cmd_gap(args) -> int:
 # A run hands its snapshots to a TableWriter process, which formats them
 # while the run steps on, when they hold at least this many values (cells
 # times species) and two CPUs are usable.  Measured on a 2-vCPU host:
-# formatting inline takes 3.2 ms at 2^12 values, 10 ms at 2^14 and 43 ms at
-# 2^16 per snapshot; the hand-off costs the run 0.5 ms to start the process,
-# 0.7-1.2 ms per snapshot sent and 1.2 ms to close, and the process's own
-# start takes about 22 ms of the other CPU.  From 2^14 values two snapshots
-# repay that start; six of 2^12 (tests/data/square.cfg) do not.
+# formatting inline takes 4.0 ms at 2^12 values, 14 ms at 2^14 and 50 ms at
+# 2^16 per snapshot; the hand-off costs the run 0.6 ms to start the process,
+# 0.3-0.6 ms per snapshot sent (the first too: the pipe holds a whole 2^16
+# snapshot, so the run does not wait for the process to start) and 1.2 ms to
+# close, and the process's own start takes about 19 ms of the other CPU.
+# Six snapshots of 2^12 (tests/data/square.cfg) do not repay that start: the
+# run takes 26 ms inline and 50 ms through the writer.
 _WRITER_MIN_VALUES = 2 ** 14
 
 
@@ -321,25 +324,46 @@ def _run_one_config(config_path) -> int:
         return EXIT_INVALID
     provenance = f"rdbalance {__version__} {config.config_hash}"
     written = [config.output_dir / "diag.csv"]  # then the snapshots, as they are taken
-    # leaving the block waits for the writer, which raises an OSError naming
-    # the file it failed to write
-    with _snapshot_writer(config.grid.n_cells * net.n_species) as writer:
-        def take(state, step):
-            written.append(config.output_dir / f"snapshot_{step:08d}.csv")
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-            if writer is None:
-                write_snapshot_csv(written[-1], state, net.species, comment=provenance)
-            else:
-                writer.send(written[-1], *snapshot_table(state, net.species),
-                            comment=provenance)
+    part = None  # the rows of the final snapshot this process formats, until joined
+    try:
+        # leaving the block waits for the writer, which raises an OSError naming
+        # the file it failed to write
+        with _snapshot_writer(config.grid.n_cells * net.n_species) as writer:
+            def take(state, step, final):
+                nonlocal part
+                path = config.output_dir / f"snapshot_{step:08d}.csv"
+                written.append(path)
+                config.output_dir.mkdir(parents=True, exist_ok=True)
+                if writer is None:
+                    write_snapshot_csv(path, state, net.species, comment=provenance)
+                elif not final:
+                    writer.send(path, *snapshot_table(state, net.species), comment=provenance)
+                else:  # no step is left to overlap: the writer formats the
+                    # first half of the rows while this process formats the rest
+                    header, columns, axes = snapshot_table(state, net.species)
+                    n, half = state.grid.n_cells, (state.grid.n_cells + 1) // 2
+                    writer.send(path, header, [c[:half] for c in columns], axes, provenance)
+                    part = path.with_name(path.name + ".part")
+                    try:
+                        write_table(part, header, columns, axes, rows=(half, n))
+                    except OSError as exc:  # named by its snapshot, not left half written
+                        writer.close()
+                        path.unlink()
+                        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
-        result = simulate(net, config.grid, _initial_spec(config, net), config.dt,
-                          config.t_end, output_every=config.output_every,
-                          scheme=config.scheme, snapshot_every=config.snapshot_every,
-                          on_snapshot=take)
-        if config.dt is None:
-            print(f"dt = {result.dt:.6g} (heuristic)")
-        result.series.write_csv(written[0], comment=provenance)  # in take's directory
+            result = simulate(net, config.grid, _initial_spec(config, net), config.dt,
+                              config.t_end, output_every=config.output_every,
+                              scheme=config.scheme, snapshot_every=config.snapshot_every,
+                              on_snapshot=take)
+            if config.dt is None:
+                print(f"dt = {result.dt:.6g} (heuristic)")
+            result.series.write_csv(written[0], comment=provenance)  # in take's directory
+        if part is not None:
+            with open(written[-1], "ab") as out, open(part, "rb") as rest:
+                shutil.copyfileobj(rest, out)
+    finally:
+        if part is not None and part.is_file():
+            part.unlink()
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

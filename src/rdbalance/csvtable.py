@@ -19,25 +19,34 @@ import pickle
 import sys
 
 _ROWS_PER_WRITE = 1024  # bounds the transient strings of a table write
+# one 2^16-value job: 512 KiB of doubles and its pickle framing, in a pipe
+# sized in powers of two pages
+_PIPE_BYTES = 2 ** 20
+_PIPE_CAP = "/proc/sys/fs/pipe-max-size"
 
 
-def write_table(path, header, columns, axes=(), comment=None) -> None:
+def write_table(path, header, columns, axes=(), comment=None, rows=None) -> None:
     """CSV table: an optional "# comment" line, then csv.writer's bytes
     ("%.17g" numbers, CRLF line ends) for the header and one row per record,
     formatted a block of rows at a time.  ``columns`` hold the values, one
     float sequence per column with slicing and ``tolist()`` (1-D numpy
     arrays, memoryviews of doubles).  The row-major product of the ``axes``
     coordinates (sequences with ``tolist()``, each formatted once) starts the
-    rows: a snapshot's cell centres."""
+    rows: a snapshot's cell centres.  ``rows=(start, stop)`` writes only
+    those rows, and the comment and header only when ``start`` is 0, so the
+    files of rows (0, k) and (k, n), 0 < k <= n, join into the table's bytes."""
+    start, stop = (0, len(columns[0])) if rows is None else rows
     coords = [["%.17g," % x for x in axis.tolist()] for axis in axes]
-    prefixes = [map("".join, itertools.product(*coords))] if coords else []
+    prefixes = ([map("".join, itertools.islice(itertools.product(*coords), start, None))]
+                if coords else [])
     row = "%s" * len(prefixes) + ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            block = [column[start:start + _ROWS_PER_WRITE].tolist() for column in columns]
+        if start == 0:
+            if comment is not None:
+                fh.write(f"# {comment}\n")
+            csv.writer(fh).writerow(header)
+        for lo in range(start, stop, _ROWS_PER_WRITE):
+            block = [column[lo:min(lo + _ROWS_PER_WRITE, stop)].tolist() for column in columns]
             n = len(block[0])
             lead = [itertools.islice(p, n) for p in prefixes]
             fh.write(row * n % tuple(itertools.chain.from_iterable(zip(*lead, *block))))
@@ -78,6 +87,7 @@ class TableWriter:
         self._proc = subprocess.Popen(
             [sys.executable, "-I", "-S", os.path.abspath(__file__)],
             stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        _enlarge_pipe(self._proc.stdin.fileno())
 
     def send(self, path, header, columns, axes=(), comment=None) -> None:
         """``write_table``'s arguments, with float64 ``columns`` and ``axes``."""
@@ -105,6 +115,23 @@ class TableWriter:
             self.close()
         else:
             self._proc.communicate()
+
+
+def _enlarge_pipe(fd) -> None:
+    """Best effort: grow the pipe on ``fd`` to hold ``_PIPE_BYTES``, so the
+    first send returns while the writer process is still starting; within
+    Linux's cap for unprivileged pipes, ``_PIPE_CAP``, which this never
+    raises.  Where the call or the cap is missing, or the call is refused,
+    the pipe keeps its size and the first send waits for the process."""
+    try:
+        import fcntl
+
+        with open(_PIPE_CAP) as fh:
+            size = min(_PIPE_BYTES, int(fh.read()))
+        if size > fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ):
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, size)
+    except (ImportError, AttributeError, OSError):
+        pass
 
 
 def _serve(jobs) -> None:

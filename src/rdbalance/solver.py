@@ -419,10 +419,11 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
     shortened to t_end / ceil(t_end / dt) so that whole steps reach t_end;
     the result carries the dt used, and ``series`` the diag.csv table.
 
-    ``on_snapshot(state, step)`` is how a caller gets snapshots: if given,
-    it is called with each snapshot ``State`` and its step count as it is
-    taken, the initial one before the first step and the final one before
-    ``simulate`` returns.  An exception it raises ends it.  The run holds an
+    ``on_snapshot(state, step, final)`` is how a caller gets snapshots: if
+    given, it is called with each snapshot ``State``, its step count and
+    whether it is the run's last as it is taken, the initial one before the
+    first step and the final one (``final`` true) before ``simulate``
+    returns.  An exception it raises ends it.  The run holds an
     output state only until its row is recorded (``_RECORD_BATCH_VALUES``).
 
     The reference equilibrium is computed from the conserved masses of the
@@ -469,7 +470,7 @@ def simulate(net: ReactionNetwork, grid: Grid, initial: InitialSpec,
             held.clear()
         if on_snapshot is not None and (
                 k in (0, n_steps) or snapshot_every and outputs % snapshot_every == 0):
-            on_snapshot(state, k)
+            on_snapshot(state, k, k == n_steps)
         if k == n_steps:
             break
         chunk = min(output_every, n_steps - k)

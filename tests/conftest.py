@@ -102,11 +102,12 @@ class NeumannLaplacian:
 
 def record_snapshots(states: list, then=None):
     """An ``on_snapshot`` hook for ``simulate`` that appends each snapshot
-    ``State`` to ``states``, in the order taken, then calls ``then``."""
-    def hook(state, step):
+    ``State`` to ``states``, in the order taken, then calls ``then`` with
+    the hook's arguments."""
+    def hook(state, step, final):
         states.append(state)
         if then is not None:
-            then(state, step)
+            then(state, step, final)
     return hook
 
 

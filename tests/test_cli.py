@@ -1,3 +1,4 @@
+import fcntl
 import gc
 import os
 import re
@@ -1079,11 +1080,29 @@ def test_negative_initial_value_names_its_species(workdir, monkeypatch, capsys,
 # Snapshots of 2^14 values or more go to a writer process (two usable CPUs).
 
 
-def square64_config(t_end="0.004", snapshot_every=1):
-    # 64^2 cells times four species: 16384 values per snapshot
-    cfg = box_config("rect:1,1", "64", "(1,1)", t_end=t_end)
+def writer_config(domain, grid, mode, t_end="0.004", snapshot_every=1):
+    # a run of at least 2^14 values (cells times four species) per snapshot,
+    # with an output at every step
+    cfg = box_config(domain, grid, mode, t_end=t_end)
     return cfg.replace("output_every = 5", "output_every = 1").replace(
         "snapshot_every = 0", f"snapshot_every = {snapshot_every}")
+
+
+def square64_config(t_end="0.004", snapshot_every=1):
+    # 64^2 cells times four species: 16384 values per snapshot
+    return writer_config("rect:1,1", "64", "(1,1)", t_end, snapshot_every)
+
+
+# grids whose final snapshots split between the writer and the run at
+# different places: 64^2 and 16^3 between two slabs of the first axis, the
+# interval between two cells, 65 x 64 inside a slab (row 2080 = 32.5 x 64);
+# the 16^3 run takes its step from the heuristic, as a run without dt
+WRITER_RUNS = {
+    "square64": square64_config(),
+    "interval4096": writer_config("interval:1", "4096", "1"),
+    "rect65x64": writer_config("rect:1,1", "65,64", "(1,1)"),
+    "cube16_no_dt": writer_config("box:1,1,1", "16", "(1,1,1)").replace("dt = 1e-3\n", ""),
+}
 
 
 def writers_started(monkeypatch, cpus=(0, 1)):
@@ -1107,23 +1126,32 @@ def assert_reaped(proc, returncode):
     assert proc.stdin.closed and proc.stderr.closed
 
 
-def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys):
+@pytest.mark.parametrize("run", WRITER_RUNS)
+def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys, run):
     import rdbalance.cli as cli
     from rdbalance import __version__, write_snapshot_csv
 
-    snapshots = []
-    real_simulate = cli.simulate
+    if run == "interval4096":
+        pytest.importorskip("scipy")  # an axis over 192 cells: the DCT path
+    snapshots, halves = [], []
+    real_simulate, real_write_table = cli.simulate, cli.write_table
     monkeypatch.setattr(cli, "simulate", lambda *args, on_snapshot, **kw: real_simulate(
         *args, on_snapshot=record_snapshots(snapshots, on_snapshot), **kw))
-    (workdir / "sq.cfg").write_text(square64_config())
+    monkeypatch.setattr(cli, "write_table", lambda *args, rows, **kw: (
+        halves.append(rows), real_write_table(*args, rows=rows, **kw)))
+    (workdir / "sq.cfg").write_text(WRITER_RUNS[run])
     started = writers_started(monkeypatch)
     assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
     assert len(started) == 1
     assert_reaped(started[0], 0)
     written = sorted((workdir / "out").glob("snapshot_*.csv"))
-    assert [p.name for p in written] == [f"snapshot_{k:08d}.csv" for k in range(5)]
-    assert capsys.readouterr().out.splitlines() == [
-        f"wrote {workdir / 'out' / name}" for name in ["diag.csv"] + [p.name for p in written]]
+    assert [p.name for p in written] == [f"snapshot_{k:08d}.csv" for k in range(len(snapshots))]
+    assert len(snapshots) == 5 + (run == "cube16_no_dt")  # 4 steps of 1e-3, 5 of 8e-4
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")] \
+        == [f"wrote {workdir / 'out' / name}" for name in ["diag.csv"] + [p.name for p in written]]
+    # this run formatted the rows from the middle of the final snapshot on
+    n_cells = snapshots[-1].grid.n_cells
+    assert halves == [((n_cells + 1) // 2, n_cells)]
     comment = f"rdbalance {__version__} {cli.load_config(workdir / 'sq.cfg').config_hash}"
     for path, snap in zip(written, snapshots, strict=True):
         write_snapshot_csv(workdir / "inline.csv", snap, ["A1", "A2", "A3", "A4"], comment)
@@ -1151,6 +1179,109 @@ def test_writer_failure_names_the_file(workdir, monkeypatch, capsys, step):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(taken) in captured.err
     assert_reaped(started[0], 1)
+
+
+@pytest.mark.parametrize("half", ["writer", "run"])
+def test_final_snapshot_failure_in_either_half(workdir, monkeypatch, capsys, half):
+    # a directory stands where one half of the final snapshot goes: the
+    # writer's first rows go to the snapshot's file, the run's own rows to a
+    # part file beside it, appended to the snapshot once both are written
+    (workdir / "sq.cfg").write_text(square64_config())
+    final = workdir / "out" / "snapshot_00000004.csv"
+    blocked = final if half == "writer" else final.with_name(final.name + ".part")
+    blocked.mkdir(parents=True)
+    started = writers_started(monkeypatch)
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(final) in captured.err
+    assert ".part" not in captured.err
+    assert_reaped(started[0], 1 if half == "writer" else 0)
+    # no part file is left, nor a final snapshot that holds only the writer's
+    # rows; the writer fails only when the run has written diag.csv
+    left = {p.name for p in (workdir / "out").iterdir()}
+    assert left == {f"snapshot_{k:08d}.csv" for k in range(4)} | {blocked.name} | (
+        {"diag.csv"} if half == "writer" else set())
+
+
+def pipe_size(fd):
+    return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+
+
+def test_writer_pipe_holds_a_2_16_value_job(tmp_path, monkeypatch):
+    # so the first send returns while the writer process is still starting
+    import pickle
+
+    from rdbalance.csvtable import _PIPE_BYTES, _PIPE_CAP, TableWriter, write_table
+
+    rng = np.random.default_rng(16)
+    columns = [1 + 0.01 * rng.standard_normal(128 * 128) for _ in range(4)]
+    axes = [(np.arange(128) + 0.5) / 128] * 2
+    header = ["x", "y", "A1", "A2", "A3", "A4"]
+    jobs = []
+    real_dump = pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda job, fh, protocol: (
+        jobs.append(len(pickle.dumps(job, protocol))), real_dump(job, fh, protocol)))
+    with TableWriter() as writer:
+        size = pipe_size(writer._proc.stdin.fileno())
+        writer.send(tmp_path / "sent.csv", header, columns, axes, comment="c")
+    assert size >= min(_PIPE_BYTES, int(Path(_PIPE_CAP).read_text()))
+    assert len(jobs) == 1 and 2 ** 19 < jobs[0] <= _PIPE_BYTES
+    write_table(tmp_path / "inline.csv", header, columns, axes, comment="c")
+    assert (tmp_path / "sent.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+@pytest.mark.parametrize("refusal", ["no fcntl", "no F_SETPIPE_SZ", "F_SETPIPE_SZ refused",
+                                     "no cap", "cap below the pipe"])
+def test_writer_pipe_left_as_it_is_when_refused(workdir, monkeypatch, refusal):
+    # the writer keeps the default pipe, and the run writes the same bytes
+    import errno
+
+    import rdbalance.cli as cli
+
+    ends = os.pipe()
+    default = pipe_size(ends[1])
+    for fd in ends:
+        os.close(fd)
+    (workdir / "sq.cfg").write_text(square64_config())
+    assert not writers_started(monkeypatch, cpus=(0,))
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
+    (workdir / "out").rename(workdir / "out_inline")
+
+    started, sizes = writers_started(monkeypatch), []
+
+    class Sized(cli.TableWriter):
+        def __init__(self):
+            super().__init__()
+            sizes.append(pipe_size(self._proc.stdin.fileno()))
+
+    monkeypatch.setattr(cli, "TableWriter", Sized)
+    if refusal == "no fcntl":
+        monkeypatch.setitem(sys.modules, "fcntl", None)
+    elif refusal == "no F_SETPIPE_SZ":
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+    elif refusal == "F_SETPIPE_SZ refused":
+        real_fcntl = fcntl.fcntl
+
+        def refused(fd, cmd, arg=0):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+            return real_fcntl(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refused)
+    else:
+        cap = workdir / "pipe-max-size"
+        if refusal == "cap below the pipe":
+            cap.write_text(f"{default // 2}\n")
+        monkeypatch.setattr("rdbalance.csvtable._PIPE_CAP", str(cap))
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
+    assert_reaped(started[0], 0)
+    assert sizes == [default]
+    names = sorted(p.name for p in (workdir / "out").iterdir())
+    assert names == sorted(p.name for p in (workdir / "out_inline").iterdir())
+    for name in names:
+        assert (workdir / "out" / name).read_bytes() == \
+            (workdir / "out_inline" / name).read_bytes()
 
 
 @pytest.mark.parametrize("cpus", [(0,), (0, 1)])

@@ -575,6 +575,22 @@ class TestSnapshotCsv:
         back = build_initial(InitialSpec(csv_path=str(old)), grid, ("A2", "A1"))
         assert np.array_equal(back.fields, fields[::-1])
 
+    @pytest.mark.parametrize("split", [1, 4, 17, 18, 34, 35])
+    def test_row_ranges_join_into_the_table(self, tmp_path, rng, monkeypatch, split):
+        # the comment and header come with the range from row 0; blocks of 4
+        # rows end off and on the range ends
+        from rdbalance import csvtable
+
+        monkeypatch.setattr(csvtable, "_ROWS_PER_WRITE", 4)
+        grid = Grid(Rectangle(1.0, 3.0), (5, 7))
+        state = State(t=0.0, fields=rng.random((2, 5, 7)), grid=grid)
+        table = solver.snapshot_table(state, ["A1", "A2"])
+        joined = b""
+        for rows in ((0, split), (split, 35)):
+            csvtable.write_table(tmp_path / "part.csv", *table, comment="c", rows=rows)
+            joined += (tmp_path / "part.csv").read_bytes()
+        assert joined == self.reference_bytes(state, ["A1", "A2"], "c")
+
     @pytest.mark.parametrize("shape", [(4, 5, 6), (4, 4, 5, 4)])
     def test_bytes_and_read_back_in_3d_and_4d(self, tmp_path, rng, shape):
         grid = Grid(Box((1.0, 2.0, 0.5, 3.0)[:len(shape)]), shape)
