@@ -326,8 +326,6 @@ def _run_one_config(config_path) -> int:
     written = [config.output_dir / "diag.csv"]  # then the snapshots, as they are taken
     part = None  # the rows of the final snapshot this process formats, until joined
     try:
-        # leaving the block waits for the writer, which raises an OSError naming
-        # the file it failed to write
         with _snapshot_writer(config.grid.n_cells * net.n_species) as writer:
             def take(state, step, final):
                 nonlocal part
@@ -341,14 +339,13 @@ def _run_one_config(config_path) -> int:
                 else:  # no step is left to overlap: the writer formats the
                     # first half of the rows while this process formats the rest
                     header, columns, axes = snapshot_table(state, net.species)
-                    n, half = state.grid.n_cells, (state.grid.n_cells + 1) // 2
+                    half = (state.grid.n_cells + 1) // 2
                     writer.send(path, header, [c[:half] for c in columns], axes, provenance)
                     part = path.with_name(path.name + ".part")
                     try:
-                        write_table(part, header, columns, axes, rows=(half, n))
-                    except OSError as exc:  # named by its snapshot, not left half written
-                        writer.close()
-                        path.unlink()
+                        write_table(part, header, columns, axes, start=half)
+                    except OSError as exc:  # named by its snapshot, after the
+                        writer.close()  # writer's own error, as inline
                         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
             result = simulate(net, config.grid, _initial_spec(config, net), config.dt,
@@ -357,13 +354,19 @@ def _run_one_config(config_path) -> int:
                               on_snapshot=take)
             if config.dt is None:
                 print(f"dt = {result.dt:.6g} (heuristic)")
+            if part is not None:
+                # the writer's error, naming its file, comes before diag.csv, as inline
+                writer.close()
+                with open(written[-1], "ab") as out, open(part, "rb") as rest:
+                    shutil.copyfileobj(rest, out)
+                part.unlink()
+                part = None
             result.series.write_csv(written[0], comment=provenance)  # in take's directory
-        if part is not None:
-            with open(written[-1], "ab") as out, open(part, "rb") as rest:
-                shutil.copyfileobj(rest, out)
     finally:
-        if part is not None and part.is_file():
-            part.unlink()
+        if part is not None:  # not joined: leave neither half of the final snapshot
+            for path in (part, written[-1]):
+                if path.is_file():
+                    path.unlink()
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

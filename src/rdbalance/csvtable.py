@@ -25,17 +25,17 @@ _PIPE_BYTES = 2 ** 20
 _PIPE_CAP = "/proc/sys/fs/pipe-max-size"
 
 
-def write_table(path, header, columns, axes=(), comment=None, rows=None) -> None:
+def write_table(path, header, columns, axes=(), comment=None, start=0) -> None:
     """CSV table: an optional "# comment" line, then csv.writer's bytes
     ("%.17g" numbers, CRLF line ends) for the header and one row per record,
     formatted a block of rows at a time.  ``columns`` hold the values, one
     float sequence per column with slicing and ``tolist()`` (1-D numpy
     arrays, memoryviews of doubles).  The row-major product of the ``axes``
     coordinates (sequences with ``tolist()``, each formatted once) starts the
-    rows: a snapshot's cell centres.  ``rows=(start, stop)`` writes only
-    those rows, and the comment and header only when ``start`` is 0, so the
-    files of rows (0, k) and (k, n), 0 < k <= n, join into the table's bytes."""
-    start, stop = (0, len(columns[0])) if rows is None else rows
+    rows: a snapshot's cell centres.  A ``start`` above 0 writes only the
+    rows from ``start`` on, without the comment and header, so the table of
+    ``columns`` cut to their first k rows and the rows from k on join into
+    the whole table's bytes."""
     coords = [["%.17g," % x for x in axis.tolist()] for axis in axes]
     prefixes = ([map("".join, itertools.islice(itertools.product(*coords), start, None))]
                 if coords else [])
@@ -45,8 +45,8 @@ def write_table(path, header, columns, axes=(), comment=None, rows=None) -> None
             if comment is not None:
                 fh.write(f"# {comment}\n")
             csv.writer(fh).writerow(header)
-        for lo in range(start, stop, _ROWS_PER_WRITE):
-            block = [column[lo:min(lo + _ROWS_PER_WRITE, stop)].tolist() for column in columns]
+        for lo in range(start, len(columns[0]), _ROWS_PER_WRITE):
+            block = [column[lo:lo + _ROWS_PER_WRITE].tolist() for column in columns]
             n = len(block[0])
             lead = [itertools.islice(p, n) for p in prefixes]
             fh.write(row * n % tuple(itertools.chain.from_iterable(zip(*lead, *block))))

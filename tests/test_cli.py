@@ -1133,12 +1133,17 @@ def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys, ru
 
     if run == "interval4096":
         pytest.importorskip("scipy")  # an axis over 192 cells: the DCT path
-    snapshots, halves = [], []
+    snapshots, halves, results = [], [], []
     real_simulate, real_write_table = cli.simulate, cli.write_table
-    monkeypatch.setattr(cli, "simulate", lambda *args, on_snapshot, **kw: real_simulate(
-        *args, on_snapshot=record_snapshots(snapshots, on_snapshot), **kw))
-    monkeypatch.setattr(cli, "write_table", lambda *args, rows, **kw: (
-        halves.append(rows), real_write_table(*args, rows=rows, **kw)))
+
+    def recorded(*args, on_snapshot, **kw):
+        results.append(real_simulate(*args, on_snapshot=record_snapshots(snapshots, on_snapshot),
+                                     **kw))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "simulate", recorded)
+    monkeypatch.setattr(cli, "write_table", lambda *args, start, **kw: (
+        halves.append(start), real_write_table(*args, start=start, **kw)))
     (workdir / "sq.cfg").write_text(WRITER_RUNS[run])
     started = writers_started(monkeypatch)
     assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
@@ -1147,11 +1152,11 @@ def test_writer_process_writes_the_inline_bytes(workdir, monkeypatch, capsys, ru
     written = sorted((workdir / "out").glob("snapshot_*.csv"))
     assert [p.name for p in written] == [f"snapshot_{k:08d}.csv" for k in range(len(snapshots))]
     assert len(snapshots) == 5 + (run == "cube16_no_dt")  # 4 steps of 1e-3, 5 of 8e-4
-    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote")] \
-        == [f"wrote {workdir / 'out' / name}" for name in ["diag.csv"] + [p.name for p in written]]
+    heuristic = [f"dt = {results[0].dt:.6g} (heuristic)"] if run == "cube16_no_dt" else []
+    assert capsys.readouterr().out.splitlines() == heuristic + [
+        f"wrote {workdir / 'out' / name}" for name in ["diag.csv"] + [p.name for p in written]]
     # this run formatted the rows from the middle of the final snapshot on
-    n_cells = snapshots[-1].grid.n_cells
-    assert halves == [((n_cells + 1) // 2, n_cells)]
+    assert halves == [(snapshots[-1].grid.n_cells + 1) // 2]
     comment = f"rdbalance {__version__} {cli.load_config(workdir / 'sq.cfg').config_hash}"
     for path, snap in zip(written, snapshots, strict=True):
         write_snapshot_csv(workdir / "inline.csv", snap, ["A1", "A2", "A3", "A4"], comment)
@@ -1179,6 +1184,7 @@ def test_writer_failure_names_the_file(workdir, monkeypatch, capsys, step):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(taken) in captured.err
     assert_reaped(started[0], 1)
+    assert not (workdir / "out" / "diag.csv").exists()  # as inline
 
 
 @pytest.mark.parametrize("half", ["writer", "run"])
@@ -1198,10 +1204,33 @@ def test_final_snapshot_failure_in_either_half(workdir, monkeypatch, capsys, hal
     assert ".part" not in captured.err
     assert_reaped(started[0], 1 if half == "writer" else 0)
     # no part file is left, nor a final snapshot that holds only the writer's
-    # rows; the writer fails only when the run has written diag.csv
+    # rows, nor diag.csv, as inline
     left = {p.name for p in (workdir / "out").iterdir()}
-    assert left == {f"snapshot_{k:08d}.csv" for k in range(4)} | {blocked.name} | (
-        {"diag.csv"} if half == "writer" else set())
+    assert left == {f"snapshot_{k:08d}.csv" for k in range(4)} | {blocked.name}
+
+
+@pytest.mark.parametrize("cpus", [(0,), (0, 1)])
+def test_diag_failure_leaves_whole_snapshots(workdir, monkeypatch, capsys, cpus):
+    # a directory stands at diag.csv: the run fails after its last snapshot,
+    # which is whole on both paths, joined from its halves through the writer
+    (workdir / "sq.cfg").write_text(square64_config())
+    assert not writers_started(monkeypatch, cpus=(0,))
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 0
+    (workdir / "out").rename(workdir / "out_whole")
+    capsys.readouterr()
+    (workdir / "out" / "diag.csv").mkdir(parents=True)
+    started = writers_started(monkeypatch, cpus)
+    assert dispatch(["simulate", str(workdir / "sq.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(workdir / "out" / "diag.csv") in captured.err
+    assert len(started) == (len(cpus) >= 2)
+    for proc in started:
+        assert_reaped(proc, 0)
+    names = sorted(p.name for p in (workdir / "out").glob("snapshot_*"))
+    assert names == [f"snapshot_{k:08d}.csv" for k in range(5)]
+    for name in names:
+        assert (workdir / "out" / name).read_bytes() == (workdir / "out_whole" / name).read_bytes()
 
 
 def pipe_size(fd):
